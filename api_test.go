@@ -41,8 +41,11 @@ func TestOrderKey(t *testing.T) {
 
 func TestUnknownExperimentTyped(t *testing.T) {
 	for _, call := range []func() error{
-		func() error { _, err := Run("NOPE", QuickConfig()); return err },
-		func() error { _, err := RunExperiments(QuickConfig(), "T1", "NOPE"); return err },
+		func() error { _, err := RunContext(context.Background(), "NOPE", QuickConfig()); return err },
+		func() error {
+			_, err := RunExperimentsContext(context.Background(), QuickConfig(), "T1", "NOPE")
+			return err
+		},
 	} {
 		err := call()
 		if !errors.Is(err, ErrUnknownExperiment) {
@@ -64,7 +67,7 @@ func TestPanicRecovery(t *testing.T) {
 	tempExperiment(t, "Z99", func(cfg Config) Result {
 		return Result{ID: "Z99", Title: "ok", Lines: []string{"fine"}}
 	})
-	results, err := RunExperiments(QuickConfig(), "Z98", "Z99")
+	results, err := RunExperimentsContext(context.Background(), QuickConfig(), "Z98", "Z99")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestOnResultPaperOrder(t *testing.T) {
 	cfg.Workers = 3
 	var streamed []string
 	cfg.OnResult = func(r Result) { streamed = append(streamed, r.ID) }
-	results, err := RunExperiments(cfg, "Z95", "Z93", "Z94")
+	results, err := RunExperimentsContext(context.Background(), cfg, "Z95", "Z93", "Z94")
 	if err != nil {
 		t.Fatal(err)
 	}

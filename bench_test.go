@@ -1,6 +1,7 @@
 package fivegsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func benchExperiment(b *testing.B, id string, metric string) {
 	cfg := QuickConfig()
 	var last Result
 	for i := 0; i < b.N; i++ {
-		res, err := Run(id, cfg)
+		res, err := RunContext(context.Background(), id, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,8 +68,8 @@ func BenchmarkFigure23_EnergyTrace(b *testing.B)      { benchExperiment(b, "F23"
 
 // Campaign-engine benches: the full quick campaign serially and on an
 // 8-worker pool. Reports are bit-identical either way (the determinism
-// contract, see DESIGN.md); only wall-clock may differ. A full RunAll is
-// minutes of work — run these with `-benchtime=1x`:
+// contract, see DESIGN.md); only wall-clock may differ. A full campaign
+// is minutes of work — run these with `-benchtime=1x`:
 //
 //	go test -run xxx -bench BenchmarkRunAllWorkers -benchtime=1x .
 
@@ -77,7 +78,7 @@ func benchRunAll(b *testing.B, workers int) {
 	cfg := QuickConfig()
 	cfg.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if res := RunAll(cfg); len(res) == 0 {
+		if res, _ := RunExperimentsContext(context.Background(), cfg); len(res) == 0 {
 			b.Fatal("empty campaign")
 		}
 	}

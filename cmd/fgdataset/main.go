@@ -1,7 +1,8 @@
 // Command fgdataset exports the simulated measurement campaign in the
 // spirit of the paper's public data release [68]: the survey KPI log, the
-// hand-off event and signaling tables, a UDP loss trace, a pwrStrip
-// battery trace, the Table 6 server catalog, and a manifest.
+// hand-off event, signaling and measurement-event-mix tables, a UDP loss
+// trace, pwrStrip battery traces of the web, video and file workloads,
+// the Table 6 server catalog, and a manifest.
 //
 //	fgdataset -out dataset/
 package main
@@ -60,7 +61,7 @@ func main() {
 	campus := deploy.New(*seed)
 
 	// 1. Blanket-survey KPI log (XCAL format).
-	survey := coverage.Run(campus, *samples, *seed)
+	survey := coverage.NewSurveyor(campus, *samples, *seed).Run(1)
 	kpi := xcal.New()
 	for i, sm := range survey.Samples {
 		at := time.Duration(i) * 100 * time.Millisecond
@@ -91,6 +92,20 @@ func main() {
 		[]string{"t_ms", "kind", "from_pci", "to_pci", "latency_ms", "rsrq_before_db", "rsrq_after_db"},
 		hoRows)
 	write("handoff_signaling.csv", xcal.SignalingHeader(), sig.SignalingRows())
+	measTotal := 0
+	for _, n := range camp.MeasEvents {
+		measTotal += n
+	}
+	var measRows [][]string
+	for _, e := range []handoff.EventType{handoff.A1, handoff.A2, handoff.A3, handoff.A5, handoff.B1} {
+		n := camp.MeasEvents[e]
+		share := 0.0
+		if measTotal > 0 {
+			share = 100 * float64(n) / float64(measTotal)
+		}
+		measRows = append(measRows, []string{e.String(), fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", share)})
+	}
+	write("handoff_meas_events.csv", []string{"event", "count", "share_pct"}, measRows)
 
 	// 3. A 5G UDP loss trace near capacity (the Fig. 11 raw data).
 	pcfg := netsim.DefaultPath(radio.NR, true)
@@ -108,10 +123,15 @@ func main() {
 	}
 	write("udp_loss_runs.csv", []string{"first_lost_seq", "last_lost_seq", "run_len"}, lossRows)
 
-	// 4. pwrStrip battery trace of the NSA web replay.
-	replay := energy.Replay(energy.ModelNSA, traffic.Web(*seed))
-	recs := pwrstrip.Capture(replay.Series, energy.SystemPowerW)
-	write("pwrstrip_web_nsa.csv", pwrstrip.Header(), pwrstrip.Rows(recs))
+	// 4. pwrStrip battery traces of the NSA replays, one per workload.
+	for _, w := range []struct {
+		name  string
+		trace func(int64) energy.Trace
+	}{{"web", traffic.Web}, {"video", traffic.Video}, {"file", traffic.File}} {
+		replay := energy.Replay(energy.ModelNSA, w.trace(*seed))
+		recs := pwrstrip.Capture(replay.Series, energy.SystemPowerW)
+		write("pwrstrip_"+w.name+"_nsa.csv", pwrstrip.Header(), pwrstrip.Rows(recs))
+	}
 
 	// 5. The Table 6 server catalog.
 	var srvRows [][]string

@@ -1,8 +1,8 @@
-// Command fgobs inspects and serves the simulator's telemetry: it
-// renders a run manifest's metrics snapshot as text, diffs two
-// manifests metric-by-metric (e.g. before/after a performance change),
-// runs a campaign behind a live Prometheus /metrics + /progress
-// endpoint, or tails such an endpoint from the terminal.
+// Command fgobs inspects the simulator's telemetry: it renders a run
+// manifest's metrics snapshot as text, diffs two manifests
+// metric-by-metric (e.g. before/after a performance change), or tails a
+// running fgserve's live /metrics + /progress endpoints from the
+// terminal.
 //
 // Usage:
 //
@@ -10,10 +10,8 @@
 //	fgobs show -id F7 run.json     # just one experiment
 //	fgobs diff old.json new.json   # compare runs (matched by ID)
 //	fgobs diff -id F7 old.json new.json
-//	fgobs serve -quick -run X12,F10
-//	                               # run a campaign with live telemetry
-//	fgobs tail -url http://127.0.0.1:9137
-//	                               # stream progress + counter deltas
+//	fgobs tail -url http://127.0.0.1:9237
+//	                               # stream fgserve progress + counter deltas
 //
 // Manifest files come from `fgbench -manifest out.json` and hold either
 // a single manifest or a JSON array of them.
@@ -36,8 +34,6 @@ func main() {
 		cmdShow(os.Args[2:])
 	case "diff":
 		cmdDiff(os.Args[2:])
-	case "serve":
-		cmdServe(os.Args[2:])
 	case "tail":
 		cmdTail(os.Args[2:])
 	default:
@@ -49,8 +45,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   fgobs show [-id EXP] manifest.json
   fgobs diff [-id EXP] old.json new.json
-  fgobs serve [-addr HOST:PORT] [-quick] [-run IDS] [-workers N] [-pprof] [-exit]
-  fgobs tail [-url URL] [-interval DUR] [-follow]`)
+  fgobs tail [-url FGSERVE_URL] [-interval DUR] [-follow]`)
 	os.Exit(2)
 }
 

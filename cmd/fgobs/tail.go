@@ -13,14 +13,15 @@ import (
 	"fivegsim/internal/obs"
 )
 
-// cmdTail streams periodic snapshot deltas from a running `fgobs serve`
-// (or any obs.Serve endpoint) to the terminal: one progress line per
-// interval plus the counters that moved, with per-second rates. By
-// default it exits when /progress reports the campaign done (or when
-// the endpoint disappears); -follow keeps tailing until interrupted.
+// cmdTail streams periodic snapshot deltas from a running fgserve (or
+// any endpoint serving obs.Handler's /metrics.json and /progress) to the
+// terminal: one progress line per interval plus the counters that moved,
+// with per-second rates. By default it exits when /progress reports
+// every submitted unit done (or when the endpoint disappears); -follow
+// keeps tailing until interrupted.
 func cmdTail(args []string) {
 	fs := flag.NewFlagSet("tail", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:9137", "base URL of a running fgobs serve")
+	url := fs.String("url", "http://127.0.0.1:9237", "base URL of a running fgserve")
 	interval := fs.Duration("interval", time.Second, "polling interval")
 	follow := fs.Bool("follow", false, "keep tailing after the campaign reports done")
 	fs.Parse(args)

@@ -13,7 +13,7 @@ import (
 
 func main() {
 	campus := deploy.New(42)
-	survey := coverage.Run(campus, 4630, 42)
+	survey := coverage.NewSurveyor(campus, 4630, 42).Run(0)
 
 	for _, tech := range []radio.Tech{radio.LTE, radio.NR} {
 		s := survey.RSRPSummary(tech)
@@ -23,7 +23,7 @@ func main() {
 
 	// ASCII RSRP map of the 5G layer (Fig. 2a): darker = stronger.
 	fmt.Println("\n5G coverage map (#=strong, +=good, .=usable, ' '=hole, B=building):")
-	grid := coverage.GridMap(campus, radio.NR, 20)
+	grid := coverage.GridMap(campus, radio.NR, 20, 0)
 	for j := len(grid) - 1; j >= 0; j -= 2 { // y grows north; print top-down
 		row := ""
 		for i := 0; i < len(grid[j]); i++ {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -34,7 +35,7 @@ func main() {
 		bulk.ThroughputBps/1e6, bulk.MeanRTT.Round(time.Millisecond), bulk.LossEvents)
 
 	// 3. The campaign layer: regenerate a paper figure.
-	res, err := fivegsim.Run("F3", fivegsim.QuickConfig())
+	res, err := fivegsim.RunContext(context.Background(), "F3", fivegsim.QuickConfig())
 	if err != nil {
 		panic(err)
 	}

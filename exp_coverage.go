@@ -29,7 +29,7 @@ func init() {
 
 func runTable1(cfg Config) Result {
 	c := deploy.New(cfg.Seed)
-	s := coverage.RunParallel(c, surveySamples(cfg), cfg.Seed, cfg.Workers)
+	s := coverage.NewSurveyor(c, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
 	nr := s.RSRPSummary(radio.NR)
 	lte := s.RSRPSummary(radio.LTE)
 	return Result{
@@ -51,7 +51,7 @@ func runTable1(cfg Config) Result {
 
 func runTable2(cfg Config) Result {
 	c := deploy.New(cfg.Seed)
-	s := coverage.RunParallel(c, surveySamples(cfg), cfg.Seed, cfg.Workers)
+	s := coverage.NewSurveyor(c, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
 	res := Result{ID: "T2", Title: "RSRP distribution", Values: map[string]float64{}}
 	paper := map[string][6]float64{
 		"4G":        {0.13, 5.56, 23.60, 39.20, 29.74, 1.77},
@@ -84,7 +84,7 @@ func runFig2(cfg Config) Result {
 	if cfg.Quick {
 		resolution = 60
 	}
-	grid := coverage.GridMapWorkers(c, radio.NR, resolution, cfg.Workers)
+	grid := coverage.GridMap(c, radio.NR, resolution, cfg.Workers)
 	usable, holes := 0, 0
 	for _, row := range grid {
 		for _, g := range row {

@@ -1,6 +1,7 @@
 package fivegsim
 
 import (
+	"context"
 	"testing"
 
 	"fivegsim/internal/fault"
@@ -20,12 +21,12 @@ func TestFaultParallelEquivalence(t *testing.T) {
 	ids := []string{"X10", "X11"}
 	cfg := Config{Seed: 42, Quick: true, Faults: fault.CellFailover.Plan()}
 	cfg.Workers = 1
-	serial, err := RunExperiments(cfg, ids...)
+	serial, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := RunExperiments(cfg, ids...)
+	parallel, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +35,12 @@ func TestFaultParallelEquivalence(t *testing.T) {
 	// Distinct plans must not collide: the same campaign under a
 	// different scenario renders a different report.
 	cfg.Faults = fault.HandoffOutage.Plan()
-	other, err := RunExperiments(cfg, "X9")
+	other, err := RunExperimentsContext(context.Background(), cfg, "X9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = fault.BackhaulBrownout.Plan()
-	brown, err := RunExperiments(cfg, "X9")
+	brown, err := RunExperimentsContext(context.Background(), cfg, "X9")
 	if err != nil {
 		t.Fatal(err)
 	}

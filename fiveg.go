@@ -9,7 +9,7 @@
 // models and the RRC/DRX energy machine) and renders the same rows and
 // series the paper reports:
 //
-//	res, err := fivegsim.Run("F7", fivegsim.DefaultConfig())
+//	res, err := fivegsim.RunContext(context.Background(), "F7", fivegsim.DefaultConfig())
 //	fmt.Println(res.Report())
 //
 // Use Experiments to enumerate everything, or the cmd/fgbench binary to
@@ -41,8 +41,8 @@ type Config struct {
 	// samples) while preserving every qualitative result. Benchmarks and
 	// CI use Quick; the full campaign uses !Quick.
 	Quick bool
-	// Workers bounds the campaign engine's concurrency: RunAll dispatches
-	// experiments — and the parallelized inner loops (survey shards,
+	// Workers bounds the campaign engine's concurrency: a campaign
+	// dispatches experiments — and the parallelized inner loops (survey shards,
 	// campaign walks, probe sweeps, hand-off reps) shard their work —
 	// across this many goroutines. 0 means GOMAXPROCS, 1 (the zero-config
 	// default) is the serial path. Results are bit-identical for every
@@ -98,7 +98,7 @@ type Config struct {
 	// OnResult, events arrive in completion order — that is the point of
 	// live progress — but calls are always serialized; keep the callback
 	// cheap. Feed the stream to an obs.ProgressTracker to serve it as
-	// the /progress endpoint (obs.Serve, cmd/fgobs serve).
+	// the /progress endpoint (obs.Handler; cmd/fgserve serves one).
 	OnProgress func(obs.ProgressEvent)
 }
 
@@ -195,7 +195,7 @@ func (r Result) Report() string {
 // Typed errors of the public API, matchable with errors.Is/As.
 var (
 	// ErrUnknownExperiment is wrapped by every unknown-id failure of
-	// Run/RunExperiments; errors.As against *UnknownExperimentError
+	// RunContext/RunExperimentsContext; errors.As against *UnknownExperimentError
 	// recovers the offending id.
 	ErrUnknownExperiment = errors.New("fivegsim: unknown experiment")
 	// ErrExperimentPanic is wrapped by Result.Err when a registered Run
@@ -330,15 +330,7 @@ func ValidateExperiments(ids ...string) error {
 	return nil
 }
 
-// Run executes the experiment with the given ID. It is a convenience
-// wrapper over RunContext with a background context — new callers
-// should prefer the context-first form, which adds cancellation; this
-// wrapper exists for callers with nothing to cancel.
-func Run(id string, cfg Config) (Result, error) {
-	return RunContext(context.Background(), id, cfg)
-}
-
-// RunContext is the canonical single-experiment entry point: a context
+// RunContext is the single-experiment entry point: a context
 // canceled before the experiment starts returns ctx.Err() (wrapped, so
 // errors.Is matches); an experiment already running is not interrupted.
 // An unknown id is an *UnknownExperimentError; a config that fails
@@ -358,40 +350,19 @@ func RunContext(ctx context.Context, id string, cfg Config) (Result, error) {
 	return Result{}, &UnknownExperimentError{ID: id}
 }
 
-// RunAll executes every experiment and returns the results in paper
-// order. It is a convenience wrapper over RunExperimentsContext with a
-// background context and no id filter; a config that fails
-// Config.Validate yields nil. New callers should prefer
-// RunExperimentsContext, the canonical implementation, which adds
-// cancellation and surfaces validation errors. With cfg.Workers ≠ 1 the
-// experiments are dispatched across a worker pool; the returned slice,
-// each Result's Lines and Values, and the merged cfg.Obs instrument
-// totals are identical for every worker count.
-func RunAll(cfg Config) []Result {
-	res, _ := RunExperiments(cfg) // no ids, background context ⇒ only Validate can fail
-	return res
-}
-
-// RunExperiments executes the named experiments — all of them when ids
-// is empty — and returns the results in paper order. It is a
-// convenience wrapper over RunExperimentsContext with a background
-// context; new callers should prefer the context-first form, which adds
-// cancellation.
-func RunExperiments(cfg Config, ids ...string) ([]Result, error) {
-	return RunExperimentsContext(context.Background(), cfg, ids...)
-}
-
-// RunExperimentsContext is the canonical campaign entry point: it
+// RunExperimentsContext is the campaign entry point: it
 // executes the named experiments — all of them when ids is empty —
 // across up to cfg.Workers goroutines and returns the results in paper
-// order regardless of scheduling. A config that fails Config.Validate
+// order regardless of scheduling; the returned slice, each Result's
+// Lines and Values, and the merged cfg.Obs instrument totals are
+// identical for every worker count. A config that fails Config.Validate
 // returns a typed *InvalidConfigError before anything runs.
 //
 // When cfg.Obs is set, each experiment runs against its own
 // sub-registry (so its Manifest snapshot covers that run alone) and the
 // sub-registries are merged into cfg.Obs in paper order as the
 // paper-order frontier advances — cfg.Obs is live during the campaign
-// (serve it with obs.Serve), not only after it. When cfg.OnResult is
+// (serve it with obs.Handler), not only after it. When cfg.OnResult is
 // set it is invoked once per result, in paper order, as experiments
 // complete; cfg.OnProgress receives the completion-order progress
 // stream. An unknown id is an *UnknownExperimentError.

@@ -1,6 +1,7 @@
 package fivegsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestResultCarriesManifest(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := QuickConfig()
 	cfg.Obs = reg
-	res, err := Run("T1", cfg)
+	res, err := RunContext(context.Background(), "T1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestResultCarriesManifest(t *testing.T) {
 	// packet-level experiments' snapshots are covered in
 	// TestObsMetricsFlowThroughExperiment.
 	// Without a registry the manifest still records the headline fields.
-	res2, err := Run("T1", QuickConfig())
+	res2, err := RunContext(context.Background(), "T1", QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestObsMetricsFlowThroughExperiment(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := QuickConfig()
 	cfg.Obs = reg
-	res, err := Run("F10", cfg)
+	res, err := RunContext(context.Background(), "F10", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestObsMetricsFlowThroughExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("F99", QuickConfig()); err == nil {
+	if _, err := RunContext(context.Background(), "F99", QuickConfig()); err == nil {
 		t.Fatal("want error for unknown experiment")
 	}
 }
@@ -122,7 +123,7 @@ func TestQuickCheapExperiments(t *testing.T) {
 	// The fast experiments run end-to-end through the facade and report
 	// plausible headline values.
 	cfg := QuickConfig()
-	t1, err := Run("T1", cfg)
+	t1, err := RunContext(context.Background(), "T1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +133,19 @@ func TestQuickCheapExperiments(t *testing.T) {
 	if t1.Values["rsrp5G"] > -75 || t1.Values["rsrp5G"] < -95 {
 		t.Fatalf("T1 5G RSRP = %.1f", t1.Values["rsrp5G"])
 	}
-	f2, _ := Run("F2", cfg)
+	f2, _ := RunContext(context.Background(), "F2", cfg)
 	if f2.Values["radius5G"] >= f2.Values["radius4G"] {
 		t.Fatal("F2: 5G radius must be below 4G radius")
 	}
-	f22, _ := Run("F22", cfg)
+	f22, _ := RunContext(context.Background(), "F22", cfg)
 	if f22.Values["ratioAt50s"] < 2.2 {
 		t.Fatalf("F22 ratio = %.1f", f22.Values["ratioAt50s"])
 	}
-	f23, _ := Run("F23", cfg)
+	f23, _ := RunContext(context.Background(), "F23", cfg)
 	if f23.Values["ratio"] < 1.2 || f23.Values["nrTailS"] < 1.6*f23.Values["lteTailS"] {
 		t.Fatalf("F23 values implausible: %+v", f23.Values)
 	}
-	t4, _ := Run("T4", cfg)
+	t4, _ := RunContext(context.Background(), "T4", cfg)
 	if t4.Values["File/LTE"] <= t4.Values["File/NR NSA"] {
 		t.Fatal("T4: file transfer must favor 5G")
 	}

@@ -36,27 +36,9 @@ type Survey struct {
 var RSRPEdges = []float64{-140, -105, -90, -80, -70, -60, -40}
 
 // surveyShardSize is the number of survey samples per RNG shard. The
-// shard layout depends only on the sample count, so RunParallel returns
+// shard layout depends only on the sample count, so a Surveyor returns
 // identical surveys for every worker count (see internal/par).
 const surveyShardSize = 256
-
-// Run walks the campus road graph and collects n samples spread over the
-// roads proportionally to segment length, with a small perpendicular
-// jitter (pedestrians do not walk a perfect line). The paper samples 4630
-// locations. Equivalent to RunParallel with one worker.
-func Run(c *deploy.Campus, n int, seed int64) *Survey {
-	return RunParallel(c, n, seed, 1)
-}
-
-// RunParallel collects the same survey with the sample range sharded
-// across up to workers goroutines (0 = GOMAXPROCS). Each shard draws
-// from its own substream keyed by the shard index and writes its own
-// sample slots, so the survey is bit-identical for every worker count.
-// Callers that re-survey repeatedly should hold a Surveyor instead —
-// this one-shot form builds one and runs it once.
-func RunParallel(c *deploy.Campus, n int, seed int64, workers int) *Survey {
-	return NewSurveyor(c, n, seed).Run(workers)
-}
 
 // drawSample picks one outdoor survey location on r and measures both
 // technologies there, the way the XCAL-equipped walk records a row.
@@ -119,22 +101,24 @@ func (s *Survey) rsrps(t radio.Tech, coSitedOnly bool) []float64 {
 		}
 		return out
 	}
-	// Re-evaluate best server over co-sited eNBs only.
-	var cells []*radio.Cell
+	// Re-evaluate best server over co-sited eNBs only: the strongest
+	// entry of the measurement restricted to them.
+	coSited := map[int]bool{}
 	for _, site := range s.Campus.LTESites {
 		if site.CoSitedWith >= 0 {
-			cells = append(cells, site.Cells...)
-		}
-	}
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		best := math.Inf(-1)
-		for _, cell := range cells {
-			if v := s.Campus.RSRPAt(cell, sm.Pos); v > best {
-				best = v
+			for _, cell := range site.Cells {
+				coSited[cell.PCI] = true
 			}
 		}
-		out[i] = best
+	}
+	down := func(pci int) bool { return !coSited[pci] }
+	var buf [measureBufCap]radio.Measurement
+	out := make([]float64, len(s.Samples))
+	for i, sm := range s.Samples {
+		out[i] = math.Inf(-1)
+		if ms := s.Campus.MeasureAvailableInto(radio.LTE, sm.Pos, down, buf[:0]); len(ms) > 0 {
+			out[i] = ms[0].RSRPdBm
+		}
 	}
 	return out
 }
@@ -183,24 +167,19 @@ type GridCell struct {
 	Indoor     bool
 }
 
-// GridMap rasterizes best-server coverage over the campus at the given
-// resolution (meters per pixel), serially. Bit-rate assumes a full PRB
-// grant, like the paper's locked single-UE measurements.
-func GridMap(c *deploy.Campus, t radio.Tech, resolution float64) [][]GridCell {
-	return GridMapWorkers(c, t, resolution, 1)
-}
-
 // gridShardRows is the number of raster rows per shard. Fixed row tiles
 // keep the shard layout a pure function of the grid height, per the
 // internal/par contract (though the raster draws no randomness, so any
 // tiling would be worker-invariant anyway).
 const gridShardRows = 4
 
-// GridMapWorkers is GridMap with the raster rows tiled across up to
-// workers goroutines (0 = GOMAXPROCS). Every pixel is a pure function
-// of its coordinates and each shard writes only its own rows, so the
-// map is identical for every worker count.
-func GridMapWorkers(c *deploy.Campus, t radio.Tech, resolution float64, workers int) [][]GridCell {
+// GridMap rasterizes best-server coverage over the campus at the given
+// resolution (meters per pixel), with the raster rows tiled across up to
+// workers goroutines (0 = GOMAXPROCS). Bit-rate assumes a full PRB
+// grant, like the paper's locked single-UE measurements. Every pixel is
+// a pure function of its coordinates and each shard writes only its own
+// rows, so the map is identical for every worker count.
+func GridMap(c *deploy.Campus, t radio.Tech, resolution float64, workers int) [][]GridCell {
 	band := radio.BandNR()
 	if t == radio.LTE {
 		band = radio.BandLTE()
@@ -229,39 +208,42 @@ func GridMapWorkers(c *deploy.Campus, t radio.Tech, resolution float64, workers 
 	return grid
 }
 
-// CellLockedMeasure measures a specific cell (frequency-locked, as the
-// paper does for PCI 72 in Fig. 2b) at p, with interference from the other
-// same-tech cells.
+// measureBufCap sizes the stack buffers the all-cells measurements
+// append into; the LTE layer tops out at 34 cells.
+const measureBufCap = 40
+
+// CellLockedMeasure measures a specific cell of c (frequency-locked, as
+// the paper does for PCI 72 in Fig. 2b) at p, with interference from the
+// other same-tech cells: its entry of the all-cells measurement.
 func CellLockedMeasure(c *deploy.Campus, cell *radio.Cell, p geom.Point) radio.Measurement {
-	cells := c.Cells(cell.Tech)
-	terms := make([]radio.InterferenceTerm, 0, len(cells))
-	var servingRSRP float64
-	for _, other := range cells {
-		v := c.RSRPAt(other, p)
-		if other.PCI == cell.PCI {
-			servingRSRP = v
-			continue
+	var buf [measureBufCap]radio.Measurement
+	for _, m := range c.MeasureAllInto(cell.Tech, p, buf[:0]) {
+		if m.PCI == cell.PCI {
+			return m
 		}
-		terms = append(terms, radio.InterferenceTerm{PCI: other.PCI, RSRPdBm: v, Load: other.Load})
 	}
-	return radio.MeasureCell(cell, p, servingRSRP, terms)
+	return radio.Measurement{}
 }
 
 // UsableRadius walks a line-of-sight ray from the cell along its boresight
 // and returns the distance at which the locked link first becomes
 // unusable — the experiment the paper performs toward location A (§3.2),
-// finding ≈230 m for 5G vs ≈520 m for 4G. The median over small azimuth
-// perturbations inside the FoV smooths shadowing artifacts.
+// finding ≈230 m for 5G vs ≈520 m for 4G. The link is evaluated in the
+// open field: a one-cell batch with no walls and no shadow fading. The
+// median over small azimuth perturbations inside the FoV smooths
+// shadowing artifacts.
 func UsableRadius(c *deploy.Campus, cell *radio.Cell) float64 {
+	b := radio.NewCellBatch([]*radio.Cell{cell})
+	var idx, walls [1]int32
+	var shadow, rsrp [1]float64
 	var radii []float64
 	for _, off := range []float64{-20, -10, 0, 10, 20} {
 		az := (cell.Antenna.BoresightDeg + off) * math.Pi / 180
 		dir := geom.Point{X: math.Cos(az), Y: math.Sin(az)}
 		d := 1.0
 		for ; d < 2000; d += 2 {
-			p := cell.Pos.Add(dir.Scale(d))
-			rsrp := radio.RSRPAt(cell, p, radio.OpenField{}, 0)
-			if rsrp < radio.ServiceThresholdDBm {
+			b.RSRPInto(rsrp[:], idx[:], cell.Pos.Add(dir.Scale(d)), walls[:], false, shadow[:])
+			if rsrp[0] < radio.ServiceThresholdDBm {
 				break
 			}
 		}

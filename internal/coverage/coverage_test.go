@@ -14,7 +14,7 @@ import (
 func testSurvey(t *testing.T) (*deploy.Campus, *Survey) {
 	t.Helper()
 	c := deploy.New(42)
-	return c, Run(c, 4630, 42)
+	return c, NewSurveyor(c, 4630, 42).Run(1)
 }
 
 func TestTable1RSRPSummaries(t *testing.T) {
@@ -119,7 +119,7 @@ func TestFig3IndoorOutdoorGap(t *testing.T) {
 
 func TestGridMapCoverage(t *testing.T) {
 	c := deploy.New(42)
-	grid := GridMap(c, radio.NR, 50)
+	grid := GridMap(c, radio.NR, 50, 1)
 	if len(grid) == 0 || len(grid[0]) == 0 {
 		t.Fatal("empty grid")
 	}
@@ -172,8 +172,8 @@ func TestSurveySamplesOutdoor(t *testing.T) {
 
 func TestSurveyDeterminism(t *testing.T) {
 	c := deploy.New(42)
-	a := Run(c, 100, 7)
-	b := Run(c, 100, 7)
+	a := NewSurveyor(c, 100, 7).Run(1)
+	b := NewSurveyor(c, 100, 7).Run(1)
 	for i := range a.Samples {
 		if a.Samples[i].Pos != b.Samples[i].Pos || a.Samples[i].NR.RSRPdBm != b.Samples[i].NR.RSRPdBm {
 			t.Fatal("survey must be deterministic for a fixed seed")

@@ -13,9 +13,9 @@ import (
 func TestRunParallelWorkerEquivalence(t *testing.T) {
 	c := deploy.New(42)
 	for _, seed := range []int64{1, 42, 7} {
-		serial := RunParallel(c, 2000, seed, 1)
+		serial := NewSurveyor(c, 2000, seed).Run(1)
 		for _, workers := range []int{2, 4, 8} {
-			par := RunParallel(c, 2000, seed, workers)
+			par := NewSurveyor(c, 2000, seed).Run(workers)
 			if !reflect.DeepEqual(serial.Samples, par.Samples) {
 				t.Fatalf("seed %d: workers=%d survey differs from serial", seed, workers)
 			}
@@ -23,19 +23,10 @@ func TestRunParallelWorkerEquivalence(t *testing.T) {
 	}
 }
 
-func TestRunMatchesRunParallelSerial(t *testing.T) {
-	c := deploy.New(42)
-	a := Run(c, 1500, 7)
-	b := RunParallel(c, 1500, 7, 1)
-	if !reflect.DeepEqual(a.Samples, b.Samples) {
-		t.Fatal("Run must be the workers=1 case of RunParallel")
-	}
-}
-
 func TestRunParallelSeedSensitivity(t *testing.T) {
 	c := deploy.New(42)
-	a := RunParallel(c, 1000, 1, 4)
-	b := RunParallel(c, 1000, 2, 4)
+	a := NewSurveyor(c, 1000, 1).Run(4)
+	b := NewSurveyor(c, 1000, 2).Run(4)
 	if reflect.DeepEqual(a.Samples, b.Samples) {
 		t.Fatal("different seeds produced an identical survey")
 	}
@@ -43,14 +34,14 @@ func TestRunParallelSeedSensitivity(t *testing.T) {
 
 func TestRunParallelDegenerateSizes(t *testing.T) {
 	c := deploy.New(42)
-	if s := RunParallel(c, 0, 3, 4); len(s.Samples) != 0 {
+	if s := NewSurveyor(c, 0, 3).Run(4); len(s.Samples) != 0 {
 		t.Fatalf("n=0 survey has %d samples", len(s.Samples))
 	}
-	one := RunParallel(c, 1, 3, 8) // workers ≫ shards
+	one := NewSurveyor(c, 1, 3).Run(8) // workers ≫ shards
 	if len(one.Samples) != 1 {
 		t.Fatalf("n=1 survey has %d samples", len(one.Samples))
 	}
-	if !reflect.DeepEqual(one.Samples, RunParallel(c, 1, 3, 1).Samples) {
+	if !reflect.DeepEqual(one.Samples, NewSurveyor(c, 1, 3).Run(1).Samples) {
 		t.Fatal("n=1 survey differs between worker counts")
 	}
 }

@@ -8,13 +8,17 @@ import (
 	"fivegsim/internal/rng"
 )
 
-// Surveyor is the reusable engine behind RunParallel: the shard layout,
-// the per-shard generators, and the sample buffer are built once, so a
-// caller that re-surveys the same campus (benchmarks, convergence loops,
-// live re-sampling) pays no per-run allocation. Each Run reseeds every
-// shard generator with the exact seed rng.Source.Shard would plant, so
-// a Surveyor's survey is byte-identical to RunParallel(c, n, seed, w) —
-// for every worker count, and on every repeat Run.
+// Surveyor runs the paper's blanket walking survey: it walks the campus
+// road graph and collects n samples spread over the roads proportionally
+// to segment length, with a small perpendicular jitter (pedestrians do
+// not walk a perfect line). The paper samples 4630 locations.
+//
+// The shard layout, the per-shard generators, and the sample buffer are
+// built once, so a caller that re-surveys the same campus (benchmarks,
+// convergence loops, live re-sampling) pays no per-run allocation. Each
+// Run reseeds every shard generator with the exact seed
+// rng.Source.Shard would plant, so the survey is byte-identical for
+// every worker count, and on every repeat Run.
 //
 // The determinism contract is internal/par's: the shard layout is a pure
 // function of n, each shard draws only from its own substream and writes

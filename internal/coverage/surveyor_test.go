@@ -19,24 +19,12 @@ func surveysEqual(a, b *Survey) bool {
 	return true
 }
 
-// TestSurveyorMatchesRunParallel pins the Surveyor to the one-shot API:
-// prebuilt shards and reseeded generators must reproduce RunParallel's
-// survey byte for byte.
-func TestSurveyorMatchesRunParallel(t *testing.T) {
-	c := deploy.New(1)
-	want := RunParallel(c, 700, 42, 1)
-	got := NewSurveyor(c, 700, 42).Run(1)
-	if !surveysEqual(got, want) {
-		t.Fatal("Surveyor.Run(1) differs from RunParallel(…, 1)")
-	}
-}
-
 // TestSurveyorWorkersByteIdentical is the acceptance property of the
 // intra-experiment sharding: one Surveyor run at workers 1, 2 and 8
 // yields byte-identical samples — Workers is a pure throughput knob.
 func TestSurveyorWorkersByteIdentical(t *testing.T) {
 	c := deploy.New(1)
-	ref := RunParallel(c, 700, 7, 1)
+	ref := NewSurveyor(c, 700, 7).Run(1)
 	refCopy := make([]Sample, len(ref.Samples))
 	copy(refCopy, ref.Samples)
 	for _, workers := range []int{1, 2, 8} {
@@ -72,7 +60,7 @@ func TestSurveyorRepeatRunIdempotent(t *testing.T) {
 // prebuilt Surveyor allocates nothing.
 func TestSurveyorSerialRunAllocFree(t *testing.T) {
 	c := deploy.New(1)
-	c.WarmFieldMaps()
+	c.WarmFieldMaps(1)
 	sv := NewSurveyor(c, 256, 1)
 	sv.Run(1) // warm any lazily built field-map buckets the samples touch
 	avg := testing.AllocsPerRun(10, func() { sv.Run(1) })
@@ -85,8 +73,8 @@ func TestSurveyorSerialRunAllocFree(t *testing.T) {
 // but the sharded variant must still tile the identical grid.
 func TestGridMapWorkersMatchesSerial(t *testing.T) {
 	c := deploy.New(1)
-	want := GridMap(c, radio.NR, 60)
-	got := GridMapWorkers(c, radio.NR, 60, 4)
+	want := GridMap(c, radio.NR, 60, 1)
+	got := GridMap(c, radio.NR, 60, 4)
 	if len(got) != len(want) {
 		t.Fatalf("row count %d != %d", len(got), len(want))
 	}

@@ -9,18 +9,34 @@ import (
 
 // This file is the deployment side of the batched evaluation kernel: the
 // campus owns one radio.CellBatch per technology plus the environment
-// kernels (wall crossings, shadow fading) that feed it. The batch path
-// amortizes everything that is per-point rather than per-cell — the
-// indoor test, the shadow-lattice interpolation weights, the wall scan
-// for co-sited sectors — where the scalar chain (Campus.RSRPAt per cell)
-// recomputes each of them for every cell it touches. The outputs are bit
-// identical to the scalar chain; internal/deploy's equivalence tests
-// hold every public entry point to a scalar reference across seeds.
+// kernels (wall crossings, shadow fading) that feed it. It is the only
+// production path for RSRP and KPI evaluation. The batch path amortizes
+// everything that is per-point rather than per-cell — the indoor test,
+// the shadow-lattice interpolation weights, the wall scan for co-sited
+// sectors. The outputs are bit identical to the scalar chain
+// (radio.RSRPAt + radio.MeasureCell per cell), which survives as the
+// test oracle in oracle_test.go; internal/deploy's equivalence tests
+// hold every public entry point to it across seeds.
 
 // batchMax bounds the fixed stack scratch of the batched paths. The
-// campus tops out at 34 LTE cells; anything larger (only possible for
-// hand-built cell sets) falls back to the scalar path.
+// campus tops out at 34 LTE cells; New asserts both cell lists fit.
 const batchMax = 40
+
+// evalScratch is the fixed stack scratch of one shortlist evaluation.
+type evalScratch struct {
+	walls                [batchMax]int32
+	shadow, rsrp, termMw [batchMax]float64
+}
+
+// eval fills the RSRP and load-scaled interference columns of shortlist
+// idx at p and returns them as views into the scratch.
+func (s *evalScratch) eval(c *Campus, b *radio.CellBatch, idx []int32, p geom.Point) (rsrp, termMw []float64) {
+	n := len(idx)
+	rsrp, termMw = s.rsrp[:n], s.termMw[:n]
+	c.rsrpBatch(b, idx, p, s.walls[:n], s.shadow[:n], rsrp)
+	b.TermsMwInto(termMw, idx, rsrp)
+	return rsrp, termMw
+}
 
 func (c *Campus) batchFor(t radio.Tech) *radio.CellBatch {
 	if t == radio.NR {
@@ -49,7 +65,8 @@ func identityIdx(n int) []int32 {
 // rsrpBatch fills rsrp[k] with the shadowed RSRP of candidate idx[k] at
 // p: the indoor test runs once for the point, the shadow kernel shares
 // one set of lattice weights, and the wall kernel reuses the scan for
-// co-sited sectors. Bit-identical to calling Campus.RSRPAt per cell.
+// co-sited sectors. Bit-identical to radio.RSRPAt per cell with the
+// campus as obstruction and the value-noise shadow field.
 func (c *Campus) rsrpBatch(b *radio.CellBatch, idx []int32, p geom.Point, walls []int32, shadow, rsrp []float64) {
 	indoor := c.Indoor(p)
 	c.wallsInto(walls, b, idx, p)
@@ -106,31 +123,29 @@ func (c *Campus) shadowInto(dst []float64, b *radio.CellBatch, idx []int32, p ge
 	}
 }
 
-// MeasureAllInto is MeasureAll appending into dst (usually a retained
-// buffer passed as buf[:0]): the KPI samples of every cell of a
-// technology at p, strongest first. The whole evaluation — environment,
-// RSRP, interference terms, KPI chain, ordering — runs on fixed stack
-// scratch, so a caller that reuses dst measures allocation-free; the
-// guard test alongside TestBestServerAllocFree pins that.
+// MeasureAllInto appends to dst (usually a retained buffer passed as
+// buf[:0]) the KPI samples of every cell of a technology at p, strongest
+// first, with inter-cell interference applied. The whole evaluation —
+// environment, RSRP, interference terms, KPI chain, ordering — runs on
+// fixed stack scratch, so a caller that reuses dst measures
+// allocation-free; the guard test alongside TestBestServerAllocFree pins
+// that.
 func (c *Campus) MeasureAllInto(t radio.Tech, p geom.Point, dst []radio.Measurement) []radio.Measurement {
 	return c.measureIdxInto(c.batchFor(t), c.allIdx(t), p, dst)
 }
 
-// MeasureAvailableInto is MeasureAvailable appending into dst: cells for
-// which down returns true are excluded both as candidates and as
-// interferers. A nil predicate is MeasureAllInto.
+// MeasureAvailableInto is MeasureAllInto restricted to cells for which
+// down returns false — the fault layer's coverage-hole view. A failed
+// cell radiates nothing, so it is excluded both as a candidate server
+// and as an interferer. A nil predicate is MeasureAllInto.
 func (c *Campus) MeasureAvailableInto(t radio.Tech, p geom.Point, down func(pci int) bool, dst []radio.Measurement) []radio.Measurement {
 	if down == nil {
 		return c.MeasureAllInto(t, p, dst)
 	}
 	b := c.batchFor(t)
-	n := b.Len()
-	if n > batchMax {
-		return append(dst, c.MeasureAvailable(t, p, down)...)
-	}
 	var idxArr [batchMax]int32
 	idx := idxArr[:0]
-	for i := 0; i < n; i++ {
+	for i := 0; i < b.Len(); i++ {
 		if !down(b.PCI(i)) {
 			idx = append(idx, int32(i))
 		}
@@ -139,33 +154,16 @@ func (c *Campus) MeasureAvailableInto(t radio.Tech, p geom.Point, down func(pci 
 }
 
 // measureIdxInto measures every shortlist entry at p and appends the
-// samples to dst ordered by (RSRP desc, PCI asc) — the same strict total
-// order the scalar reference sorts by, realized as an insertion sort so
-// the ordering pass allocates nothing. PCIs are unique within a
-// technology, so the order has no ties and any comparison sort yields
-// the identical sequence.
+// samples to dst ordered by (RSRP desc, PCI asc) — a strict total order,
+// since exact RSRP ties (possible at lattice nodes where two co-sited
+// sectors see identical gain and shadow) break on PCI, so every
+// best-server resolution agrees on the winner. It is realized as an
+// insertion sort so the ordering pass allocates nothing.
 func (c *Campus) measureIdxInto(b *radio.CellBatch, idx []int32, p geom.Point, dst []radio.Measurement) []radio.Measurement {
-	n := len(idx)
-	if n == 0 {
-		return dst
-	}
-	if n > batchMax {
-		cells := make([]*radio.Cell, n)
-		for k, ci := range idx {
-			cells[k] = b.Cell(int(ci))
-		}
-		return append(dst, c.measureScalar(cells, p)...)
-	}
-	var wallsArr [batchMax]int32
-	var shadowArr, rsrpArr, termArr [batchMax]float64
-	walls := wallsArr[:n]
-	shadow := shadowArr[:n]
-	rsrp := rsrpArr[:n]
-	termMw := termArr[:n]
-	c.rsrpBatch(b, idx, p, walls, shadow, rsrp)
-	b.TermsMwInto(termMw, idx, rsrp)
+	var s evalScratch
+	rsrp, termMw := s.eval(c, b, idx, p)
 	base := len(dst)
-	for k := 0; k < n; k++ {
+	for k := range idx {
 		dst = append(dst, b.MeasureOne(idx, rsrp, termMw, k, p))
 	}
 	ms := dst[base:]

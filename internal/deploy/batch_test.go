@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -119,5 +120,41 @@ func TestMeasureIntoAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Into measurement paths allocate: %.2f allocs/run", avg)
+	}
+}
+
+// TestNewFitsBatchScratch: New is the only constructor of a Campus, and
+// every batched path evaluates a technology's cells on fixed batchMax
+// scratch, so both cell lists must fit it.
+func TestNewFitsBatchScratch(t *testing.T) {
+	c := New(1)
+	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+		if n := len(c.Cells(tech)); n > batchMax {
+			t.Fatalf("%v: %d cells exceed batchMax %d", tech, n, batchMax)
+		}
+	}
+}
+
+// TestSingleCellQueryMatchesScalar: a query restricted to one cell
+// yields that cell's RSRP exactly as the scalar RSRPAt computes it. The
+// coverage package's oracles build on single-cell queries, so this pins
+// them to the scalar chain too.
+func TestSingleCellQueryMatchesScalar(t *testing.T) {
+	for _, seed := range []int64{1, 42, 7} {
+		c := New(seed)
+		r := rand.New(rand.NewSource(seed * 1000))
+		buf := make([]radio.Measurement, 0, 1)
+		for _, p := range testPoints(t, c, r, 30) {
+			for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+				for _, cell := range c.Cells(tech) {
+					only := func(pci int) bool { return pci != cell.PCI }
+					got := c.MeasureAvailableInto(tech, p, only, buf[:0])
+					if len(got) != 1 || math.Float64bits(got[0].RSRPdBm) != math.Float64bits(c.RSRPAt(cell, p)) {
+						t.Fatalf("seed %d PCI %d at %+v: single-cell query %+v, scalar RSRP %v",
+							seed, cell.PCI, p, got, c.RSRPAt(cell, p))
+					}
+				}
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ package deploy
 
 import (
 	"math"
-	"sort"
 
 	"fivegsim/internal/geom"
 	"fivegsim/internal/radio"
@@ -180,6 +179,12 @@ func New(seed int64) *Campus {
 		c.NRSites[i].CoSitedWith = i // first six eNBs share the gNB poles
 		c.LTESites[i].CoSitedWith = i
 	}
+	// The batched paths evaluate a technology's cells on fixed stack
+	// scratch (batch.go); New is the only constructor, so this is the
+	// one place the cell counts can outgrow it.
+	if len(c.NRCells) > batchMax || len(c.LTECells) > batchMax {
+		panic("deploy: cell list exceeds the batch scratch")
+	}
 	c.nrBatch = radio.NewCellBatch(c.NRCells)
 	c.lteBatch = radio.NewCellBatch(c.LTECells)
 	c.nrAll = identityIdx(len(c.NRCells))
@@ -264,101 +269,6 @@ func (c *Campus) CellByPCI(pci int) *radio.Cell {
 		}
 	}
 	return nil
-}
-
-// ShadowDB returns the spatially correlated shadow fading (dB) for a cell
-// at a point: a bilinear value-noise field with ≈25 m correlation length,
-// deterministic in (seed, PCI, position).
-func (c *Campus) ShadowDB(cell *radio.Cell, p geom.Point) float64 {
-	std := radio.PropagationFor(cell.Tech).ShadowStdDB
-	return valueNoise(c.seed, cell.PCI, p) * std
-}
-
-// RSRPAt returns the shadowed RSRP of a cell at p.
-func (c *Campus) RSRPAt(cell *radio.Cell, p geom.Point) float64 {
-	return radio.RSRPAt(cell, p, c, c.ShadowDB(cell, p))
-}
-
-// MeasureAll returns the KPI samples for every cell of a technology at p,
-// strongest first, with inter-cell interference applied. Hot callers use
-// MeasureAllInto (batch.go) with a retained buffer; this convenience
-// wrapper allocates the result slice.
-func (c *Campus) MeasureAll(t radio.Tech, p geom.Point) []radio.Measurement {
-	return c.MeasureAllInto(t, p, make([]radio.Measurement, 0, len(c.Cells(t))))
-}
-
-// MeasureAvailable is MeasureAll restricted to cells for which down
-// returns false — the fault layer's coverage-hole view. A failed cell
-// radiates nothing, so it is excluded both as a candidate server and as
-// an interferer. A nil predicate is MeasureAll.
-func (c *Campus) MeasureAvailable(t radio.Tech, p geom.Point, down func(pci int) bool) []radio.Measurement {
-	if down == nil {
-		return c.MeasureAll(t, p)
-	}
-	all := c.Cells(t)
-	if len(all) <= batchMax {
-		return c.MeasureAvailableInto(t, p, down, make([]radio.Measurement, 0, len(all)))
-	}
-	live := make([]*radio.Cell, 0, len(all))
-	for _, cell := range all {
-		if !down(cell.PCI) {
-			live = append(live, cell)
-		}
-	}
-	return c.measureScalar(live, p)
-}
-
-// measureScalar is the per-call reference implementation the batched
-// kernels are held to (and the fallback for cell sets larger than the
-// fixed batch scratch): one Campus.RSRPAt per cell, one MeasureCell per
-// serving candidate, sorted strongest-first.
-func (c *Campus) measureScalar(cells []*radio.Cell, p geom.Point) []radio.Measurement {
-	rsrps := make([]float64, len(cells))
-	terms := make([]radio.InterferenceTerm, len(cells))
-	for i, cell := range cells {
-		rsrps[i] = c.RSRPAt(cell, p)
-		terms[i] = radio.InterferenceTerm{PCI: cell.PCI, RSRPdBm: rsrps[i], Load: cell.Load}
-	}
-	ms := make([]radio.Measurement, len(cells))
-	for i, cell := range cells {
-		ms[i] = radio.MeasureCell(cell, p, rsrps[i], terms)
-	}
-	// Strict total order: exact RSRP ties (possible at lattice nodes where
-	// two co-sited sectors see identical gain and shadow) break on PCI, so
-	// every best-server resolution — including the field-map fast path —
-	// agrees on the winner.
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].RSRPdBm != ms[j].RSRPdBm {
-			return ms[i].RSRPdBm > ms[j].RSRPdBm
-		}
-		return ms[i].PCI < ms[j].PCI
-	})
-	return ms
-}
-
-// valueNoise returns a smooth pseudo-random field in units of standard
-// deviations: Gaussian-ish values on a 25 m lattice, bilinearly
-// interpolated and renormalized so the pointwise variance stays ≈1.
-func valueNoise(seed int64, pci int, p geom.Point) float64 {
-	const lattice = 25.0
-	gx := math.Floor(p.X / lattice)
-	gy := math.Floor(p.Y / lattice)
-	fx := p.X/lattice - gx
-	fy := p.Y/lattice - gy
-	v00 := latticeGauss(seed, pci, int64(gx), int64(gy))
-	v10 := latticeGauss(seed, pci, int64(gx)+1, int64(gy))
-	v01 := latticeGauss(seed, pci, int64(gx), int64(gy)+1)
-	v11 := latticeGauss(seed, pci, int64(gx)+1, int64(gy)+1)
-	w00 := (1 - fx) * (1 - fy)
-	w10 := fx * (1 - fy)
-	w01 := (1 - fx) * fy
-	w11 := fx * fy
-	v := v00*w00 + v10*w10 + v01*w01 + v11*w11
-	norm := math.Sqrt(w00*w00 + w10*w10 + w01*w01 + w11*w11)
-	if norm == 0 {
-		return v
-	}
-	return v / norm
 }
 
 // latticeGauss returns a deterministic ≈N(0,1) value at a lattice node via

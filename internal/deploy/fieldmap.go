@@ -30,7 +30,7 @@ import (
 // never query a region pay nothing for it. Builds are deterministic pure
 // functions of (seed, geometry), so concurrent builders racing on the same
 // bucket store identical shortlists; the atomic pointer makes the publish
-// safe under RunParallel's worker pool.
+// safe under a sharded survey's worker pool.
 type fieldMap struct {
 	campus *Campus
 	tech   radio.Tech
@@ -59,8 +59,8 @@ func newFieldMap(c *Campus, tech radio.Tech) *fieldMap {
 }
 
 // candidates returns the shortlist covering p as batch indices, or nil
-// when p lies outside the bucketed area (callers fall back to the
-// exhaustive scan).
+// when p lies outside the bucketed area (callers then evaluate every
+// cell).
 func (f *fieldMap) candidates(p geom.Point) []int32 {
 	bx := int(p.X / fmBucketM)
 	by := int(p.Y / fmBucketM)
@@ -86,10 +86,9 @@ func (f *fieldMap) build(bx, by int) []int32 {
 	b := c.batchFor(f.tech)
 	all := c.allIdx(f.tech)
 	n := len(all)
-	keep := make([]bool, n)
-	rsrp := make([]float64, n)
-	walls := make([]int32, n)
-	shadow := make([]float64, n)
+	var keep [batchMax]bool
+	var s evalScratch
+	rsrp := s.rsrp[:n]
 	offsets := [5]float64{0, 0.25, 0.5, 0.75, 1}
 	for _, oy := range offsets {
 		for _, ox := range offsets {
@@ -97,13 +96,7 @@ func (f *fieldMap) build(bx, by int) []int32 {
 				X: (float64(bx) + ox) * fmBucketM,
 				Y: (float64(by) + oy) * fmBucketM,
 			}
-			if n <= batchMax {
-				c.rsrpBatch(b, all, p, walls, shadow, rsrp)
-			} else {
-				for i := 0; i < n; i++ {
-					rsrp[i] = c.RSRPAt(b.Cell(i), p)
-				}
-			}
+			c.rsrpBatch(b, all, p, s.walls[:n], s.shadow[:n], rsrp)
 			best := math.Inf(-1)
 			for i := 0; i < n; i++ {
 				if rsrp[i] > best {
@@ -118,7 +111,7 @@ func (f *fieldMap) build(bx, by int) []int32 {
 		}
 	}
 	out := make([]int32, 0, 4)
-	for i, k := range keep {
+	for i, k := range keep[:n] {
 		if k {
 			out = append(out, int32(i))
 		}
@@ -127,22 +120,16 @@ func (f *fieldMap) build(bx, by int) []int32 {
 }
 
 // WarmFieldMaps builds every field-map bucket of both technologies up
-// front, serially. Population ticks query BestServer for every UE, so
-// pre-warming turns the lazy per-bucket builds into a one-time cost and
-// leaves the steady-state tick allocation-free (the PopTick benches and
-// the internal/pop alloc guards rely on this).
-func (c *Campus) WarmFieldMaps() { c.WarmFieldMapsParallel(1) }
-
-// WarmFieldMapsParallel is WarmFieldMaps sharded over bucket rows across
-// up to workers goroutines (the par.Workers convention: 0 = GOMAXPROCS).
-// Builds are pure functions of (seed, geometry) published through atomic
-// pointers, so any interleaving yields the same shortlists; workers is a
-// pure throughput knob.
-func (c *Campus) WarmFieldMapsParallel(workers int) {
+// front, sharded over bucket rows across up to workers goroutines (the
+// par.Workers convention: 0 = GOMAXPROCS). Population ticks query
+// BestServer for every UE, so pre-warming turns the lazy per-bucket
+// builds into a one-time cost and leaves the steady-state tick
+// allocation-free (the PopTick benches and the internal/pop alloc guards
+// rely on this). Builds are pure functions of (seed, geometry) published
+// through atomic pointers, so any interleaving yields the same
+// shortlists; workers is a pure throughput knob.
+func (c *Campus) WarmFieldMaps(workers int) {
 	for _, f := range []*fieldMap{c.nrField, c.lteField} {
-		if f == nil {
-			continue
-		}
 		f := f
 		par.Do(workers, par.ShardSize(f.ny, 4), func(sh par.Range) {
 			for by := sh.Lo; by < sh.Hi; by++ {
@@ -155,11 +142,18 @@ func (c *Campus) WarmFieldMapsParallel(workers int) {
 	}
 }
 
-func (c *Campus) fieldFor(t radio.Tech) *fieldMap {
+// shortlist returns the candidate batch indices covering p: the cached
+// field-map shortlist, or every cell of the technology outside the
+// bucketed area.
+func (c *Campus) shortlist(t radio.Tech, p geom.Point) []int32 {
+	f := c.lteField
 	if t == radio.NR {
-		return c.nrField
+		f = c.nrField
 	}
-	return c.lteField
+	if cand := f.candidates(p); cand != nil {
+		return cand
+	}
+	return c.allIdx(t)
 }
 
 // BestServer returns the strongest cell's measurement at p, or ok=false if
@@ -168,99 +162,46 @@ func (c *Campus) fieldFor(t radio.Tech) *fieldMap {
 // 2–4 candidates instead of every cell — and computes the KPI sample
 // against the shortlist's interference terms. Cells excluded from the
 // shortlist sit ≥14 dB below the winner, so their interference
-// contribution is negligible.
+// contribution is negligible. Outside the bucketed area the shortlist is
+// every cell, which is the exhaustive scan. The fixed stack scratch keeps
+// every query allocation-free.
 func (c *Campus) BestServer(t radio.Tech, p geom.Point) (radio.Measurement, bool) {
-	f := c.fieldFor(t)
-	if f == nil {
-		return c.BestServerExhaustive(t, p)
-	}
-	cand := f.candidates(p)
-	if cand == nil {
-		return c.BestServerExhaustive(t, p)
-	}
+	cand := c.shortlist(t, p)
 	if len(cand) == 0 {
 		return radio.Measurement{}, false
 	}
-	// Fixed-capacity scratch keeps the per-query path allocation-free
-	// (the LTE layer tops out at 34 cells).
-	n := len(cand)
-	if n > batchMax {
-		return c.BestServerExhaustive(t, p)
-	}
 	b := c.batchFor(t)
-	var wallsArr [batchMax]int32
-	var shadowArr, rsrpArr, termArr [batchMax]float64
-	walls := wallsArr[:n]
-	shadow := shadowArr[:n]
-	rsrp := rsrpArr[:n]
-	termMw := termArr[:n]
-	c.rsrpBatch(b, cand, p, walls, shadow, rsrp)
+	var s evalScratch
+	rsrp, termMw := s.eval(c, b, cand, p)
 	bestK := 0
-	for k := 1; k < n; k++ {
-		// Same tie-break as MeasureAll's ordering: equal RSRP goes to the
-		// lower PCI (shortlists are PCI-ordered only within a site, so
+	for k := 1; k < len(cand); k++ {
+		// Same tie-break as MeasureAllInto's ordering: equal RSRP goes to
+		// the lower PCI (shortlists are PCI-ordered only within a site, so
 		// compare explicitly).
 		if rsrp[k] > rsrp[bestK] ||
 			(rsrp[k] == rsrp[bestK] && b.PCI(int(cand[k])) < b.PCI(int(cand[bestK]))) {
 			bestK = k
 		}
 	}
-	b.TermsMwInto(termMw, cand, rsrp)
 	return b.MeasureOne(cand, rsrp, termMw, bestK, p), true
 }
 
 // MeasureServing measures one specific cell (by PCI) at p against the
 // local interference field — the stateful A3 attach's view of a serving
 // cell that may no longer be the strongest. It shares BestServer's
-// shortlist fast path and fixed scratch, so it is allocation-free on the
-// bucketed area. ok=false means the cell is not measurable here: unknown
-// PCI, or the cell fell off the field-map shortlist (≥14 dB below the
-// local best — radio-link failure territory for any serving relation).
+// shortlist and fixed scratch, so it is allocation-free. ok=false means
+// the cell is not measurable here: unknown PCI, or the cell fell off the
+// field-map shortlist (≥14 dB below the local best — radio-link failure
+// territory for any serving relation).
 func (c *Campus) MeasureServing(t radio.Tech, p geom.Point, pci int) (radio.Measurement, bool) {
-	f := c.fieldFor(t)
-	var cand []int32
-	if f != nil {
-		cand = f.candidates(p)
-	}
-	if cand == nil || len(cand) == 0 || len(cand) > batchMax {
-		// Outside the bucketed area (or no field map): exhaustive scan.
-		for _, m := range c.MeasureAll(t, p) {
-			if m.PCI == pci {
-				return m, true
-			}
-		}
-		return radio.Measurement{}, false
-	}
-	n := len(cand)
+	cand := c.shortlist(t, p)
 	b := c.batchFor(t)
-	at := -1
-	for k := 0; k < n; k++ {
-		if b.PCI(int(cand[k])) == pci {
-			at = k
-			break
+	for k, ci := range cand {
+		if b.PCI(int(ci)) == pci {
+			var s evalScratch
+			rsrp, termMw := s.eval(c, b, cand, p)
+			return b.MeasureOne(cand, rsrp, termMw, k, p), true
 		}
 	}
-	if at < 0 {
-		return radio.Measurement{}, false
-	}
-	var wallsArr [batchMax]int32
-	var shadowArr, rsrpArr, termArr [batchMax]float64
-	walls := wallsArr[:n]
-	shadow := shadowArr[:n]
-	rsrp := rsrpArr[:n]
-	termMw := termArr[:n]
-	c.rsrpBatch(b, cand, p, walls, shadow, rsrp)
-	b.TermsMwInto(termMw, cand, rsrp)
-	return b.MeasureOne(cand, rsrp, termMw, at, p), true
-}
-
-// BestServerExhaustive is the reference implementation of BestServer: a
-// full measurement of every cell. TestBestServerMatchesExhaustive holds
-// the fast path to this one.
-func (c *Campus) BestServerExhaustive(t radio.Tech, p geom.Point) (radio.Measurement, bool) {
-	ms := c.MeasureAll(t, p)
-	if len(ms) == 0 {
-		return radio.Measurement{}, false
-	}
-	return ms[0], true
+	return radio.Measurement{}, false
 }

@@ -52,8 +52,8 @@ func TestBestServerMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// Outside the bucketed area the fast path must fall back to the
-// exhaustive scan rather than index out of range.
+// Outside the bucketed area the fast path must evaluate every cell
+// rather than index out of range.
 func TestBestServerOutOfBounds(t *testing.T) {
 	c := New(1)
 	for _, p := range []geom.Point{
@@ -68,9 +68,44 @@ func TestBestServerOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestOutsideFieldMapMatchesScalar: outside the bucketed area BestServer
+// and MeasureServing take the all-cells shortlist. Both must reproduce
+// the scalar oracle bit for bit there — BestServer its strongest entry,
+// MeasureServing the entry of every PCI.
+func TestOutsideFieldMapMatchesScalar(t *testing.T) {
+	for _, seed := range []int64{1, 42, 7} {
+		c := New(seed)
+		r := rand.New(rand.NewSource(seed))
+		pts := []geom.Point{{X: -50, Y: 100}, {X: 100, Y: -50}, {X: WidthM + 200, Y: 100}, {X: 100, Y: HeightM + 200}}
+		for i := 0; i < 20; i++ {
+			pts = append(pts, geom.Point{X: -1 - 300*r.Float64(), Y: r.Float64() * HeightM},
+				geom.Point{X: r.Float64() * WidthM, Y: HeightM + 10 + 300*r.Float64()})
+		}
+		for _, p := range pts {
+			if c.nrField.candidates(p) != nil || c.lteField.candidates(p) != nil {
+				t.Fatalf("%+v lies inside the field map", p)
+			}
+			for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+				want := c.MeasureAll(tech, p)
+				got, ok := c.BestServer(tech, p)
+				if !ok || !sameBits(got, want[0]) {
+					t.Fatalf("seed %d %v at %+v: BestServer %+v (ok=%v), scalar %+v", seed, tech, p, got, ok, want[0])
+				}
+				for _, m := range want {
+					got, ok := c.MeasureServing(tech, p, m.PCI)
+					if !ok || !sameBits(got, m) {
+						t.Fatalf("seed %d %v at %+v PCI %d: MeasureServing %+v (ok=%v), scalar %+v",
+							seed, tech, p, m.PCI, got, ok, m)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Concurrent first-touch queries racing on unbuilt buckets must agree —
-// the lazy build is idempotent and published atomically (RunParallel's
-// survey workers share one campus).
+// the lazy build is idempotent and published atomically (a sharded
+// survey's workers share one campus).
 func TestFieldMapConcurrentBuild(t *testing.T) {
 	c := New(42)
 	const workers = 8

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -63,44 +64,40 @@ func NewManifest(id, title string, seed int64, quick bool, started time.Time, wa
 	return m
 }
 
-var versionOnce struct {
-	done bool
-	v    string
-}
-
 // Version returns a git-describe-style identifier for the running
 // binary, derived from Go's embedded build info: module version when
-// tagged, otherwise "devel+<revision12>[-dirty]".
-func Version() string {
-	if versionOnce.done {
-		return versionOnce.v
+// tagged, otherwise "devel+<revision12>[-dirty]". Concurrent first calls
+// (parallel experiments finishing together) compute it once.
+func Version() string { return version() }
+
+var version = sync.OnceValue(func() string {
+	v := "devel"
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return v
 	}
-	versionOnce.done = true
-	versionOnce.v = "devel"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
-			versionOnce.v = bi.Main.Version
-		}
-		var rev, dirty string
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				if s.Value == "true" {
-					dirty = "-dirty"
-				}
+	if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
+		v = bi.Main.Version
+	}
+	var rev, dirty string
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "-dirty"
 			}
 		}
-		if rev != "" {
-			if len(rev) > 12 {
-				rev = rev[:12]
-			}
-			versionOnce.v += "+" + rev + dirty
-		}
 	}
-	return versionOnce.v
-}
+	if rev != "" {
+		if len(rev) > 12 {
+			rev = rev[:12]
+		}
+		v += "+" + rev + dirty
+	}
+	return v
+})
 
 // String renders the manifest header and metric snapshot as text.
 func (m RunManifest) String() string {

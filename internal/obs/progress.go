@@ -99,16 +99,19 @@ type ProgressTracker struct {
 	total     int
 	completed int
 	failed    int
-	running   map[string]bool
-	ticks     map[string]TickState
-	eta       time.Duration
+	// running counts the in-flight runs of each experiment: two seeds of
+	// one experiment may run at once, and the first to finish must not
+	// drop the other.
+	running map[string]int
+	ticks   map[string]TickState
+	eta     time.Duration
 }
 
 // NewProgressTracker returns a tracker whose Elapsed clock starts now.
 func NewProgressTracker() *ProgressTracker {
 	return &ProgressTracker{
 		start:   time.Now(),
-		running: map[string]bool{},
+		running: map[string]int{},
 		ticks:   map[string]TickState{},
 	}
 }
@@ -125,10 +128,9 @@ func (t *ProgressTracker) Observe(ev ProgressEvent) {
 	}
 	switch ev.Kind {
 	case ProgressExperimentStart:
-		t.running[ev.Experiment] = true
+		t.running[ev.Experiment]++
 	case ProgressExperimentFinish:
-		delete(t.running, ev.Experiment)
-		delete(t.ticks, ev.Experiment)
+		t.release(ev.Experiment)
 		if ev.Completed > t.completed {
 			t.completed = ev.Completed
 		} else {
@@ -141,6 +143,42 @@ func (t *ProgressTracker) Observe(ev ProgressEvent) {
 	case ProgressTick:
 		t.ticks[ev.Experiment] = TickState{Tick: ev.Tick, Ticks: ev.Ticks}
 	}
+}
+
+// release drops one in-flight run of experiment; its tick state goes
+// with the last one.
+func (t *ProgressTracker) release(experiment string) {
+	if t.running[experiment] > 1 {
+		t.running[experiment]--
+		return
+	}
+	delete(t.running, experiment)
+	delete(t.ticks, experiment)
+}
+
+// SetTotal replaces the total the snapshot measures completion against,
+// for producers whose total changes between start and finish events: a
+// service admitting a campaign, or dropping the pending units of a
+// canceled one. Nil-safe.
+func (t *ProgressTracker) SetTotal(total int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.total = total
+	t.mu.Unlock()
+}
+
+// Abandon drops one started run of experiment that will never finish
+// (its campaign was canceled before the run began) without counting it
+// completed. Nil-safe.
+func (t *ProgressTracker) Abandon(experiment string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.release(experiment)
+	t.mu.Unlock()
 }
 
 // Snapshot returns the current aggregate state. Nil-safe (zero value).

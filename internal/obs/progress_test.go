@@ -13,12 +13,12 @@ func TestEstimateETA(t *testing.T) {
 	}{
 		{10 * time.Second, 2, 4, 10 * time.Second},
 		{10 * time.Second, 1, 4, 30 * time.Second},
-		{10 * time.Second, 0, 4, 0},  // nothing completed: no basis
-		{10 * time.Second, 4, 4, 0},  // done: nothing remains
-		{10 * time.Second, 5, 4, 0},  // over-complete: clamp to done
-		{-5 * time.Second, 1, 4, 0},  // negative elapsed (clock skew): clamp to 0
-		{-1, 1, 1 << 30, 0},          // tiny negative elapsed, huge remaining: still 0
-		{0, 1, 4, 0},                 // zero elapsed: no basis yet
+		{10 * time.Second, 0, 4, 0},      // nothing completed: no basis
+		{10 * time.Second, 4, 4, 0},      // done: nothing remains
+		{10 * time.Second, 5, 4, 0},      // over-complete: clamp to done
+		{-5 * time.Second, 1, 4, 0},      // negative elapsed (clock skew): clamp to 0
+		{-1, 1, 1 << 30, 0},              // tiny negative elapsed, huge remaining: still 0
+		{0, 1, 4, 0},                     // zero elapsed: no basis yet
 		{1 << 62, 1, 1 << 40, 1<<63 - 1}, // extrapolation overflows: saturate, never wrap negative
 	}
 	for _, tc := range cases {
@@ -94,5 +94,29 @@ func TestProgressTrackerCountsFinishesWithoutCompleted(t *testing.T) {
 	s := tr.Snapshot()
 	if s.Completed != 3 || !s.Done {
 		t.Fatalf("snapshot = %+v, want 3/3 done", s)
+	}
+}
+
+// TestProgressTrackerRunningRefCount: two runs of one experiment in
+// flight at once (a seed ladder) keep it running until the second
+// finishes; an abandoned run leaves the running set without counting as
+// completed, and SetTotal replaces the total between events.
+func TestProgressTrackerRunningRefCount(t *testing.T) {
+	tr := NewProgressTracker()
+	tr.Observe(ProgressEvent{Kind: ProgressExperimentStart, Experiment: "X12", Total: 3})
+	tr.Observe(ProgressEvent{Kind: ProgressExperimentStart, Experiment: "X12", Total: 3})
+	tr.Observe(ProgressEvent{Kind: ProgressExperimentStart, Experiment: "X13", Total: 3})
+	tr.Observe(ProgressEvent{Kind: ProgressTick, Experiment: "X12", Tick: 1, Ticks: 4})
+	tr.Observe(ProgressEvent{Kind: ProgressExperimentFinish, Experiment: "X12", Completed: 1, Total: 3})
+	s := tr.Snapshot()
+	if len(s.Running) != 2 || s.Running[0] != "X12" || s.Ticks["X12"].Ticks != 4 {
+		t.Fatalf("one of two X12 runs finished: %+v, want X12 still running with its ticks", s)
+	}
+	tr.Abandon("X13")
+	tr.SetTotal(2)
+	tr.Observe(ProgressEvent{Kind: ProgressExperimentFinish, Experiment: "X12", Completed: 2, Total: 2})
+	s = tr.Snapshot()
+	if !s.Done || s.Completed != 2 || s.Total != 2 || len(s.Running) != 0 || len(s.Ticks) != 0 {
+		t.Fatalf("final snapshot = %+v, want 2/2 done with nothing running", s)
 	}
 }

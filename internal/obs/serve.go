@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Live telemetry over HTTP: Serve exposes a running registry as a
+// Live telemetry over HTTP: Handler exposes a running registry as a
 // Prometheus scrape target plus JSON mirrors, so a campaign can be
 // watched while it executes instead of only through its end-of-run
 // manifests. Handlers snapshot under the registry lock per request —
@@ -83,12 +83,12 @@ func Handler(opts ServeOptions) http.Handler {
 	return mux
 }
 
-// Server is a running telemetry endpoint. It shuts down when the
-// context passed to Serve is canceled; Wait blocks until shutdown has
+// Server is a running HTTP endpoint. It shuts down when the context
+// passed to ServeHandler is canceled; Wait blocks until shutdown has
 // completed and reports the terminal serve error, if any.
 type Server struct {
 	// Addr is the bound listen address ("127.0.0.1:43211"), resolved
-	// even when Serve was asked for port 0.
+	// even when ServeHandler was asked for port 0.
 	Addr string
 	done chan struct{}
 	err  error
@@ -98,17 +98,11 @@ type Server struct {
 // scrapes before closing their connections.
 const shutdownGrace = 2 * time.Second
 
-// Serve binds addr (":0" picks a free port) and serves the telemetry
-// endpoints until ctx is canceled. It returns as soon as the listener
-// is bound; the resolved address is Server.Addr.
-func Serve(ctx context.Context, addr string, opts ServeOptions) (*Server, error) {
-	return ServeHandler(ctx, addr, Handler(opts))
-}
-
-// ServeHandler is Serve with a caller-built handler: the same bind /
-// context-cancellation / bounded-drain lifecycle, but serving h instead
-// of the stock telemetry mux. internal/serve mounts its campaign API on
-// top of Handler's endpoints through this.
+// ServeHandler binds addr (":0" picks a free port) and serves h until
+// ctx is canceled, then drains in-flight requests for a bounded grace.
+// It returns as soon as the listener is bound; the resolved address is
+// Server.Addr. internal/serve mounts its campaign API on top of
+// Handler's endpoints and serves it through this.
 func ServeHandler(ctx context.Context, addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -137,8 +131,8 @@ func ServeHandler(ctx context.Context, addr string, h http.Handler) (*Server, er
 	return s, nil
 }
 
-// Wait blocks until the server has shut down (its Serve context was
-// canceled, or the listener failed) and returns the terminal error, nil
+// Wait blocks until the server has shut down (its ServeHandler context
+// was canceled, or the listener failed) and returns the terminal error, nil
 // on a clean shutdown.
 func (s *Server) Wait() error {
 	<-s.done

@@ -42,12 +42,12 @@ func get(t *testing.T, client *http.Client, url string) (int, string, http.Heade
 // shutdown path — and verify Wait returns clean and the port closes.
 func TestServeEndpointsAndShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := Serve(ctx, "127.0.0.1:0", serveTestOptions())
+	srv, err := ServeHandler(ctx, "127.0.0.1:0", Handler(serveTestOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(srv.Addr, ":") || strings.HasSuffix(srv.Addr, ":0") {
-		t.Fatalf("Serve did not resolve the bound port: %q", srv.Addr)
+		t.Fatalf("ServeHandler did not resolve the bound port: %q", srv.Addr)
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	base := "http://" + srv.Addr
@@ -121,8 +121,8 @@ func TestServeEndpointsAndShutdown(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve(context.Background(), "127.0.0.1:-1", ServeOptions{}); err == nil {
-		t.Fatal("Serve on an invalid address must fail")
+	if _, err := ServeHandler(context.Background(), "127.0.0.1:-1", Handler(ServeOptions{})); err == nil {
+		t.Fatal("ServeHandler on an invalid address must fail")
 	}
 }
 

@@ -6,6 +6,7 @@
 package perf
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func benchPathSaturate(b *testing.B) {
 func benchSurvey(b *testing.B) {
 	b.ReportAllocs()
 	c := deploy.New(1)
-	c.WarmFieldMaps()
+	c.WarmFieldMaps(1)
 	sv := coverage.NewSurveyor(c, 512, 1)
 	sv.Run(1) // settle any remaining lazy state
 	b.ResetTimer()
@@ -146,7 +147,7 @@ func benchSurveyBatch(b *testing.B) {
 func benchSurveyWorkers8(b *testing.B) {
 	b.ReportAllocs()
 	c := deploy.New(1)
-	c.WarmFieldMapsParallel(8)
+	c.WarmFieldMaps(8)
 	sv := coverage.NewSurveyor(c, 4630, 1)
 	sv.Run(8)
 	b.ResetTimer()
@@ -225,7 +226,7 @@ func benchRunAll(b *testing.B, workers int) {
 	cfg := fivegsim.QuickConfig()
 	cfg.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if res := fivegsim.RunAll(cfg); len(res) == 0 {
+		if res, _ := fivegsim.RunExperimentsContext(context.Background(), cfg); len(res) == 0 {
 			b.Fatal("empty campaign")
 		}
 	}

@@ -137,7 +137,7 @@ type Population struct {
 	hoPrev     int64 // cumulative hand-offs at last tick boundary
 	hoPeak     int64 // largest single-tick hand-off count (storm metric)
 
-	tickBirths, tickDeaths, tickBlocked   int64
+	tickBirths, tickDeaths, tickBlocked    int64
 	birthsTotal, deathsTotal, blockedTotal int64
 
 	// Load-coupling state: the campus cells' original Loads and the
@@ -259,7 +259,7 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 		p.loadEwma[i] = cell.Load
 	}
 
-	c.WarmFieldMaps()
+	c.WarmFieldMaps(1)
 	c.PlacePPP(placeRng, p.x[:n], p.y[:n])
 	copy(p.tx[:n], p.x[:n])
 	copy(p.ty[:n], p.y[:n])

@@ -28,9 +28,9 @@ import (
 
 // ProbeSurvey runs the paper's walking coverage survey as the N=1
 // special case of a population study: n sampled probe positions over the
-// campus, one UE. Identical to coverage.RunParallel by construction.
+// campus, one UE. Identical to a coverage.Surveyor run by construction.
 func ProbeSurvey(c *deploy.Campus, n int, seed int64, workers int) *coverage.Survey {
-	return coverage.RunParallel(c, n, seed, workers)
+	return coverage.NewSurveyor(c, n, seed).Run(workers)
 }
 
 // ProbeCampaign runs the paper's hand-off walk campaigns as the N=1

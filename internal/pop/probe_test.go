@@ -26,9 +26,9 @@ func TestProbeSurveyMatchesCoverage(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		got := ProbeSurvey(campus, n, 42, workers)
-		want := coverage.RunParallel(campus, n, 42, workers)
+		want := coverage.NewSurveyor(campus, n, 42).Run(workers)
 		if !reflect.DeepEqual(got.Samples, want.Samples) {
-			t.Fatalf("workers %d: ProbeSurvey diverges from coverage.RunParallel", workers)
+			t.Fatalf("workers %d: ProbeSurvey diverges from coverage.Surveyor", workers)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestSingleUEMatchesProbePipeline(t *testing.T) {
 	if testing.Short() {
 		n = 100
 	}
-	survey := coverage.RunParallel(campus, n, 42, 1)
+	survey := coverage.NewSurveyor(campus, n, 42).Run(1)
 
 	m := DefaultModel()
 	m.N = 1

@@ -69,7 +69,9 @@ type Measurement struct {
 }
 
 // RSRPAt returns the reference signal received power from cell c at point
-// p with the given shadowing value (dB).
+// p with the given shadowing value (dB). It is the scalar reference the
+// batched CellBatch.RSRPInto is held to bit for bit; production code
+// evaluates through the batch, the equivalence suites through this.
 func RSRPAt(c *Cell, p geom.Point, obs Obstruction, shadowDB float64) float64 {
 	prop := PropagationFor(c.Tech)
 	d := c.Pos.Dist(p)
@@ -83,7 +85,8 @@ func RSRPAt(c *Cell, p geom.Point, obs Obstruction, shadowDB float64) float64 {
 // given the RSRP of every co-channel cell (serving included) so that
 // inter-cell interference can be accounted. interferers maps PCI → RSRP
 // (dBm) of other same-tech cells at p; their Load scales their
-// contribution.
+// contribution. Like RSRPAt it is the scalar reference, here for
+// CellBatch.MeasureOne.
 func MeasureCell(serving *Cell, p geom.Point, servingRSRP float64, interference []InterferenceTerm) Measurement {
 	noise := dbmToMw(noisePerREdBm(serving.Band))
 	sig := dbmToMw(servingRSRP)

@@ -14,9 +14,8 @@ import (
 )
 
 // The HTTP surface. Telemetry endpoints (/metrics, /metrics.json,
-// /progress, /trace, /debug/pprof) are the shared obs.Handler mux —
-// the same endpoints fgobs serve exposes — with the campaign API
-// mounted alongside:
+// /progress, /trace, /debug/pprof) are the shared obs.Handler mux,
+// with the campaign API mounted alongside:
 //
 //	POST   /campaigns                submit a spec (fgserve.spec/v1)
 //	GET    /campaigns                list campaign statuses

@@ -17,6 +17,7 @@ import (
 
 	"fivegsim"
 	"fivegsim/internal/fault"
+	"fivegsim/internal/obs"
 )
 
 // newTestService builds a service with a synthetic runner so queueing,
@@ -538,5 +539,114 @@ func TestSSEFraming(t *testing.T) {
 		if !strings.Contains(body.String(), want) {
 			t.Fatalf("SSE body missing %q:\n%s", want, body.String())
 		}
+	}
+}
+
+// TestProgressAcrossCampaigns: /progress folds every campaign into one
+// service-wide unit count. A campaign submitted after a finished one
+// must not read done while it runs; two seeds of one experiment in
+// flight at once both stay running until the second finishes; and a
+// canceled campaign's pending units leave the total.
+func TestProgressAcrossCampaigns(t *testing.T) {
+	s := New(Options{PoolWorkers: 2, MaxActive: 4})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	started := make(chan string, 16)
+	release := make(chan struct{})
+	s.run = func(ctx context.Context, id string, cfg fivegsim.Config) (fivegsim.Result, error) {
+		if err := ctx.Err(); err != nil {
+			return fivegsim.Result{}, err
+		}
+		started <- fmt.Sprintf("%s@%d", id, cfg.Seed)
+		<-release
+		return fivegsim.Result{ID: id}, nil
+	}
+	waitStarted := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("only %d of %d units started", i, n)
+			}
+		}
+	}
+	waitProgress := func(what string, ok func(obs.ProgressSnapshot) bool) obs.ProgressSnapshot {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			snap := s.tracker.Snapshot()
+			if ok(snap) {
+				return snap
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/progress never reached %s: %+v", what, snap)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	running := func(snap obs.ProgressSnapshot) string { return strings.Join(snap.Running, ",") }
+
+	// Campaign A: two units, run to completion.
+	a, err := s.Submit(Spec{Experiments: []string{"T1", "F4"}, Seeds: []int64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(2)
+	release <- struct{}{}
+	release <- struct{}{}
+	waitState(t, s, a.ID, StateDone)
+	waitProgress("2/2 done", func(p obs.ProgressSnapshot) bool { return p.Done && p.Completed == 2 && p.Total == 2 })
+
+	// Campaign B: a 2-seed ladder of one experiment on the 2-worker pool.
+	b, err := s.Submit(Spec{Experiments: []string{"T1"}, Seeds: []int64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(2)
+	snap := s.tracker.Snapshot()
+	if snap.Done || snap.Total != 4 || snap.Completed != 2 || running(snap) != "T1" {
+		t.Fatalf("both ladder seeds in flight: %+v, want 2/4 running T1", snap)
+	}
+	release <- struct{}{}
+	snap = waitProgress("3/4", func(p obs.ProgressSnapshot) bool { return p.Completed == 3 })
+	if snap.Done || snap.Total != 4 || running(snap) != "T1" {
+		t.Fatalf("one ladder seed finished: %+v, want 3/4 with T1 still running", snap)
+	}
+	release <- struct{}{}
+	waitState(t, s, b.ID, StateDone)
+	snap = waitProgress("4/4 done", func(p obs.ProgressSnapshot) bool { return p.Done })
+	if snap.Total != 4 || snap.Completed != 4 || len(snap.Running) != 0 {
+		t.Fatalf("after campaign B: %+v, want 4/4 done, nothing running", snap)
+	}
+
+	// Campaign C: three units, canceled with one still pending.
+	c, err := s.Submit(Spec{Experiments: []string{"T1", "F4", "F7"}, Seeds: []int64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := s.tracker.Snapshot(); snap.Done || snap.Total != 7 {
+		t.Fatalf("after submitting C: %+v, want total 7, not done", snap)
+	}
+	waitStarted(2)
+	if _, err := s.Cancel(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	if snap := s.tracker.Snapshot(); snap.Done || snap.Total != 6 || snap.Completed != 4 {
+		t.Fatalf("after canceling C: %+v, want 4/6, not done", snap)
+	}
+	release <- struct{}{}
+	release <- struct{}{}
+	if err := s.Stream(context.Background(), c.ID, func(Event) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	snap = waitProgress("6/6 done", func(p obs.ProgressSnapshot) bool { return p.Done })
+	if snap.Total != 6 || snap.Completed != 6 || len(snap.Running) != 0 {
+		t.Fatalf("after campaign C drained: %+v, want 6/6 done, nothing running", snap)
 	}
 }

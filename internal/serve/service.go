@@ -131,7 +131,12 @@ type Service struct {
 	rr        int      // fair-share cursor into order
 	idSeq     int
 	draining  bool
-	wg        sync.WaitGroup
+	// Service-wide unit counts across every campaign, the totals the
+	// /progress tracker reports: pending units of a canceled campaign
+	// leave unitsTotal.
+	unitsTotal int
+	unitsDone  int
+	wg         sync.WaitGroup
 
 	mSubmitted *obs.Counter
 	mCompleted *obs.Counter
@@ -260,6 +265,8 @@ func (s *Service) Submit(spec Spec) (Status, error) {
 	s.mSubmitted.Inc()
 	s.mActive.Add(1)
 	s.mQueue.Add(int64(len(units)))
+	s.unitsTotal += len(units)
+	s.tracker.SetTotal(s.unitsTotal)
 	s.cond.Broadcast()
 	return s.statusLocked(c), nil
 }
@@ -311,7 +318,10 @@ func (s *Service) cancelLocked(c *campaign, cause error) {
 	c.finished = time.Now()
 	s.mCanceled.Inc()
 	s.mActive.Add(-1)
-	s.mQueue.Add(-int64(len(c.units) - c.next))
+	pending := len(c.units) - c.next
+	s.mQueue.Add(-int64(pending))
+	s.unitsTotal -= pending
+	s.tracker.SetTotal(s.unitsTotal)
 	st := s.statusLocked(c)
 	s.appendEventLocked(c, Event{Kind: "status", Status: &st})
 	s.cond.Broadcast()
@@ -433,7 +443,7 @@ func (s *Service) pickLocked() (*campaign, int) {
 			Kind: obs.ProgressExperimentStart, Experiment: c.units[ui].Experiment,
 			Completed: c.completed, Total: len(c.units), Elapsed: time.Since(c.started),
 		}
-		s.tracker.Observe(pe)
+		s.trackLocked(pe)
 		s.appendEventLocked(c, Event{Kind: "progress", Seed: c.units[ui].Seed, Progress: &pe})
 		return c, ui
 	}
@@ -469,14 +479,19 @@ func (s *Service) runUnit(c *campaign, ui int) {
 	delete(c.running, ui)
 	if err != nil {
 		// The campaign was canceled between claim and start; the unit
-		// never ran. The frontier stops here — closedLocked drains the
-		// stream once the remaining in-flight units land.
+		// never ran and leaves the /progress total. The frontier stops
+		// here — closedLocked drains the stream once the remaining
+		// in-flight units land.
+		s.unitsTotal--
+		s.tracker.SetTotal(s.unitsTotal)
+		s.tracker.Abandon(u.Experiment)
 		s.cond.Broadcast()
 		return
 	}
 	c.results[ui] = res
 	c.done[ui] = true
 	c.completed++
+	s.unitsDone++
 	s.mUnitsDone.Inc()
 	if res.Err != nil {
 		c.failed++
@@ -488,7 +503,7 @@ func (s *Service) runUnit(c *campaign, ui int) {
 		Completed: c.completed, Total: len(c.units), Failed: res.Err != nil,
 		Elapsed: elapsed, ETA: obs.EstimateETA(elapsed, c.completed, len(c.units)),
 	}
-	s.tracker.Observe(pe)
+	s.trackLocked(pe)
 	s.appendEventLocked(c, Event{Kind: "progress", Seed: u.Seed, Progress: &pe})
 	// Advance the unit-order frontier: results stream in seed-ladder ×
 	// paper order no matter which worker finished first.
@@ -506,6 +521,16 @@ func (s *Service) runUnit(c *campaign, ui int) {
 		s.appendEventLocked(c, Event{Kind: "status", Status: &st})
 	}
 	s.cond.Broadcast()
+}
+
+// trackLocked feeds a campaign's start or finish event to the /progress
+// tracker with the service-wide unit counts in place of the campaign's
+// own: the tracker serves every campaign at once, so campaign-local
+// counts would reset its total whenever another campaign starts. The
+// campaign-local ETA is dropped too; the tracker extrapolates its own.
+func (s *Service) trackLocked(pe obs.ProgressEvent) {
+	pe.Completed, pe.Total, pe.ETA = s.unitsDone, s.unitsTotal, 0
+	s.tracker.Observe(pe)
 }
 
 func (s *Service) appendEventLocked(c *campaign, ev Event) {

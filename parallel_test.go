@@ -1,6 +1,7 @@
 package fivegsim
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -45,12 +46,12 @@ func TestExperimentParallelEquivalence(t *testing.T) {
 	ids := []string{"T1", "T2", "F5", "F13", "F15", "T3", "X12"}
 	for _, seed := range []int64{1, 42, 7} {
 		cfg := Config{Seed: seed, Quick: true, Workers: 1}
-		serial, err := RunExperiments(cfg, ids...)
+		serial, err := RunExperimentsContext(context.Background(), cfg, ids...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 8
-		parallel, err := RunExperiments(cfg, ids...)
+		parallel, err := RunExperimentsContext(context.Background(), cfg, ids...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,16 +61,16 @@ func TestExperimentParallelEquivalence(t *testing.T) {
 
 // TestRunAllEquivalenceExhaustive is the acceptance check in full: every
 // experiment, seeds {1, 42, 7}, Workers 1 vs 8, byte-identical reports.
-// At ~2 minutes per quick RunAll it only runs when explicitly requested:
+// At ~2 minutes per quick campaign it only runs when explicitly requested:
 //
 //	FIVEGSIM_EXHAUSTIVE=1 go test -run RunAllEquivalence -timeout 30m
 func TestRunAllEquivalenceExhaustive(t *testing.T) {
 	if os.Getenv("FIVEGSIM_EXHAUSTIVE") == "" {
-		t.Skip("set FIVEGSIM_EXHAUSTIVE=1 to run the full RunAll equivalence sweep")
+		t.Skip("set FIVEGSIM_EXHAUSTIVE=1 to run the full campaign equivalence sweep")
 	}
 	for _, seed := range []int64{1, 42, 7} {
-		serial := RunAll(Config{Seed: seed, Quick: true, Workers: 1})
-		parallel := RunAll(Config{Seed: seed, Quick: true, Workers: 8})
+		serial, _ := RunExperimentsContext(context.Background(), Config{Seed: seed, Quick: true, Workers: 1})
+		parallel, _ := RunExperimentsContext(context.Background(), Config{Seed: seed, Quick: true, Workers: 8})
 		sameResults(t, serial, parallel, "RunAll")
 	}
 }
@@ -81,11 +82,11 @@ func TestExperimentSeedSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep is not short-mode work")
 	}
-	a, err := RunExperiments(Config{Seed: 1, Quick: true, Workers: 4}, "T1", "F5")
+	a, err := RunExperimentsContext(context.Background(), Config{Seed: 1, Quick: true, Workers: 4}, "T1", "F5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunExperiments(Config{Seed: 2, Quick: true, Workers: 4}, "T1", "F5")
+	b, err := RunExperimentsContext(context.Background(), Config{Seed: 2, Quick: true, Workers: 4}, "T1", "F5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRunAllParallelRace(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true, Workers: 8,
 		Obs: obs.NewRegistry(), Trace: obs.NewTracer(1 << 12)}
 	ids := []string{"F2", "F3", "F4", "F13", "F14", "F15", "F22", "F23"}
-	results, err := RunExperiments(cfg, ids...)
+	results, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunAllParallelRace(t *testing.T) {
 // campaign registry ends up with the merged totals.
 func TestRunExperimentsMergesObsInPaperOrder(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true, Workers: 4, Obs: obs.NewRegistry()}
-	results, err := RunExperiments(cfg, "F10", "F13")
+	results, err := RunExperimentsContext(context.Background(), cfg, "F10", "F13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunExperimentsMergesObsInPaperOrder(t *testing.T) {
 
 // TestRunExperimentsUnknownID checks the subset API's error path.
 func TestRunExperimentsUnknownID(t *testing.T) {
-	if _, err := RunExperiments(QuickConfig(), "F13", "Z9"); err == nil {
+	if _, err := RunExperimentsContext(context.Background(), QuickConfig(), "F13", "Z9"); err == nil {
 		t.Fatal("unknown experiment id must be an error")
 	}
 }

@@ -1,6 +1,7 @@
 package fivegsim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,8 +12,7 @@ import (
 // finish event per experiment, serialized (the plain append below is the
 // race detector's witness), with monotone completion counts, correct
 // totals, and ETAs derivable from completed work. The stream must fold
-// cleanly into a ProgressTracker — the exact pipeline `fgobs serve`
-// runs behind /progress.
+// cleanly into a ProgressTracker, the type that backs /progress.
 func TestOnProgressEventStream(t *testing.T) {
 	delays := map[string]time.Duration{"Z90": 30 * time.Millisecond, "Z91": 10 * time.Millisecond, "Z92": 0}
 	for id, d := range delays {
@@ -30,7 +30,7 @@ func TestOnProgressEventStream(t *testing.T) {
 		events = append(events, ev)
 		tracker.Observe(ev)
 	}
-	if _, err := RunExperiments(cfg, "Z90", "Z91", "Z92"); err != nil {
+	if _, err := RunExperimentsContext(context.Background(), cfg, "Z90", "Z91", "Z92"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestOnProgressFailedFlag(t *testing.T) {
 			failed = append(failed, ev.Experiment)
 		}
 	}
-	if _, err := RunExperiments(cfg, "Z97"); err != nil {
+	if _, err := RunExperimentsContext(context.Background(), cfg, "Z97"); err != nil {
 		t.Fatal(err)
 	}
 	if len(failed) != 1 || failed[0] != "Z97" {
@@ -104,7 +104,7 @@ func TestOnProgressPopulationTicks(t *testing.T) {
 			ticks = append(ticks, ev)
 		}
 	}
-	if _, err := RunExperiments(cfg, "X12"); err != nil {
+	if _, err := RunExperimentsContext(context.Background(), cfg, "X12"); err != nil {
 		t.Fatal(err)
 	}
 	if len(ticks) == 0 {

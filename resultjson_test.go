@@ -2,6 +2,7 @@ package fivegsim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -156,14 +157,14 @@ func TestConfigValidate(t *testing.T) {
 // typed error, before any experiment runs.
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	bad := Config{Workers: -1}
-	if _, err := Run("T1", bad); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("Run returned %v", err)
+	if _, err := RunContext(context.Background(), "T1", bad); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("RunContext returned %v", err)
 	}
-	if _, err := RunExperiments(bad, "T1"); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("RunExperiments returned %v", err)
+	if _, err := RunExperimentsContext(context.Background(), bad, "T1"); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("RunExperimentsContext returned %v", err)
 	}
-	if res := RunAll(bad); res != nil {
-		t.Fatalf("RunAll with an invalid config returned %d results", len(res))
+	if res, _ := RunExperimentsContext(context.Background(), bad); res != nil {
+		t.Fatalf("a full campaign with an invalid config returned %d results", len(res))
 	}
 }
 

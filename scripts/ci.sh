@@ -33,49 +33,17 @@ echo "== pop-dynamics property suite (churn conservation, A3 invariants, ping-po
 go test -race -short -run 'Churn|A3|PingPong|LoadCoupling|Dynamics|AttachSkip|ProbeContract|EstimateETA' \
 	./internal/pop/ ./internal/handoff/ ./internal/obs/
 
-echo "== live telemetry smoke (fgobs serve: /metrics + /progress on a quick campaign) =="
-# Start a served campaign on an ephemeral port, scrape it while (or just
-# after) it runs, and require population and DES series in the
-# Prometheus exposition. SIGINT is the one shutdown path — the server
-# must exit cleanly on it (context cancellation end to end).
-go build -o /tmp/fgobs_ci ./cmd/fgobs
-/tmp/fgobs_ci serve -addr 127.0.0.1:0 -quick -workers 2 -run X12,F10 >/tmp/fgobs_ci.log 2>&1 &
-FGOBS_PID=$!
-trap 'kill "$FGOBS_PID" 2>/dev/null || true' EXIT
-ADDR=""
-for _ in $(seq 1 50); do
-	ADDR=$(sed -n 's|.*serving telemetry on http://\([^ ]*\).*|\1|p' /tmp/fgobs_ci.log)
-	[ -n "$ADDR" ] && break
-	sleep 0.2
-done
-[ -n "$ADDR" ] || { echo "fgobs serve never bound an address" >&2; cat /tmp/fgobs_ci.log >&2; exit 1; }
-for _ in $(seq 1 150); do
-	curl -fsS "http://$ADDR/metrics" > /tmp/fgobs_metrics.txt 2>/dev/null || true
-	if grep -q '^pop_' /tmp/fgobs_metrics.txt && grep -q '^des_' /tmp/fgobs_metrics.txt; then
-		break
-	fi
-	sleep 0.2
-done
-grep -q '^pop_' /tmp/fgobs_metrics.txt || { echo "no pop_ series in /metrics" >&2; cat /tmp/fgobs_ci.log >&2; exit 1; }
-grep -q '^des_' /tmp/fgobs_metrics.txt || { echo "no des_ series in /metrics" >&2; cat /tmp/fgobs_ci.log >&2; exit 1; }
-curl -fsS "http://$ADDR/progress" | grep -q '"total":2' || { echo "/progress missing campaign totals" >&2; exit 1; }
-kill -INT "$FGOBS_PID"
-if ! wait "$FGOBS_PID"; then
-	echo "fgobs serve did not exit cleanly on SIGINT" >&2
-	cat /tmp/fgobs_ci.log >&2
-	exit 1
-fi
-trap - EXIT
-echo "live telemetry serves pop_/des_ series and shuts down clean"
-
-echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> SIGINT) =="
-# Start the campaign service on an ephemeral port, submit a quick spec
-# with the experiments listed OUT of paper order, and require: a live
-# serve_ series in /metrics while the campaign runs, streamed results
-# re-ordered to paper order (T1 before F4), a terminal done status, and
-# a clean drain on SIGINT.
+echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> /progress -> SIGINT) =="
+# Start the campaign service on an ephemeral port and run two campaigns
+# back to back. The first lists its experiments OUT of paper order and
+# must stream them in paper order (T1 before F4) while a live serve_
+# series shows in /metrics. The second (X12,F10) must put population and
+# DES series in /metrics, and /progress must count both campaigns'
+# units service-wide. fgobs tail must follow the service to done, and
+# SIGINT — the one shutdown path — must drain it clean.
 go build -o /tmp/fgserve_ci ./cmd/fgserve
-/tmp/fgserve_ci -addr 127.0.0.1:0 >/tmp/fgserve_ci.log 2>&1 &
+go build -o /tmp/fgobs_ci ./cmd/fgobs
+/tmp/fgserve_ci -addr 127.0.0.1:0 -pool 2 >/tmp/fgserve_ci.log 2>&1 &
 FGSERVE_PID=$!
 trap 'kill "$FGSERVE_PID" 2>/dev/null || true' EXIT
 ADDR=""
@@ -85,9 +53,10 @@ for _ in $(seq 1 50); do
 	sleep 0.2
 done
 [ -n "$ADDR" ] || { echo "fgserve never bound an address" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
-CID=$(curl -fsS -X POST "http://$ADDR/campaigns" \
-	-d '{"schema":"fgserve.spec/v1","name":"ci smoke","experiments":["F4","T1"],"seeds":[7],"quick":true}' \
-	| sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+submit() {
+	curl -fsS -X POST "http://$ADDR/campaigns" -d "$1" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'
+}
+CID=$(submit '{"schema":"fgserve.spec/v1","name":"ci smoke","experiments":["F4","T1"],"seeds":[7],"quick":true}')
 [ -n "$CID" ] || { echo "campaign submit failed" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" > /tmp/fgserve_metrics.txt
 grep -q '^serve_campaigns_submitted 1' /tmp/fgserve_metrics.txt || {
@@ -100,6 +69,22 @@ curl -fsS "http://$ADDR/campaigns/$CID" | grep -q '"state":"done"' || {
 	echo "campaign never reached done" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" | grep -q '^serve_units_completed 2' || {
 	echo "serve_units_completed never reached 2" >&2; exit 1; }
+CID2=$(submit '{"schema":"fgserve.spec/v1","name":"ci telemetry","experiments":["X12","F10"],"seeds":[42],"quick":true}')
+[ -n "$CID2" ] || { echo "second campaign submit failed" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
+curl -fsS "http://$ADDR/progress" | grep -q '"total":4' || { echo "/progress missing service-wide totals" >&2; exit 1; }
+for _ in $(seq 1 150); do
+	curl -fsS "http://$ADDR/metrics" > /tmp/fgserve_metrics.txt 2>/dev/null || true
+	if grep -q '^pop_' /tmp/fgserve_metrics.txt && grep -q '^des_' /tmp/fgserve_metrics.txt; then
+		break
+	fi
+	sleep 0.2
+done
+grep -q '^pop_' /tmp/fgserve_metrics.txt || { echo "no pop_ series in /metrics" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
+grep -q '^des_' /tmp/fgserve_metrics.txt || { echo "no des_ series in /metrics" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
+timeout 120 /tmp/fgobs_ci tail -url "http://$ADDR" -interval 500ms > /tmp/fgobs_tail.log || {
+	echo "fgobs tail did not follow the service to done" >&2; cat /tmp/fgobs_tail.log >&2; exit 1; }
+grep -q 'progress 4/4 done' /tmp/fgobs_tail.log || { echo "fgobs tail never saw 4/4 units done" >&2; cat /tmp/fgobs_tail.log >&2; exit 1; }
+curl -fsS "http://$ADDR/progress" | grep -q '"done":true' || { echo "/progress not done after both campaigns" >&2; exit 1; }
 kill -INT "$FGSERVE_PID"
 if ! wait "$FGSERVE_PID"; then
 	echo "fgserve did not exit cleanly on SIGINT" >&2
@@ -108,7 +93,10 @@ if ! wait "$FGSERVE_PID"; then
 fi
 grep -q 'drained clean' /tmp/fgserve_ci.log || { echo "fgserve never drained clean" >&2; cat /tmp/fgserve_ci.log >&2; exit 1; }
 trap - EXIT
-echo "campaign service streams paper-order results and drains clean"
+echo "campaign service streams paper-order results, live telemetry and service-wide progress, and drains clean"
+
+echo "== benchmark module (smoke + digest check; the root go test ./... does not see it) =="
+(cd benchmark && go test ./...)
 
 echo "== bench smoke (quick hot-path benches vs checked-in baseline) =="
 go run ./cmd/fgperf bench -quick -out /tmp/fgperf_current.json -compare BENCH_10.json -threshold 0.15

@@ -121,9 +121,11 @@ func TestCancellationBetweenExperiments(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workers = 1
 	var streamed []string
-	cfg.OnResult = func(r Result) {
-		streamed = append(streamed, r.ID)
-		cancel() // cancel as soon as the first result lands
+	cfg.OnEvent = func(ev Event) {
+		if ev.Kind == EventResult {
+			streamed = append(streamed, ev.Result.ID)
+			cancel() // cancel as soon as the first result lands
+		}
 	}
 	_, err := RunExperimentsContext(ctx, cfg, "Z90", "Z91", "Z92", "Z93")
 	if !errors.Is(err, context.Canceled) {
@@ -152,7 +154,11 @@ func TestOnResultPaperOrder(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workers = 3
 	var streamed []string
-	cfg.OnResult = func(r Result) { streamed = append(streamed, r.ID) }
+	cfg.OnEvent = func(ev Event) {
+		if ev.Kind == EventResult {
+			streamed = append(streamed, ev.Result.ID)
+		}
+	}
 	results, err := RunExperimentsContext(context.Background(), cfg, "Z95", "Z93", "Z94")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +169,7 @@ func TestOnResultPaperOrder(t *testing.T) {
 			t.Fatalf("results out of paper order: %v", results)
 		}
 		if streamed[i] != id {
-			t.Fatalf("OnResult out of paper order: %v", streamed)
+			t.Fatalf("result events out of paper order: %v", streamed)
 		}
 	}
 }

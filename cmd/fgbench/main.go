@@ -111,47 +111,45 @@ func main() {
 		resultsFile = f
 		resultsEnc = json.NewEncoder(f)
 	}
-	// Results stream through OnResult in paper order as workers finish.
+	// One event stream: results arrive in paper order as workers finish;
+	// start/finish progress arrives in completion order and goes to
+	// stderr, apart from the reports.
 	manifests := make([]obs.RunManifest, 0, 32)
 	failed := 0
-	cfg.OnResult = func(res fivegsim.Result) {
-		if resultsEnc != nil {
-			if err := resultsEnc.Encode(res); err != nil {
-				fmt.Fprintln(os.Stderr, "fgbench:", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Print(res.Report())
-		fmt.Printf("  (%.1fs)\n\n", res.Manifest.WallTime.Seconds())
-		if res.Err != nil {
-			failed++
-		}
-		if *metrics {
-			fmt.Printf("-- metrics %s (events=%d, sim=%s, wall=%s) --\n",
-				res.ID, res.Manifest.EventsExecuted, res.Manifest.SimTime,
-				res.Manifest.WallTime.Round(time.Millisecond))
-			for _, m := range res.Manifest.Metrics {
-				fmt.Println(m.String())
-			}
-			fmt.Println()
-		}
-		manifests = append(manifests, res.Manifest)
-	}
-	if *progress {
-		// Progress events arrive in completion order (OnResult keeps
-		// paper order); stderr keeps them apart from the reports.
-		cfg.OnProgress = func(ev obs.ProgressEvent) {
-			switch ev.Kind {
-			case obs.ProgressExperimentStart:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s started\n", ev.Completed, ev.Total, ev.Experiment)
-			case obs.ProgressExperimentFinish:
-				status := "done"
-				if ev.Failed {
-					status = "FAILED"
+	cfg.OnEvent = func(ev fivegsim.Event) {
+		switch {
+		case ev.Kind == fivegsim.EventResult:
+			res := ev.Result
+			if resultsEnc != nil {
+				if err := resultsEnc.Encode(res); err != nil {
+					fmt.Fprintln(os.Stderr, "fgbench:", err)
+					os.Exit(1)
 				}
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s %s (elapsed %s, eta %s)\n", ev.Completed, ev.Total,
-					ev.Experiment, status, ev.Elapsed.Round(time.Second), ev.ETA.Round(time.Second))
 			}
+			fmt.Print(res.Report())
+			fmt.Printf("  (%.1fs)\n\n", res.Manifest.WallTime.Seconds())
+			if res.Err != nil {
+				failed++
+			}
+			if *metrics {
+				fmt.Printf("-- metrics %s (events=%d, sim=%s, wall=%s) --\n",
+					res.ID, res.Manifest.EventsExecuted, res.Manifest.SimTime,
+					res.Manifest.WallTime.Round(time.Millisecond))
+				for _, m := range res.Manifest.Metrics {
+					fmt.Println(m.String())
+				}
+				fmt.Println()
+			}
+			manifests = append(manifests, res.Manifest)
+		case *progress && ev.Kind == fivegsim.EventStart:
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s started\n", ev.Completed, ev.Total, ev.Experiment)
+		case *progress && ev.Kind == fivegsim.EventFinish:
+			status := "done"
+			if ev.Failed {
+				status = "FAILED"
+			}
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s (elapsed %s, eta %s)\n", ev.Completed, ev.Total,
+				ev.Experiment, status, ev.Elapsed.Round(time.Second), ev.ETA.Round(time.Second))
 		}
 	}
 	start := time.Now()

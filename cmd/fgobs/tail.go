@@ -11,14 +11,15 @@ import (
 	"time"
 
 	"fivegsim/internal/obs"
+	"fivegsim/internal/serve"
 )
 
-// cmdTail streams periodic snapshot deltas from a running fgserve (or
-// any endpoint serving obs.Handler's /metrics.json and /progress) to the
-// terminal: one progress line per interval plus the counters that moved,
-// with per-second rates. By default it exits when /progress reports
-// every submitted unit done (or when the endpoint disappears); -follow
-// keeps tailing until interrupted.
+// cmdTail streams periodic snapshot deltas from a running fgserve's
+// /metrics.json and /progress to the terminal: one progress line per
+// interval plus the counters that moved, with per-second rates. By
+// default it exits when /progress reports every submitted unit done (or
+// when the endpoint disappears); -follow keeps tailing until
+// interrupted.
 func cmdTail(args []string) {
 	fs := flag.NewFlagSet("tail", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:9237", "base URL of a running fgserve")
@@ -35,7 +36,7 @@ func cmdTail(args []string) {
 	prevAt := time.Now()
 	first := true
 	for misses := 0; ; {
-		var snap obs.ProgressSnapshot
+		var snap serve.Progress
 		haveProgress := getJSON(client, base+"/progress", &snap) == nil
 		var metrics []obs.Metric
 		if err := getJSON(client, base+"/metrics.json", &metrics); err != nil {
@@ -95,7 +96,7 @@ func cmdTail(args []string) {
 	}
 }
 
-func sortedTickIDs(ticks map[string]obs.TickState) []string {
+func sortedTickIDs(ticks map[string]serve.TickState) []string {
 	ids := make([]string, 0, len(ticks))
 	for id := range ticks {
 		ids = append(ids, id)

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +89,7 @@ func main() {
 
 	campus := deploy.New(*seed)
 	start := time.Now()
-	p := pop.RunWith(campus, m, *seed, *workers, tel)
+	p, _ := pop.RunContext(context.Background(), campus, m, *seed, *workers, tel)
 	elapsed := time.Since(start)
 
 	fmt.Printf("population: %d UEs over %.2f km² (%d NR + %d LTE cells), %d ticks × %s in %v\n",

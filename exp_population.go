@@ -1,11 +1,11 @@
 package fivegsim
 
 import (
+	"context"
 	"time"
 
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/handoff"
-	"fivegsim/internal/obs"
 	"fivegsim/internal/pop"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/stats"
@@ -35,14 +35,13 @@ func popModel(n, ticks int) pop.Model {
 
 // popTelemetry wires the run's observability into a population run:
 // pop.* instruments into cfg.Obs, tick spans into cfg.Trace, and — when
-// the campaign streams progress — per-tick obs.ProgressTick events
-// attributed to the experiment.
+// the caller streams events — per-tick EventTick events attributed to
+// the experiment.
 func popTelemetry(cfg Config, id string) pop.Telemetry {
 	t := pop.Telemetry{Obs: cfg.Obs, Trace: cfg.Trace}
-	if cfg.OnProgress != nil {
+	if cfg.OnEvent != nil {
 		t.OnTick = func(tick, total int) {
-			cfg.OnProgress(obs.ProgressEvent{Kind: obs.ProgressTick,
-				Experiment: id, Tick: tick, Ticks: total})
+			cfg.OnEvent(Event{Kind: EventTick, Experiment: id, Tick: tick, Ticks: total})
 		}
 	}
 	return t
@@ -67,7 +66,7 @@ func runX12CellLoad(cfg Config) Result {
 		ticks = 25
 	}
 	campus := deploy.New(cfg.Seed)
-	p := pop.RunWith(campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X12"))
+	p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X12"))
 
 	res := Result{ID: "X12", Title: "Population-scale cell-load distributions",
 		Values: map[string]float64{}}
@@ -132,7 +131,7 @@ func runX13Fairness(cfg Config) Result {
 	res := Result{ID: "X13", Title: "Throughput fairness vs population size",
 		Values: map[string]float64{}}
 	for _, n := range x13Sweep(cfg) {
-		p := pop.RunWith(campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X13"))
+		p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X13"))
 		thr := p.PerUEThroughputBps()
 		j := pop.JainIndex(thr)
 		res.Lines = append(res.Lines, line(
@@ -152,8 +151,8 @@ func runX13Fairness(cfg Config) Result {
 
 // x15Model builds the X15 dynamics model: churn in steady-state balance
 // with the initial population (arrivals = N / mean lifetime), the ISP's
-// 3 dB / 324 ms A3 configuration, and damped load coupling — the full
-// pop.DefaultDynamics operating point at campaign scale.
+// 3 dB / 324 ms A3 configuration, and damped load coupling — every
+// population dynamic at its paper-calibrated operating point.
 func x15Model(n, ticks int) pop.Model {
 	m := popModel(n, ticks)
 	m.Churn = pop.ChurnModel{Enabled: true, ArrivalPerTick: float64(n) / 300, MeanLifetimeTicks: 300}
@@ -172,7 +171,7 @@ func runX15Dynamics(cfg Config) Result {
 	}
 	campus := deploy.New(cfg.Seed)
 	m := x15Model(n, ticks)
-	p := pop.RunWith(campus, m, cfg.Seed, cfg.Workers, popTelemetry(cfg, "X15"))
+	p, _ := pop.RunContext(context.Background(), campus, m, cfg.Seed, cfg.Workers, popTelemetry(cfg, "X15"))
 
 	res := Result{ID: "X15", Title: "Population dynamics: churn, A3 hand-off storms, load coupling",
 		Values: map[string]float64{}}

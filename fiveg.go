@@ -82,24 +82,57 @@ type Config struct {
 	// one UE regardless — they are the paper's methodology.
 	Population int
 
-	// OnResult, when non-nil, is invoked once per completed experiment,
-	// in paper order, as results become available — progressive output
-	// for long campaigns. Calls are serialized (never concurrent) but
-	// may run on engine worker goroutines; keep the callback cheap. The
-	// final result slice is returned as usual.
-	OnResult func(Result)
+	// OnEvent, when non-nil, receives the campaign's event stream: an
+	// EventStart as each experiment is claimed and an EventFinish (with
+	// completed count and completed-work ETA) as each returns, both in
+	// completion order; an EventResult per experiment in paper order,
+	// as the paper-order frontier advances; and EventTick events from
+	// experiments that expose inner granularity (the population runs
+	// report scheduling ticks). A single RunContext sees only the ticks.
+	// Calls are serialized (never concurrent) but may run on engine
+	// worker goroutines; keep the callback cheap.
+	OnEvent func(Event)
+}
 
-	// OnProgress, when non-nil, receives the structured progress stream
-	// of the campaign: an obs.ProgressExperimentStart event as each
-	// experiment is claimed, an obs.ProgressExperimentFinish event (with
-	// completed count and completed-work ETA) as each returns, and
-	// obs.ProgressTick events from experiments that expose inner
-	// granularity (the population runs report scheduling ticks). Unlike
-	// OnResult, events arrive in completion order — that is the point of
-	// live progress — but calls are always serialized; keep the callback
-	// cheap. Feed the stream to an obs.ProgressTracker to serve it as
-	// the /progress endpoint (obs.Handler; cmd/fgserve serves one).
-	OnProgress func(obs.ProgressEvent)
+// EventKind classifies a campaign event.
+type EventKind string
+
+const (
+	// EventStart fires when an experiment is claimed by a campaign
+	// worker, before its first simulated event.
+	EventStart EventKind = "experiment_start"
+	// EventFinish fires when an experiment returns (crashed experiments
+	// finish too, with Failed set).
+	EventFinish EventKind = "experiment_finish"
+	// EventTick fires from inside long-running experiments that expose
+	// sub-experiment granularity (the population layer's per-tick
+	// hook); Tick/Ticks carry the inner counters.
+	EventTick EventKind = "tick"
+	// EventResult delivers a completed experiment's Result in paper
+	// order; Completed counts the results delivered so far.
+	EventResult EventKind = "result"
+)
+
+// Event is one record of the campaign event stream. Completed/Total
+// count experiments; Tick/Ticks count the inner work units of the named
+// experiment when Kind is EventTick. Events are facts about completed
+// work — consumers derive ETAs from them (obs.EstimateETA). The JSON
+// form is the progress payload of fgserve's event stream.
+type Event struct {
+	Kind       EventKind `json:"kind"`
+	Experiment string    `json:"experiment,omitempty"`
+	Completed  int       `json:"completed"`
+	Total      int       `json:"total"`
+	Tick       int       `json:"tick,omitempty"`
+	Ticks      int       `json:"ticks,omitempty"`
+	// Failed marks a finish event whose Result carried an error.
+	Failed bool `json:"failed,omitempty"`
+	// Elapsed is wall time since the campaign started; ETA the
+	// completed-work extrapolation (0 until the first finish).
+	Elapsed time.Duration `json:"elapsed_ns"`
+	ETA     time.Duration `json:"eta_ns,omitempty"`
+	// Result is the completed experiment of an EventResult.
+	Result *Result `json:"-"`
 }
 
 // obsPath returns the calibrated path config for a technology/time of
@@ -333,6 +366,7 @@ func ValidateExperiments(ids ...string) error {
 // RunContext is the single-experiment entry point: a context
 // canceled before the experiment starts returns ctx.Err() (wrapped, so
 // errors.Is matches); an experiment already running is not interrupted.
+// cfg.OnEvent reaches the experiment as is, so it sees only EventTick.
 // An unknown id is an *UnknownExperimentError; a config that fails
 // Config.Validate is an *InvalidConfigError.
 func RunContext(ctx context.Context, id string, cfg Config) (Result, error) {
@@ -362,16 +396,15 @@ func RunContext(ctx context.Context, id string, cfg Config) (Result, error) {
 // sub-registry (so its Manifest snapshot covers that run alone) and the
 // sub-registries are merged into cfg.Obs in paper order as the
 // paper-order frontier advances — cfg.Obs is live during the campaign
-// (serve it with obs.Handler), not only after it. When cfg.OnResult is
-// set it is invoked once per result, in paper order, as experiments
-// complete; cfg.OnProgress receives the completion-order progress
-// stream. An unknown id is an *UnknownExperimentError.
+// (fgserve serves it as /metrics), not only after it. cfg.OnEvent
+// receives the campaign's event stream. An unknown id is an
+// *UnknownExperimentError.
 //
 // Cancellation is checked between experiments (the internal/par shard
 // boundary): after ctx is canceled no new experiment starts, in-flight
 // experiments finish, and the call returns a wrapped ctx.Err() — match
 // it with errors.Is(err, context.Canceled) — discarding the partial
-// results (results already streamed through OnResult, and their metrics
+// results (results already streamed as EventResult, and their metrics
 // already merged into cfg.Obs, stand).
 func RunExperimentsContext(ctx context.Context, cfg Config, ids ...string) ([]Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -395,30 +428,27 @@ func RunExperimentsContext(ctx context.Context, cfg Config, ids ...string) ([]Re
 		exps = picked
 	}
 	type runOut struct {
-		res Result
-		reg *obs.Registry
+		res      Result
+		reg      *obs.Registry
+		finished bool
 	}
 	outs := make([]runOut, len(exps))
-	// Streaming state: emit completed results — and merge their
-	// sub-registries into cfg.Obs — from the paper-order frontier, so
-	// OnResult sees results in order no matter which worker finishes
-	// first and a live /metrics endpoint watching cfg.Obs fills in as
-	// the campaign runs instead of only at the end. Frontier merging in
-	// paper order produces the same final totals as the end-of-campaign
-	// merge it replaces.
-	var emitMu sync.Mutex
-	emitted := make([]bool, len(exps))
-	emitNext := 0
-	// Progress state: completion counter and campaign clock for the
-	// ETA; progMu serializes every OnProgress call (tick events from
-	// inside experiments included).
-	var progMu sync.Mutex
-	progDone := 0
-	progStart := time.Now()
-	emitProgress := func(ev obs.ProgressEvent) {
-		progMu.Lock()
-		cfg.OnProgress(ev)
-		progMu.Unlock()
+	// mu serializes every OnEvent call (tick events from inside
+	// experiments included) and guards outs and the counters below.
+	// Completed results — and their sub-registries, merged into cfg.Obs —
+	// leave from the paper-order frontier, so results arrive in order no
+	// matter which worker finishes first and a live /metrics endpoint
+	// watching cfg.Obs fills in as the campaign runs. Frontier merging
+	// in paper order produces the same totals as an end-of-campaign
+	// merge would.
+	var mu sync.Mutex
+	next, completed := 0, 0
+	start := time.Now()
+	emit := func(ev Event) {
+		if cfg.OnEvent != nil {
+			ev.Total = len(exps)
+			cfg.OnEvent(ev)
+		}
 	}
 	err := par.DoCtx(ctx, cfg.Workers, par.ShardSize(len(exps), 1), func(r par.Range) {
 		i := r.Lo
@@ -426,43 +456,32 @@ func RunExperimentsContext(ctx context.Context, cfg Config, ids ...string) ([]Re
 		if cfg.Obs != nil {
 			c.Obs = obs.NewRegistry()
 		}
-		if cfg.OnProgress != nil {
-			// Experiments see the serialized emitter, so their inner
-			// tick events interleave safely with the engine's own.
-			c.OnProgress = emitProgress
-			progMu.Lock()
-			done := progDone
-			progMu.Unlock()
-			emitProgress(obs.ProgressEvent{
-				Kind: obs.ProgressExperimentStart, Experiment: exps[i].ID,
-				Completed: done, Total: len(exps), Elapsed: time.Since(progStart),
-			})
+		if cfg.OnEvent != nil {
+			c.OnEvent = func(ev Event) {
+				mu.Lock()
+				cfg.OnEvent(ev)
+				mu.Unlock()
+			}
 		}
-		outs[i] = runOut{res: exps[i].Run(c), reg: c.Obs}
-		if cfg.OnProgress != nil {
-			progMu.Lock()
-			progDone++
-			done := progDone
-			elapsed := time.Since(progStart)
-			cfg.OnProgress(obs.ProgressEvent{
-				Kind: obs.ProgressExperimentFinish, Experiment: exps[i].ID,
-				Completed: done, Total: len(exps), Failed: outs[i].res.Err != nil,
-				Elapsed: elapsed, ETA: obs.EstimateETA(elapsed, done, len(exps)),
-			})
-			progMu.Unlock()
-		}
-		emitMu.Lock()
-		emitted[i] = true
-		for emitNext < len(exps) && emitted[emitNext] {
-			if o := outs[emitNext]; o.reg != nil && o.reg != cfg.Obs {
+		mu.Lock()
+		emit(Event{Kind: EventStart, Experiment: exps[i].ID, Completed: completed, Elapsed: time.Since(start)})
+		mu.Unlock()
+		res := exps[i].Run(c)
+		mu.Lock()
+		defer mu.Unlock()
+		outs[i] = runOut{res: res, reg: c.Obs, finished: true}
+		completed++
+		elapsed := time.Since(start)
+		emit(Event{Kind: EventFinish, Experiment: exps[i].ID, Completed: completed, Failed: res.Err != nil,
+			Elapsed: elapsed, ETA: obs.EstimateETA(elapsed, completed, len(exps))})
+		for next < len(outs) && outs[next].finished {
+			o := &outs[next]
+			if o.reg != nil {
 				cfg.Obs.Merge(o.reg)
 			}
-			if cfg.OnResult != nil {
-				cfg.OnResult(outs[emitNext].res)
-			}
-			emitNext++
+			emit(Event{Kind: EventResult, Experiment: exps[next].ID, Completed: next + 1, Result: &o.res})
+			next++
 		}
-		emitMu.Unlock()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fivegsim: campaign canceled: %w", err)

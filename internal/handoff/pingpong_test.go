@@ -105,25 +105,25 @@ func TestDetectPingPongsEvents(t *testing.T) {
 	}{
 		{"empty", nil, 0},
 		{"single hand-off", []Event{ev(1, 2, 0)}, 0},
-		{"return inside window", []Event{ev(1, 2, 0), ev(2, 1, 500 * time.Millisecond)}, 1},
+		{"return inside window", []Event{ev(1, 2, 0), ev(2, 1, 500*time.Millisecond)}, 1},
 		{"return at window edge", []Event{ev(1, 2, 0), ev(2, 1, time.Second)}, 1},
-		{"return after window", []Event{ev(1, 2, 0), ev(2, 1, 1100 * time.Millisecond)}, 0},
-		{"triangle is not a ping-pong", []Event{ev(1, 2, 0), ev(2, 3, 200 * time.Millisecond), ev(3, 1, 400 * time.Millisecond)}, 0},
+		{"return after window", []Event{ev(1, 2, 0), ev(2, 1, 1100*time.Millisecond)}, 0},
+		{"triangle is not a ping-pong", []Event{ev(1, 2, 0), ev(2, 3, 200*time.Millisecond), ev(3, 1, 400*time.Millisecond)}, 0},
 		{"double oscillation", []Event{
-			ev(1, 2, 0), ev(2, 1, 300 * time.Millisecond),
-			ev(1, 2, 600 * time.Millisecond), ev(2, 1, 900 * time.Millisecond),
+			ev(1, 2, 0), ev(2, 1, 300*time.Millisecond),
+			ev(1, 2, 600*time.Millisecond), ev(2, 1, 900*time.Millisecond),
 		}, 3}, // 2→1, 1→2 (back onto 2 within window) and 2→1 again all return to a just-left cell
 		{"interleaved chains detect independently", []Event{
-			ev(1, 2, 0),                       // NR leg: 1→2
-			ev(10, 20, 100 * time.Millisecond), // LTE leg: 10→20
-			ev(2, 1, 400 * time.Millisecond),  // NR returns: ping-pong
-			ev(20, 30, 500 * time.Millisecond), // LTE moves on: no ping-pong
+			ev(1, 2, 0),                      // NR leg: 1→2
+			ev(10, 20, 100*time.Millisecond), // LTE leg: 10→20
+			ev(2, 1, 400*time.Millisecond),   // NR returns: ping-pong
+			ev(20, 30, 500*time.Millisecond), // LTE moves on: no ping-pong
 		}, 1},
 		{"stale arrival does not re-match", []Event{
 			ev(1, 2, 0),
-			ev(2, 3, 200 * time.Millisecond),
-			ev(3, 2, 400 * time.Millisecond), // 2→3→2: ping-pong on (2,3)
-			ev(2, 1, 600 * time.Millisecond), // 1→2 was left at t=200; must not count as return
+			ev(2, 3, 200*time.Millisecond),
+			ev(3, 2, 400*time.Millisecond), // 2→3→2: ping-pong on (2,3)
+			ev(2, 1, 600*time.Millisecond), // 1→2 was left at t=200; must not count as return
 		}, 1},
 	}
 	for _, tc := range cases {

@@ -55,14 +55,6 @@ func (pl *PacketPool) Release(p *Packet) {
 	pl.free = append(pl.free, p)
 }
 
-// FreeLen reports the current free-list depth (diagnostic).
-func (pl *PacketPool) FreeLen() int {
-	if pl == nil {
-		return 0
-	}
-	return len(pl.free)
-}
-
 // pktRing is a growable FIFO ring buffer of packets: the hop queues.
 // Unlike the append/reslice idiom it never leaks the consumed prefix and
 // reaches a zero-allocation steady state once grown to the high-water
@@ -82,8 +74,6 @@ func (r *pktRing) push(p *Packet) {
 	r.buf[(r.head+r.n)%len(r.buf)] = p
 	r.n++
 }
-
-func (r *pktRing) peek() *Packet { return r.buf[r.head] }
 
 func (r *pktRing) pop() *Packet {
 	p := r.buf[r.head]

@@ -1,6 +1,7 @@
 package pop
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,6 +28,12 @@ func reportFingerprint(p *Population) string {
 	return b.String()
 }
 
+// runFull runs every tick of m through RunContext.
+func runFull(c *deploy.Campus, m Model, seed int64, workers int, t Telemetry) *Population {
+	p, _ := RunContext(context.Background(), c, m, seed, workers, t)
+	return p
+}
+
 func popModelForTest(n, ticks int) Model {
 	m := DefaultModel()
 	m.N = n
@@ -41,9 +48,9 @@ func TestPopulationWorkersEquivalence(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 42, 7} {
 		campus := deploy.New(seed)
-		base := reportFingerprint(Run(campus, popModelForTest(n, ticks), seed, 1))
+		base := reportFingerprint(runFull(campus, popModelForTest(n, ticks), seed, 1, Telemetry{}))
 		for _, workers := range []int{2, 8} {
-			got := reportFingerprint(Run(campus, popModelForTest(n, ticks), seed, workers))
+			got := reportFingerprint(runFull(campus, popModelForTest(n, ticks), seed, workers, Telemetry{}))
 			if got != base {
 				t.Fatalf("seed %d: workers %d report differs from workers 1:\n--- w1 ---\n%s--- w%d ---\n%s",
 					seed, workers, base, workers, got)
@@ -58,8 +65,8 @@ func TestPopulationWorkersEquivalence(t *testing.T) {
 func TestPopulationRebuildEquivalence(t *testing.T) {
 	campus := deploy.New(42)
 	m := popModelForTest(400, 8)
-	a := reportFingerprint(Run(campus, m, 42, 4))
-	b := reportFingerprint(Run(campus, m, 42, 4))
+	a := reportFingerprint(runFull(campus, m, 42, 4, Telemetry{}))
+	b := reportFingerprint(runFull(campus, m, 42, 4, Telemetry{}))
 	if a != b {
 		t.Fatalf("same-seed rebuild differs:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
@@ -73,10 +80,10 @@ func TestPopulationRebuildEquivalence(t *testing.T) {
 func TestPopulationTelemetryReportUnchanged(t *testing.T) {
 	m := popModelForTest(600, 10)
 	campus := deploy.New(42)
-	base := reportFingerprint(Run(campus, m, 42, 1))
+	base := reportFingerprint(runFull(campus, m, 42, 1, Telemetry{}))
 	for _, workers := range []int{1, 4} {
 		tel := Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer(0), OnTick: func(int, int) {}}
-		got := reportFingerprint(RunWith(campus, m, 42, workers, tel))
+		got := reportFingerprint(runFull(campus, m, 42, workers, tel))
 		if got != base {
 			t.Fatalf("workers %d: telemetry changed the report:\n--- off ---\n%s--- on ---\n%s",
 				workers, base, got)
@@ -88,8 +95,8 @@ func TestPopulationTelemetryReportUnchanged(t *testing.T) {
 // everything collapsing to one output regardless of seed.
 func TestPopulationSeedSensitivity(t *testing.T) {
 	m := popModelForTest(400, 8)
-	a := reportFingerprint(Run(deploy.New(1), m, 1, 1))
-	b := reportFingerprint(Run(deploy.New(2), m, 2, 1))
+	a := reportFingerprint(runFull(deploy.New(1), m, 1, 1, Telemetry{}))
+	b := reportFingerprint(runFull(deploy.New(2), m, 2, 1, Telemetry{}))
 	if a == b {
 		t.Fatal("seeds 1 and 2 produced identical reports")
 	}

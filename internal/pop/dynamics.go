@@ -74,18 +74,6 @@ type LoadCouplingModel struct {
 	Alpha float64
 }
 
-// DefaultDynamics returns DefaultModel with every population dynamic
-// enabled at the paper-calibrated operating point: churn in
-// steady-state balance with the initial population, the ISP's 3 dB /
-// 324 ms A3 configuration, and damped load coupling.
-func DefaultDynamics() Model {
-	m := DefaultModel()
-	m.Churn = ChurnModel{Enabled: true, MeanLifetimeTicks: 300}
-	m.A3 = A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3}
-	m.LoadCoupling = LoadCouplingModel{Enabled: true, Alpha: 0.3}
-	return m
-}
-
 // dynamicsDefaults fills the dynamic sub-models' zero fields (called
 // from Model.withDefaults).
 func (m Model) dynamicsDefaults() Model {
@@ -331,9 +319,9 @@ func (p *Population) coupleLoads() {
 
 // RestoreLoads writes the cells' original interference Loads back. A
 // load-coupled population temporarily owns its campus's Load fields;
-// Run/RunWith/RunContext restore them on return, and callers driving
-// Tick by hand with LoadCoupling enabled must call this before handing
-// the campus to anything else.
+// RunContext restores them on return, and callers driving Tick by hand
+// with LoadCoupling enabled must call this before handing the campus to
+// anything else.
 func (p *Population) RestoreLoads() {
 	for c, cell := range p.cells {
 		cell.Load = p.baseLoad[c]

@@ -179,11 +179,11 @@ func TestA3HysteresisBlocksAllHandoffs(t *testing.T) {
 	base := popModelForTest(400, 10)
 	base.MaxSpeedKmh = 0
 	campus := deploy.New(42)
-	want := reportFingerprint(Run(campus, base, 42, 1))
+	want := reportFingerprint(runFull(campus, base, 42, 1, Telemetry{}))
 
 	a3 := base
 	a3.A3 = A3Model{Enabled: true, HysteresisDB: 1000, TTTTicks: 3}
-	p := Run(campus, a3, 42, 1)
+	p := runFull(campus, a3, 42, 1, Telemetry{})
 	if ho, pp := p.Handoffs(); ho != 0 || pp != 0 {
 		t.Fatalf("static population under 1000 dB hysteresis handed off %d times (%d ping-pongs)", ho, pp)
 	}
@@ -289,9 +289,9 @@ func TestDynamicsWorkersEquivalence(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 42, 7} {
 		campus := deploy.New(seed)
-		base := dynamicsFingerprint(Run(campus, dynamicsModelForTest(n, ticks), seed, 1))
+		base := dynamicsFingerprint(runFull(campus, dynamicsModelForTest(n, ticks), seed, 1, Telemetry{}))
 		for _, workers := range []int{2, 8} {
-			got := dynamicsFingerprint(Run(campus, dynamicsModelForTest(n, ticks), seed, workers))
+			got := dynamicsFingerprint(runFull(campus, dynamicsModelForTest(n, ticks), seed, workers, Telemetry{}))
 			if got != base {
 				t.Fatalf("seed %d: workers %d dynamics report differs from workers 1:\n--- w1 ---\n%s--- w%d ---\n%s",
 					seed, workers, base, workers, got)
@@ -392,8 +392,8 @@ func TestDynamicsTickAllocs(t *testing.T) {
 // collapse: different seeds must produce different churn histories.
 func TestChurnSeedSensitivity(t *testing.T) {
 	m := dynamicsModelForTest(300, 10)
-	a := Run(deploy.New(1), m, 1, 1)
-	b := Run(deploy.New(2), m, 2, 1)
+	a := runFull(deploy.New(1), m, 1, 1, Telemetry{})
+	b := runFull(deploy.New(2), m, 2, 1, Telemetry{})
 	if dynamicsFingerprint(a) == dynamicsFingerprint(b) {
 		t.Fatal("seeds 1 and 2 produced identical dynamics reports")
 	}

@@ -414,39 +414,26 @@ func (p *Population) ServingPCI(i int) int {
 // GrantPRB returns UE i's PRB grant from the last tick.
 func (p *Population) GrantPRB(i int) int { return int(p.grantPRB[i]) }
 
-// DemandPRB returns UE i's PRB demand from the last tick.
-func (p *Population) DemandPRB(i int) int { return int(p.demandPRB[i]) }
-
 // ThroughputBps returns UE i's delivered rate over the last tick.
 func (p *Population) ThroughputBps(i int) float64 { return p.thrBps[i] }
 
 // Class returns UE i's traffic class.
 func (p *Population) Class(i int) traffic.Class { return p.class[i] }
 
-// Run builds the population and executes Model.Ticks ticks across up to
-// workers goroutines (the par.Workers convention). Reports are
-// bit-identical for every workers value.
-func Run(c *deploy.Campus, m Model, seed int64, workers int) *Population {
-	return RunWith(c, m, seed, workers, Telemetry{})
-}
-
-// RunWith is Run with live telemetry attached: pop.* instruments into
-// t.Obs, per-tick spans into t.Trace, and tick progress through
-// t.OnTick. The zero Telemetry is exactly Run — the uninstrumented
-// fast path — and reports are byte-identical either way.
-func RunWith(c *deploy.Campus, m Model, seed int64, workers int, t Telemetry) *Population {
-	p, _ := RunContext(context.Background(), c, m, seed, workers, t)
-	return p
-}
-
-// RunContext is RunWith with cancellation: the context is checked at
-// every tick boundary, so a canceled campaign stops within one tick. The
-// returned population holds the completed ticks' state — partial reports
-// are byte-identical to a run planned for exactly that many ticks, the
-// free-list conservation invariant holds, and the campus's original
-// interference Loads are restored even on the early-exit path. The error
-// is the context's (wrapped verbatim) when the run was cut short, nil
-// when every tick executed.
+// RunContext builds the population and executes Model.Ticks ticks
+// across up to workers goroutines (the par.Workers convention); reports
+// are bit-identical for every workers value. Live telemetry rides on t:
+// pop.* instruments into t.Obs, per-tick spans into t.Trace, and tick
+// progress through t.OnTick. The zero Telemetry is the uninstrumented
+// fast path, and reports are byte-identical either way.
+//
+// The context is checked at every tick boundary, so a canceled campaign
+// stops within one tick. The returned population holds the completed
+// ticks' state — partial reports are byte-identical to a run planned for
+// exactly that many ticks, the free-list conservation invariant holds,
+// and the campus's original interference Loads are restored even on the
+// early-exit path. The error is the context's (wrapped verbatim) when
+// the run was cut short, nil when every tick executed.
 func RunContext(ctx context.Context, c *deploy.Campus, m Model, seed int64, workers int, t Telemetry) (*Population, error) {
 	p := New(c, m, seed)
 	p.Instrument(t)

@@ -30,7 +30,7 @@ func TestTelemetryCounterInvariants(t *testing.T) {
 	reg := obs.NewRegistry()
 	campus := deploy.New(42)
 	m := popModelForTest(500, 10)
-	p := RunWith(campus, m, 42, 1, Telemetry{Obs: reg})
+	p := runFull(campus, m, 42, 1, Telemetry{Obs: reg})
 
 	if ticks := counterValue(t, reg, "pop.ticks"); ticks != int64(m.Ticks) {
 		t.Fatalf("pop.ticks = %d, want %d", ticks, m.Ticks)
@@ -80,7 +80,7 @@ func TestTelemetryWorkerEquivalence(t *testing.T) {
 	totals := func(workers int) map[string]int64 {
 		reg := obs.NewRegistry()
 		campus := deploy.New(7)
-		RunWith(campus, popModelForTest(600, 8), 7, workers, Telemetry{Obs: reg})
+		runFull(campus, popModelForTest(600, 8), 7, workers, Telemetry{Obs: reg})
 		out := map[string]int64{}
 		for _, m := range reg.Snapshot() {
 			if m.Kind == "counter" {
@@ -112,7 +112,7 @@ func TestTelemetryStaticPopulationNoMovement(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := popModelForTest(300, 6)
 	m.MaxSpeedKmh = 0
-	RunWith(deploy.New(3), m, 3, 1, Telemetry{Obs: reg})
+	runFull(deploy.New(3), m, 3, 1, Telemetry{Obs: reg})
 	if moved := counterValue(t, reg, "pop.ue_moved"); moved != 0 {
 		t.Fatalf("static population moved %d UE-ticks", moved)
 	}
@@ -127,7 +127,7 @@ func TestTelemetryTraceAndProgress(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	var ticks []int
 	m := popModelForTest(200, 5)
-	RunWith(deploy.New(1), m, 1, 1, Telemetry{
+	runFull(deploy.New(1), m, 1, 1, Telemetry{
 		Trace:  tracer,
 		OnTick: func(tick, total int) { ticks = append(ticks, tick); _ = total },
 	})

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
 
@@ -13,10 +15,16 @@ import (
 	"fivegsim/internal/obs"
 )
 
-// The HTTP surface. Telemetry endpoints (/metrics, /metrics.json,
-// /progress, /trace, /debug/pprof) are the shared obs.Handler mux,
-// with the campaign API mounted alongside:
+// The HTTP surface: the campaign API plus live telemetry. Telemetry
+// handlers snapshot per request — the registry under its lock, progress
+// under the service lock — so the instruments stay on their atomic
+// fast paths.
 //
+//	GET    /metrics                  Prometheus text exposition
+//	GET    /metrics.json             registry snapshot (JSON array)
+//	GET    /progress                 service-wide progress (Progress)
+//	GET    /trace                    Chrome trace (with Options.Tracer)
+//	GET    /debug/pprof/             runtime profiles (with Options.Pprof)
 //	POST   /campaigns                submit a spec (fgserve.spec/v1)
 //	GET    /campaigns                list campaign statuses
 //	GET    /campaigns/{id}           status snapshot with ETA
@@ -31,10 +39,14 @@ type errorDoc struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorDoc{Error: err.Error()})
+	json.NewEncoder(w).Encode(v)
+}
+
+func writeError(w http.ResponseWriter, code int, err error) {
+	writeJSON(w, code, errorDoc{Error: err.Error()})
 }
 
 // errorCode maps service errors to HTTP statuses: validation failures
@@ -55,21 +67,32 @@ func errorCode(err error) int {
 	}
 }
 
-// Handler builds the service mux: the campaign API plus the shared
-// telemetry handler.
+// Handler builds the service mux: the campaign API plus the telemetry
+// endpoints.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	tele := obs.Handler(obs.ServeOptions{
-		Registry: s.reg, Progress: s.tracker, Tracer: s.tracer, Pprof: s.opts.Pprof,
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		obs.WriteProm(w, s.reg)
 	})
-	mux.Handle("/metrics", tele)
-	mux.Handle("/metrics.json", tele)
-	mux.Handle("/progress", tele)
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.reg.Snapshot())
+	})
+	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.Progress())
+	})
 	if s.tracer != nil {
-		mux.Handle("/trace", tele)
+		mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			s.tracer.WriteChromeTrace(w)
+		})
 	}
 	if s.opts.Pprof {
-		mux.Handle("/debug/pprof/", tele)
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	mux.HandleFunc("POST /campaigns", s.handleSubmit)
 	mux.HandleFunc("GET /campaigns", s.handleList)
@@ -97,8 +120,12 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a POST /campaigns body; a spec at the maxUnits
+// bound encodes in well under it.
+const maxSpecBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	// Unknown fields are a spec-version skew; reject at the boundary
 	// rather than silently dropping a knob the client thought it set.
 	dec.DisallowUnknownFields()
@@ -116,15 +143,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/campaigns/"+st.ID)
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.List())
+	writeJSON(w, http.StatusOK, s.List())
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -133,8 +157,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -143,8 +166,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -222,32 +244,51 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 // service drain, both tied to the context given to Start.
 type Server struct {
 	// Addr is the resolved listen address (port 0 supported).
-	Addr     string
-	http     *obs.Server
-	drained  chan struct{}
-	drainErr error
+	Addr string
+	done chan struct{}
+	err  error
 }
 
 // DrainGrace bounds how long a stopping service waits for in-flight
 // units after its context is canceled.
 const DrainGrace = 15 * time.Second
 
-// Start binds addr and serves the campaign API until ctx is canceled,
-// then drains: the HTTP listener shuts down with obs's bounded grace
-// and the service waits for in-flight units up to DrainGrace. It
-// returns as soon as the listener is bound.
+// shutdownGrace bounds how long a stopping server waits for in-flight
+// requests before closing their connections.
+const shutdownGrace = 2 * time.Second
+
+// Start binds addr (":0" picks a free port) and serves the service's
+// Handler until ctx is canceled, then stops: the listener shuts down,
+// giving in-flight requests shutdownGrace, while the service drains,
+// giving in-flight units DrainGrace. A listener that fails on its own
+// drains the service too. Start returns as soon as the listener is
+// bound; the resolved address is Server.Addr.
 func (s *Service) Start(ctx context.Context, addr string) (*Server, error) {
-	hs, err := obs.ServeHandler(ctx, addr, s.Handler())
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	srv := &Server{Addr: hs.Addr, http: hs, drained: make(chan struct{})}
+	hs := &http.Server{Handler: s.Handler()}
+	srv := &Server{Addr: ln.Addr().String(), done: make(chan struct{})}
+	shut := make(chan error, 1)
+	stop := context.AfterFunc(ctx, func() {
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		shut <- hs.Shutdown(sctx)
+	})
 	go func() {
-		defer close(srv.drained)
-		<-ctx.Done()
+		defer close(srv.done)
+		err := hs.Serve(ln) // http.ErrServerClosed once the shutdown begins
 		dctx, cancel := context.WithTimeout(context.Background(), DrainGrace)
 		defer cancel()
-		srv.drainErr = s.Shutdown(dctx)
+		drainErr := s.Shutdown(dctx)
+		if !stop() {
+			err = <-shut // ctx fired: report how the listener shut down
+		}
+		if err == nil {
+			err = drainErr
+		}
+		srv.err = err
 	}()
 	return srv, nil
 }
@@ -255,10 +296,6 @@ func (s *Service) Start(ctx context.Context, addr string) (*Server, error) {
 // Wait blocks until both the HTTP server and the worker pool have shut
 // down, returning the first error (nil on a clean drain).
 func (srv *Server) Wait() error {
-	err := srv.http.Wait()
-	<-srv.drained
-	if err != nil {
-		return err
-	}
-	return srv.drainErr
+	<-srv.done
+	return srv.err
 }

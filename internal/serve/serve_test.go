@@ -6,9 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -17,8 +20,9 @@ import (
 
 	"fivegsim"
 	"fivegsim/internal/fault"
-	"fivegsim/internal/obs"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // newTestService builds a service with a synthetic runner so queueing,
 // fairness and cancellation are testable without simulator wall-clock.
@@ -72,6 +76,15 @@ func waitState(t *testing.T, s *Service, id string, want State) Status {
 	return Status{}
 }
 
+// seedLadder returns the distinct seeds 1..n.
+func seedLadder(n int) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	return seeds
+}
+
 func TestSpecValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -88,6 +101,9 @@ func TestSpecValidation(t *testing.T) {
 		{"negative workers", Spec{Workers: -1}, fivegsim.ErrInvalidConfig},
 		{"negative population", Spec{Population: -5}, fivegsim.ErrInvalidConfig},
 		{"unknown scenario", Spec{Scenario: "meteor-strike"}, fault.ErrUnknownScenario},
+		{"campaign at the unit bound", Spec{Experiments: []string{"T1"}, Seeds: seedLadder(maxUnits)}, nil},
+		{"campaign one unit over the bound", Spec{Experiments: []string{"T1"}, Seeds: seedLadder(maxUnits + 1)}, ErrInvalidSpec},
+		{"full registry over the bound", Spec{Seeds: seedLadder(maxUnits/len(fivegsim.Experiments()) + 1)}, ErrInvalidSpec},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -174,6 +190,58 @@ func TestStreamReplay(t *testing.T) {
 	}
 	if live[len(live)-1] != fmt.Sprintf("%d:status", len(live)-1) {
 		t.Fatalf("stream does not end with a status event: %v", live)
+	}
+}
+
+// TestEventV1Golden pins the fgserve.event/v1 stream byte for byte: a
+// 2-unit campaign on a one-worker pool, time-valued fields zeroed, one
+// marshaled event per line. A renamed, retyped or reordered field or
+// event shows up as a golden diff and needs a schema bump.
+func TestEventV1Golden(t *testing.T) {
+	s, _ := newTestService(t, Options{PoolWorkers: 1, MaxActive: 2}, 0)
+	st, err := s.Submit(Spec{Name: "golden", Experiments: []string{"F4", "T1"}, Seeds: []int64{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	err = s.Stream(context.Background(), st.ID, func(ev Event) error {
+		if ev.Progress != nil {
+			p := *ev.Progress
+			p.Elapsed, p.ETA = 0, 0
+			ev.Progress = &p
+		}
+		if ev.Status != nil {
+			st := *ev.Status
+			st.SubmittedAt, st.StartedAt, st.FinishedAt = time.Time{}, time.Time{}, time.Time{}
+			st.Elapsed, st.ETA = 0, 0
+			ev.Status = &st
+		}
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		got.Write(data)
+		got.WriteByte('\n')
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "event_v1.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run EventV1Golden -update` to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s stream drifted from %s:\ngot:\n%s\nwant:\n%s", EventSchemaV1, path, got.Bytes(), want)
 	}
 }
 
@@ -371,6 +439,16 @@ func TestHTTPValidationErrors(t *testing.T) {
 		if resp.StatusCode != tc.code || doc.Error == "" {
 			t.Errorf("POST %s: status %d (want %d), error %q", tc.body, resp.StatusCode, tc.code, doc.Error)
 		}
+	}
+	// A body past the cap is refused before it is decoded in full.
+	big := `{"name":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST of a %d-byte spec: status %d, want 400", len(big), resp.StatusCode)
 	}
 	for _, path := range []string{"/campaigns/c9999", "/campaigns/c9999/stream", "/campaigns/c9999/report", "/campaigns/c9999/manifest"} {
 		resp, err := http.Get(ts.URL + path)
@@ -576,11 +654,11 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 			}
 		}
 	}
-	waitProgress := func(what string, ok func(obs.ProgressSnapshot) bool) obs.ProgressSnapshot {
+	waitProgress := func(what string, ok func(Progress) bool) Progress {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			snap := s.tracker.Snapshot()
+			snap := s.Progress()
 			if ok(snap) {
 				return snap
 			}
@@ -590,7 +668,7 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	running := func(snap obs.ProgressSnapshot) string { return strings.Join(snap.Running, ",") }
+	running := func(snap Progress) string { return strings.Join(snap.Running, ",") }
 
 	// Campaign A: two units, run to completion.
 	a, err := s.Submit(Spec{Experiments: []string{"T1", "F4"}, Seeds: []int64{1}})
@@ -601,7 +679,7 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 	release <- struct{}{}
 	release <- struct{}{}
 	waitState(t, s, a.ID, StateDone)
-	waitProgress("2/2 done", func(p obs.ProgressSnapshot) bool { return p.Done && p.Completed == 2 && p.Total == 2 })
+	waitProgress("2/2 done", func(p Progress) bool { return p.Done && p.Completed == 2 && p.Total == 2 })
 
 	// Campaign B: a 2-seed ladder of one experiment on the 2-worker pool.
 	b, err := s.Submit(Spec{Experiments: []string{"T1"}, Seeds: []int64{1, 2}})
@@ -609,18 +687,18 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStarted(2)
-	snap := s.tracker.Snapshot()
+	snap := s.Progress()
 	if snap.Done || snap.Total != 4 || snap.Completed != 2 || running(snap) != "T1" {
 		t.Fatalf("both ladder seeds in flight: %+v, want 2/4 running T1", snap)
 	}
 	release <- struct{}{}
-	snap = waitProgress("3/4", func(p obs.ProgressSnapshot) bool { return p.Completed == 3 })
+	snap = waitProgress("3/4", func(p Progress) bool { return p.Completed == 3 })
 	if snap.Done || snap.Total != 4 || running(snap) != "T1" {
 		t.Fatalf("one ladder seed finished: %+v, want 3/4 with T1 still running", snap)
 	}
 	release <- struct{}{}
 	waitState(t, s, b.ID, StateDone)
-	snap = waitProgress("4/4 done", func(p obs.ProgressSnapshot) bool { return p.Done })
+	snap = waitProgress("4/4 done", func(p Progress) bool { return p.Done })
 	if snap.Total != 4 || snap.Completed != 4 || len(snap.Running) != 0 {
 		t.Fatalf("after campaign B: %+v, want 4/4 done, nothing running", snap)
 	}
@@ -630,14 +708,14 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := s.tracker.Snapshot(); snap.Done || snap.Total != 7 {
+	if snap := s.Progress(); snap.Done || snap.Total != 7 {
 		t.Fatalf("after submitting C: %+v, want total 7, not done", snap)
 	}
 	waitStarted(2)
 	if _, err := s.Cancel(c.ID); err != nil {
 		t.Fatal(err)
 	}
-	if snap := s.tracker.Snapshot(); snap.Done || snap.Total != 6 || snap.Completed != 4 {
+	if snap := s.Progress(); snap.Done || snap.Total != 6 || snap.Completed != 4 {
 		t.Fatalf("after canceling C: %+v, want 4/6, not done", snap)
 	}
 	release <- struct{}{}
@@ -645,7 +723,7 @@ func TestProgressAcrossCampaigns(t *testing.T) {
 	if err := s.Stream(context.Background(), c.ID, func(Event) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap = waitProgress("6/6 done", func(p obs.ProgressSnapshot) bool { return p.Done })
+	snap = waitProgress("6/6 done", func(p Progress) bool { return p.Done })
 	if snap.Total != 6 || snap.Completed != 6 || len(snap.Running) != 0 {
 		t.Fatalf("after campaign C drained: %+v, want 6/6 done, nothing running", snap)
 	}

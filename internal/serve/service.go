@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,11 +85,34 @@ type Event struct {
 	Campaign string `json:"campaign"`
 	// Kind is "progress", "result" or "status"; exactly one of the
 	// corresponding payload fields is set.
-	Kind     string             `json:"kind"`
-	Seed     int64              `json:"seed,omitempty"`
-	Progress *obs.ProgressEvent `json:"progress,omitempty"`
-	Result   *fivegsim.Result   `json:"result,omitempty"`
-	Status   *Status            `json:"status,omitempty"`
+	Kind     string           `json:"kind"`
+	Seed     int64            `json:"seed,omitempty"`
+	Progress *fivegsim.Event  `json:"progress,omitempty"`
+	Result   *fivegsim.Result `json:"result,omitempty"`
+	Status   *Status          `json:"status,omitempty"`
+}
+
+// Progress is the service-wide /progress document, built on request
+// from the unit counts the service keeps (Service.Progress).
+type Progress struct {
+	Total     int      `json:"total"`
+	Completed int      `json:"completed"`
+	Failed    int      `json:"failed"`
+	Running   []string `json:"running,omitempty"`
+	// Ticks holds the inner tick counters of running experiments that
+	// report them, keyed by experiment ID; with several units of one
+	// experiment in flight, the one furthest along.
+	Ticks   map[string]TickState `json:"ticks,omitempty"`
+	Elapsed time.Duration        `json:"elapsed_ns"`
+	ETA     time.Duration        `json:"eta_ns,omitempty"`
+	Done    bool                 `json:"done"`
+}
+
+// TickState is the inner progress of one running unit: the latest
+// fivegsim.EventTick it reported.
+type TickState struct {
+	Tick  int `json:"tick"`
+	Ticks int `json:"ticks"`
 }
 
 // Options configures a Service.
@@ -117,10 +141,10 @@ type Options struct {
 // replayable event log per campaign. Create with New; attach to HTTP
 // with Handler or Start.
 type Service struct {
-	opts    Options
-	reg     *obs.Registry
-	tracker *obs.ProgressTracker
-	tracer  *obs.Tracer
+	opts   Options
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	start  time.Time // the /progress clock
 	// run executes one unit; tests substitute a synthetic runner.
 	run func(ctx context.Context, id string, cfg fivegsim.Config) (fivegsim.Result, error)
 
@@ -131,12 +155,13 @@ type Service struct {
 	rr        int      // fair-share cursor into order
 	idSeq     int
 	draining  bool
-	// Service-wide unit counts across every campaign, the totals the
-	// /progress tracker reports: pending units of a canceled campaign
-	// leave unitsTotal.
-	unitsTotal int
-	unitsDone  int
-	wg         sync.WaitGroup
+	// Service-wide unit counts across every campaign, the totals
+	// /progress reports: pending units of a canceled campaign, and
+	// claimed units that never started, leave unitsTotal.
+	unitsTotal  int
+	unitsDone   int
+	unitsFailed int
+	wg          sync.WaitGroup
 
 	mSubmitted *obs.Counter
 	mCompleted *obs.Counter
@@ -161,12 +186,13 @@ type campaign struct {
 	started   time.Time
 	finished  time.Time
 
-	units     []Unit
-	results   []fivegsim.Result
-	done      []bool
-	running   map[int]bool // in-flight unit indexes
-	next      int          // next unit to dispatch
-	emitNext  int          // paper-order result-emission frontier
+	units   []Unit
+	results []fivegsim.Result
+	done    []bool
+	// running maps each in-flight unit index to its latest tick.
+	running   map[int]TickState
+	next      int // next unit to dispatch
+	emitNext  int // paper-order result-emission frontier
 	completed int
 	failed    int
 	events    []Event
@@ -199,8 +225,8 @@ func New(opts Options) *Service {
 	s := &Service{
 		opts:      opts,
 		reg:       opts.Registry,
-		tracker:   obs.NewProgressTracker(),
 		tracer:    opts.Tracer,
+		start:     time.Now(),
 		run:       fivegsim.RunContext,
 		campaigns: map[string]*campaign{},
 	}
@@ -257,7 +283,7 @@ func (s *Service) Submit(spec Spec) (Status, error) {
 		units:     units,
 		results:   make([]fivegsim.Result, len(units)),
 		done:      make([]bool, len(units)),
-		running:   map[int]bool{},
+		running:   map[int]TickState{},
 		state:     StateQueued,
 	}
 	s.campaigns[c.id] = c
@@ -266,7 +292,6 @@ func (s *Service) Submit(spec Spec) (Status, error) {
 	s.mActive.Add(1)
 	s.mQueue.Add(int64(len(units)))
 	s.unitsTotal += len(units)
-	s.tracker.SetTotal(s.unitsTotal)
 	s.cond.Broadcast()
 	return s.statusLocked(c), nil
 }
@@ -321,7 +346,6 @@ func (s *Service) cancelLocked(c *campaign, cause error) {
 	pending := len(c.units) - c.next
 	s.mQueue.Add(-int64(pending))
 	s.unitsTotal -= pending
-	s.tracker.SetTotal(s.unitsTotal)
 	st := s.statusLocked(c)
 	s.appendEventLocked(c, Event{Kind: "status", Status: &st})
 	s.cond.Broadcast()
@@ -433,18 +457,16 @@ func (s *Service) pickLocked() (*campaign, int) {
 		s.rr = (idx + 1) % n
 		ui := c.next
 		c.next++
-		c.running[ui] = true
+		c.running[ui] = TickState{}
 		if c.state == StateQueued {
 			c.state = StateRunning
 			c.started = time.Now()
 		}
 		s.mQueue.Add(-1)
-		pe := obs.ProgressEvent{
-			Kind: obs.ProgressExperimentStart, Experiment: c.units[ui].Experiment,
+		s.appendEventLocked(c, Event{Kind: "progress", Seed: c.units[ui].Seed, Progress: &fivegsim.Event{
+			Kind: fivegsim.EventStart, Experiment: c.units[ui].Experiment,
 			Completed: c.completed, Total: len(c.units), Elapsed: time.Since(c.started),
-		}
-		s.trackLocked(pe)
-		s.appendEventLocked(c, Event{Kind: "progress", Seed: c.units[ui].Seed, Progress: &pe})
+		}})
 		return c, ui
 	}
 	return nil, -1
@@ -467,8 +489,14 @@ func (s *Service) runUnit(c *campaign, ui int) {
 		sub = obs.NewRegistry()
 		cfg.Obs = sub
 	}
-	// Inner tick events (population runs) feed the /progress tracker.
-	cfg.OnProgress = s.tracker.Observe
+	// The unit's inner ticks (population runs) feed /progress.
+	cfg.OnEvent = func(ev fivegsim.Event) {
+		if ev.Kind == fivegsim.EventTick {
+			s.mu.Lock()
+			c.running[ui] = TickState{Tick: ev.Tick, Ticks: ev.Ticks}
+			s.mu.Unlock()
+		}
+	}
 	res, err := s.run(c.ctx, u.Experiment, cfg)
 	if err == nil && s.reg != nil {
 		s.reg.Merge(sub)
@@ -483,8 +511,6 @@ func (s *Service) runUnit(c *campaign, ui int) {
 		// here — closedLocked drains the stream once the remaining
 		// in-flight units land.
 		s.unitsTotal--
-		s.tracker.SetTotal(s.unitsTotal)
-		s.tracker.Abandon(u.Experiment)
 		s.cond.Broadcast()
 		return
 	}
@@ -495,16 +521,15 @@ func (s *Service) runUnit(c *campaign, ui int) {
 	s.mUnitsDone.Inc()
 	if res.Err != nil {
 		c.failed++
+		s.unitsFailed++
 		s.mUnitsFail.Inc()
 	}
 	elapsed := time.Since(c.started)
-	pe := obs.ProgressEvent{
-		Kind: obs.ProgressExperimentFinish, Experiment: u.Experiment,
+	s.appendEventLocked(c, Event{Kind: "progress", Seed: u.Seed, Progress: &fivegsim.Event{
+		Kind: fivegsim.EventFinish, Experiment: u.Experiment,
 		Completed: c.completed, Total: len(c.units), Failed: res.Err != nil,
 		Elapsed: elapsed, ETA: obs.EstimateETA(elapsed, c.completed, len(c.units)),
-	}
-	s.trackLocked(pe)
-	s.appendEventLocked(c, Event{Kind: "progress", Seed: u.Seed, Progress: &pe})
+	}})
 	// Advance the unit-order frontier: results stream in seed-ladder ×
 	// paper order no matter which worker finished first.
 	for c.emitNext < len(c.units) && c.done[c.emitNext] {
@@ -523,14 +548,38 @@ func (s *Service) runUnit(c *campaign, ui int) {
 	s.cond.Broadcast()
 }
 
-// trackLocked feeds a campaign's start or finish event to the /progress
-// tracker with the service-wide unit counts in place of the campaign's
-// own: the tracker serves every campaign at once, so campaign-local
-// counts would reset its total whenever another campaign starts. The
-// campaign-local ETA is dropped too; the tracker extrapolates its own.
-func (s *Service) trackLocked(pe obs.ProgressEvent) {
-	pe.Completed, pe.Total, pe.ETA = s.unitsDone, s.unitsTotal, 0
-	s.tracker.Observe(pe)
+// Progress returns the service-wide progress document that /progress
+// serves: the unit counts across every campaign, the experiments of the
+// units in flight with their latest ticks, and a completed-work ETA on
+// the clock that started with the service.
+func (s *Service) Progress() Progress {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := Progress{
+		Total:     s.unitsTotal,
+		Completed: s.unitsDone,
+		Failed:    s.unitsFailed,
+		Elapsed:   time.Since(s.start),
+		Done:      s.unitsTotal > 0 && s.unitsDone >= s.unitsTotal,
+	}
+	for _, c := range s.campaigns {
+		for ui, tk := range c.running {
+			id := c.units[ui].Experiment
+			p.Running = append(p.Running, id)
+			if cur := p.Ticks[id]; tk.Tick > cur.Tick || tk.Tick == cur.Tick && tk.Ticks > cur.Ticks {
+				if p.Ticks == nil {
+					p.Ticks = map[string]TickState{}
+				}
+				p.Ticks[id] = tk
+			}
+		}
+	}
+	slices.Sort(p.Running)
+	p.Running = slices.Compact(p.Running)
+	if !p.Done {
+		p.ETA = obs.EstimateETA(p.Elapsed, p.Completed, p.Total)
+	}
+	return p
 }
 
 func (s *Service) appendEventLocked(c *campaign, ev Event) {

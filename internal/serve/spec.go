@@ -1,8 +1,8 @@
 // Package serve is fivegsim's long-running campaign service: an
 // HTTP/JSON API that accepts versioned campaign specs, validates them
 // at the boundary, runs them on a bounded job queue where concurrent
-// campaigns share one worker pool fairly, and streams per-result and
-// per-tick progress as NDJSON or SSE.
+// campaigns share one worker pool fairly, and streams per-unit
+// progress and results as NDJSON or SSE.
 //
 // The unit of scheduling is one (seed, experiment) pair. A campaign
 // spec expands into its units — seed-ladder order outer, paper order
@@ -29,6 +29,10 @@ import (
 // POST /campaigns. A spec with an empty schema field is treated as v1
 // (curl convenience); anything else is rejected at admission.
 const SpecSchemaV1 = "fgserve.spec/v1"
+
+// maxUnits bounds the units one spec may expand to: the service
+// allocates a result slot per unit at admission.
+const maxUnits = 10000
 
 // ErrInvalidSpec is the sentinel wrapped by every spec validation
 // failure; match with errors.Is. The underlying library errors stay on
@@ -61,7 +65,9 @@ func (e *SpecError) Unwrap() error { return e.Cause }
 
 // Spec is a versioned campaign request: which experiments to run, at
 // which seeds, with which knobs. The zero value (plus a schema) is a
-// full default-seed campaign over every experiment.
+// full default-seed campaign over every experiment. A spec expands to
+// at most maxUnits (10 000) units — seeds × experiments — and admission
+// rejects a larger one.
 type Spec struct {
 	// Schema must be SpecSchemaV1 or empty (treated as v1).
 	Schema string `json:"schema"`
@@ -160,14 +166,6 @@ func (sp Spec) Validate() error {
 		return &SpecError{Field: "schema",
 			Reason: fmt.Sprintf("unknown schema %q (want %s)", sp.Schema, SpecSchemaV1)}
 	}
-	seen := make(map[int64]bool, len(sp.Seeds))
-	for _, s := range sp.Seeds {
-		if seen[s] {
-			return &SpecError{Field: "seeds",
-				Reason: fmt.Sprintf("bad seed ladder: duplicate seed %d", s)}
-		}
-		seen[s] = true
-	}
 	dup := make(map[string]bool, len(sp.Experiments))
 	for _, id := range sp.Experiments {
 		if dup[id] {
@@ -178,6 +176,24 @@ func (sp Spec) Validate() error {
 	}
 	if err := fivegsim.ValidateExperiments(sp.Experiments...); err != nil {
 		return &SpecError{Field: "experiments", Reason: "unknown experiment", Cause: err}
+	}
+	// Counted without experimentIDs, whose paper-order sort would cost
+	// every submit a second pass over the registry.
+	nexp := len(sp.Experiments)
+	if nexp == 0 {
+		nexp = len(fivegsim.Experiments())
+	}
+	if n := len(sp.seeds()) * nexp; n > maxUnits {
+		return &SpecError{Field: "seeds",
+			Reason: fmt.Sprintf("campaign expands to %d units (max %d)", n, maxUnits)}
+	}
+	seen := make(map[int64]bool, len(sp.Seeds))
+	for _, s := range sp.Seeds {
+		if seen[s] {
+			return &SpecError{Field: "seeds",
+				Reason: fmt.Sprintf("bad seed ladder: duplicate seed %d", s)}
+		}
+		seen[s] = true
 	}
 	cfg, err := sp.Config()
 	if err != nil {

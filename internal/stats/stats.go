@@ -77,9 +77,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // CDF is an empirical cumulative distribution function.
 type CDF struct {
 	sorted []float64

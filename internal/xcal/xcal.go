@@ -60,13 +60,6 @@ func (l *Logger) LogKPI(at time.Duration, pos geom.Point, m radio.Measurement, p
 	})
 }
 
-// LogSignaling appends a control-plane message.
-func (l *Logger) LogSignaling(at time.Duration, message, detail string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.Signaling = append(l.Signaling, SignalingRecord{At: at, Message: message, Detail: detail})
-}
-
 // LogHandoff appends the full signaling ladder of a hand-off event, the
 // way XCAL-Mobile exposes the Fig. 24 exchange. The ladder is appended
 // atomically, so concurrent loggers cannot interleave their messages

@@ -2,17 +2,17 @@ package fivegsim
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
-
-	"fivegsim/internal/obs"
 )
 
 // TestOnProgressEventStream: the campaign engine emits one start and one
-// finish event per experiment, serialized (the plain append below is the
-// race detector's witness), with monotone completion counts, correct
-// totals, and ETAs derivable from completed work. The stream must fold
-// cleanly into a ProgressTracker, the type that backs /progress.
+// finish event per experiment in completion order, with monotone
+// completion counts, correct totals and ETAs derivable from completed
+// work, and one result event per experiment in paper order, each after
+// its own finish. Every call is serialized (the plain append below is
+// the race detector's witness).
 func TestOnProgressEventStream(t *testing.T) {
 	delays := map[string]time.Duration{"Z90": 30 * time.Millisecond, "Z91": 10 * time.Millisecond, "Z92": 0}
 	for id, d := range delays {
@@ -24,27 +24,26 @@ func TestOnProgressEventStream(t *testing.T) {
 	}
 	cfg := QuickConfig()
 	cfg.Workers = 3
-	var events []obs.ProgressEvent
-	tracker := obs.NewProgressTracker()
-	cfg.OnProgress = func(ev obs.ProgressEvent) {
-		events = append(events, ev)
-		tracker.Observe(ev)
-	}
+	var events []Event
+	cfg.OnEvent = func(ev Event) { events = append(events, ev) }
 	if _, err := RunExperimentsContext(context.Background(), cfg, "Z90", "Z91", "Z92"); err != nil {
 		t.Fatal(err)
 	}
 
 	starts, finishes := 0, 0
 	lastCompleted := 0
+	finished := map[string]bool{}
+	var results []string
 	for _, ev := range events {
 		if ev.Total != 3 {
 			t.Fatalf("event %+v has Total %d, want 3", ev, ev.Total)
 		}
 		switch ev.Kind {
-		case obs.ProgressExperimentStart:
+		case EventStart:
 			starts++
-		case obs.ProgressExperimentFinish:
+		case EventFinish:
 			finishes++
+			finished[ev.Experiment] = true
 			if ev.Completed != lastCompleted+1 {
 				t.Fatalf("finish events out of order: completed %d after %d", ev.Completed, lastCompleted)
 			}
@@ -58,14 +57,18 @@ func TestOnProgressEventStream(t *testing.T) {
 			if ev.Completed == 3 && ev.ETA != 0 {
 				t.Fatalf("final finish still carries an ETA: %+v", ev)
 			}
+		case EventResult:
+			results = append(results, ev.Experiment)
+			if !finished[ev.Experiment] || ev.Result == nil || ev.Result.ID != ev.Experiment || ev.Completed != len(results) {
+				t.Fatalf("result event %+v out of place after results %v", ev, results)
+			}
 		}
 	}
 	if starts != 3 || finishes != 3 {
 		t.Fatalf("saw %d starts and %d finishes, want 3 each", starts, finishes)
 	}
-	snap := tracker.Snapshot()
-	if !snap.Done || snap.Completed != 3 || snap.Failed != 0 || len(snap.Running) != 0 {
-		t.Fatalf("tracker snapshot after the campaign = %+v", snap)
+	if got := strings.Join(results, ","); got != "Z90,Z91,Z92" {
+		t.Fatalf("result events %s, want paper order Z90,Z91,Z92", got)
 	}
 }
 
@@ -77,8 +80,8 @@ func TestOnProgressFailedFlag(t *testing.T) {
 	})
 	cfg := QuickConfig()
 	var failed []string
-	cfg.OnProgress = func(ev obs.ProgressEvent) {
-		if ev.Kind == obs.ProgressExperimentFinish && ev.Failed {
+	cfg.OnEvent = func(ev Event) {
+		if ev.Kind == EventFinish && ev.Failed {
 			failed = append(failed, ev.Experiment)
 		}
 	}
@@ -98,9 +101,9 @@ func TestOnProgressPopulationTicks(t *testing.T) {
 		t.Skip("population run is not short-mode work")
 	}
 	cfg := QuickConfig()
-	var ticks []obs.ProgressEvent
-	cfg.OnProgress = func(ev obs.ProgressEvent) {
-		if ev.Kind == obs.ProgressTick {
+	var ticks []Event
+	cfg.OnEvent = func(ev Event) {
+		if ev.Kind == EventTick {
 			ticks = append(ticks, ev)
 		}
 	}
@@ -120,5 +123,24 @@ func TestOnProgressPopulationTicks(t *testing.T) {
 	}
 	if last := ticks[len(ticks)-1]; last.Tick != last.Ticks {
 		t.Fatalf("last tick event %d/%d, want complete", last.Tick, last.Ticks)
+	}
+}
+
+// TestRunContextSeesOnlyTicks: a single run hands cfg.OnEvent to the
+// experiment as is — its ticks arrive, and no start, finish or result
+// event does.
+func TestRunContextSeesOnlyTicks(t *testing.T) {
+	tempExperiment(t, "Z96", func(cfg Config) Result {
+		cfg.OnEvent(Event{Kind: EventTick, Experiment: "Z96", Tick: 1, Ticks: 1})
+		return Result{ID: "Z96", Title: "Z96"}
+	})
+	cfg := QuickConfig()
+	var kinds []EventKind
+	cfg.OnEvent = func(ev Event) { kinds = append(kinds, ev.Kind) }
+	if _, err := RunContext(context.Background(), "Z96", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 1 || kinds[0] != EventTick {
+		t.Fatalf("RunContext delivered %v, want one tick", kinds)
 	}
 }

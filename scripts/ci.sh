@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate for fivegsim: vet, build, the tier-1 test suite, and a race
-# pass over the parallel campaign engine. The race step runs -short:
+# CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, and a
+# race pass over the parallel campaign engine. The race step runs -short:
 # the long statistical sweeps trim to one seed, but every Workers>1
 # path stays on — TestRunAllParallelRace dispatches experiments across
 # an 8-worker pool with a shared registry and tracer, and the
@@ -10,6 +10,10 @@
 # race-full` runs the unabridged suite under -race.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt (every tracked Go file) =="
+UNFORMATTED=$(git ls-files '*.go' | xargs gofmt -l)
+[ -z "$UNFORMATTED" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$UNFORMATTED" >&2; exit 1; }
 
 echo "== go vet =="
 go vet ./...

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race faults pop pop-dynamics serve serve-test bench bench-smoke ci
+.PHONY: build test race faults pop pop-dynamics serve serve-test bench ci
 
 build:
 	$(GO) build ./...
@@ -50,18 +50,14 @@ serve:
 serve-test:
 	$(GO) test -race ./internal/serve/
 
-# Scheduler/telemetry overhead benches plus the per-figure benches, then
-# the fgperf harness regenerating the checked-in regression baseline
-# (BENCH_10.json; includes the campaign-scale benches, so this is slow).
+# Micro-benches for measuring while you work: the scheduler/telemetry
+# overhead and per-figure benches at the root, and the hot-path benches
+# next to the code they measure (packet path, survey, batch kernel, pop
+# tick). They gate nothing and write no baseline; the one performance
+# gate is the benchmark/ module. Includes the campaign-scale
+# BenchmarkRunAllWorkers1/8, so this is slow.
 bench:
-	$(GO) test -run xxx -bench=BenchmarkSchedulerObs -benchtime=2s .
-	$(GO) test -run xxx -bench=. -benchmem .
-	$(GO) run ./cmd/fgperf bench -out BENCH_10.json
-
-# The quick fgperf subset gated against the checked-in baseline — the
-# same check CI's bench-smoke step runs.
-bench-smoke:
-	$(GO) run ./cmd/fgperf bench -quick -compare BENCH_10.json
+	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
 
 # Serial vs parallel wall-clock of the full quick campaign.
 bench-workers:

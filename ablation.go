@@ -5,26 +5,8 @@ import (
 
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/handoff"
-	"fivegsim/internal/netsim"
-	"fivegsim/internal/radio"
 	"fivegsim/internal/rng"
-	"fivegsim/internal/transport"
 )
-
-// ablationBufferSizing returns Cubic's 5G utilization gain from doubling
-// the wired bottleneck buffer (the paper's §4.2 remedy).
-func ablationBufferSizing(cfg Config) float64 {
-	d := bulkDur(cfg)
-	small := netsim.DefaultPath(radio.NR, true)
-	big := small
-	big.BottleneckBufferBytes *= 2
-	u1 := transport.RunBulk(small, "cubic", d).ThroughputBps
-	u2 := transport.RunBulk(big, "cubic", d).ThroughputBps
-	if u1 == 0 {
-		return 0
-	}
-	return u2 / u1
-}
 
 // ablationSAHandoff returns how many times slower the NSA 5G→5G hand-off
 // is than the hypothetical standalone (direct Xn) hand-off.
@@ -41,22 +23,6 @@ func ablationSAHandoff(cfg Config) float64 {
 		nsa += total
 	}
 	return float64(nsa) / float64(sa)
-}
-
-// ablationA3Hysteresis runs a short campaign at the ISP's 3 dB gap and at
-// an aggressive 1 dB gap and returns the hand-off rate (per minute) at
-// 1 dB — the ping-pong cost of removing hysteresis.
-func ablationA3Hysteresis(cfg Config) float64 {
-	campus := deploy.New(cfg.Seed)
-	hcfg := handoff.DefaultConfig()
-	hcfg.Duration = 10 * time.Minute
-	if cfg.Quick {
-		hcfg.Duration = 4 * time.Minute
-	}
-	hcfg.A3.GapDB = 1
-	hcfg.A3.TimeToTrigger = 100 * time.Millisecond
-	camp := handoff.RunCampaign(campus, hcfg, cfg.Seed)
-	return float64(len(camp.Events)) / hcfg.Duration.Minutes()
 }
 
 // A3Sweep compares hand-off behaviour across trigger thresholds: events

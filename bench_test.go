@@ -139,28 +139,11 @@ func BenchmarkSchedulerObsProfiled(b *testing.B) {
 
 // Ablation benches (the DESIGN.md extensions beyond the paper's figures).
 
-// BenchmarkAblation_BufferSizing verifies the §4.2 remedy: Cubic's 5G
-// throughput as the wired bottleneck buffer scales ×2.
-func BenchmarkAblation_BufferSizing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := ablationBufferSizing(QuickConfig())
-		b.ReportMetric(res, "util_gain_x")
-	}
-}
-
 // BenchmarkAblation_SAHandoff compares the hypothetical standalone-mode
 // hand-off against the measured NSA ladder.
 func BenchmarkAblation_SAHandoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(ablationSAHandoff(QuickConfig()), "nsa_over_sa_x")
-	}
-}
-
-// BenchmarkAblation_A3Hysteresis sweeps the hand-off trigger threshold
-// and reports the ping-pong ratio at the ISP's 3 dB setting.
-func BenchmarkAblation_A3Hysteresis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(ablationA3Hysteresis(QuickConfig()), "ho_per_min_at_1db")
 	}
 }
 

@@ -69,6 +69,44 @@ func TestSurveyorSerialRunAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkSurvey measures the coverage walk in steady state: one op is a
+// 512-sample road survey re-run through a prebuilt Surveyor on a warmed
+// campus — the batched-kernel sampling path alone, with the one-time
+// campus construction and field-map warm outside the timer. It reads
+// 0 allocs/op; TestSurveyorSerialRunAllocFree enforces that.
+func BenchmarkSurvey(b *testing.B) {
+	b.ReportAllocs()
+	c := deploy.New(1)
+	c.WarmFieldMaps(1)
+	sv := NewSurveyor(c, 512, 1)
+	sv.Run(1) // settle any remaining lazy state
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sv.Run(1)
+		if len(s.Samples) != 512 {
+			b.Fatal("short survey")
+		}
+	}
+}
+
+// BenchmarkSurveyWorkers8 measures the sharded survey at the paper's full
+// 4630-sample size across 8 workers — the intra-experiment sharding win
+// on multi-core hosts. Goroutine start-up allocates, so it has no
+// allocation contract.
+func BenchmarkSurveyWorkers8(b *testing.B) {
+	b.ReportAllocs()
+	c := deploy.New(1)
+	c.WarmFieldMaps(8)
+	sv := NewSurveyor(c, 4630, 1)
+	sv.Run(8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := sv.Run(8); len(s.Samples) != 4630 {
+			b.Fatal("short survey")
+		}
+	}
+}
+
 // TestGridMapWorkersMatchesSerial: the rasterizer draws no randomness,
 // but the sharded variant must still tile the identical grid.
 func TestGridMapWorkersMatchesSerial(t *testing.T) {

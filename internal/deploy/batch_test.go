@@ -123,6 +123,31 @@ func TestMeasureIntoAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkMeasureAllInto prices the batched measurement kernel itself:
+// one op is a full MeasureAllInto of both technologies at 64 fixed
+// points — the RSRP → interference → KPI chain over every cell, with no
+// sampling randomness around it. It reads 0 allocs/op;
+// TestMeasureIntoAllocFree enforces that.
+func BenchmarkMeasureAllInto(b *testing.B) {
+	b.ReportAllocs()
+	c := New(1)
+	pts := make([]geom.Point, 64)
+	for i := range pts {
+		pts[i] = geom.Point{
+			X: c.Bounds.Width() * (0.5 + float64(i%8)) / 8,
+			Y: c.Bounds.Height() * (0.5 + float64(i/8)) / 8,
+		}
+	}
+	buf := make([]radio.Measurement, 0, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pts {
+			buf = c.MeasureAllInto(radio.NR, p, buf[:0])
+			buf = c.MeasureAllInto(radio.LTE, p, buf[:0])
+		}
+	}
+}
+
 // TestNewFitsBatchScratch: New is the only constructor of a Campus, and
 // every batched path evaluates a technology's cells on fixed batchMax
 // scratch, so both cell lists must fit it.

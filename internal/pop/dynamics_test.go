@@ -373,8 +373,8 @@ func TestAttachSkipEquivalence(t *testing.T) {
 
 // TestDynamicsTickAllocs is the steady-state allocation guard with every
 // dynamic enabled: churn draws, A3 measurements and the load EWMA must
-// all run inside the preallocated arena (the PopTick100kChurn bench
-// holds the same invariant at scale under the fgperf gate).
+// all run inside the preallocated arena (TestDynamicsTickZeroAlloc100k
+// holds the same invariant at scale).
 func TestDynamicsTickAllocs(t *testing.T) {
 	m := dynamicsModelForTest(2000, 50)
 	campus := deploy.New(42)

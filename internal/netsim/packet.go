@@ -20,7 +20,10 @@ type Packet struct {
 	Ack bool
 	// AckSeq is the cumulative acknowledgment (next expected byte).
 	AckSeq int64
-	// Sack carries up to four selective-acknowledgment blocks [lo, hi).
+	// Sack carries the receiver's whole out-of-order map as sorted,
+	// disjoint [lo, hi) blocks; nil means the ACK has no SACK option. The
+	// buffer belongs to the transport connection that sent the ACK, which
+	// takes it back on delivery before the packet is recycled.
 	Sack [][2]int64
 	// Wire is the on-the-wire size in bytes including headers.
 	Wire int

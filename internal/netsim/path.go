@@ -130,9 +130,9 @@ type Path struct {
 	UplinkRAN  *Hop
 	CrossSink  *Sink
 
-	// Pool recycles the packets the path generates itself (UDP load and
-	// cross traffic); see PacketPool for the ownership rule. Transport
-	// engines keep allocating their own packets — Release ignores them.
+	// Pool recycles every packet the path carries (TCP segments and
+	// ACKs, UDP load and cross traffic); see PacketPool for the
+	// ownership rule.
 	Pool *PacketPool
 }
 

@@ -1,18 +1,20 @@
 package netsim
 
-// PacketPool recycles Packet structs for the traffic a path generates
-// itself (the UDP load generators and the cross-traffic pump), so the
-// per-packet steady state allocates nothing. The pool is owned by a
-// single scheduler's event loop and is deliberately not thread-safe — a
-// sync.Pool would buy nothing here and cost an atomic per packet.
+// PacketPool recycles Packet structs for every packet a path carries:
+// TCP segments and ACKs, the UDP load generators and the cross-traffic
+// pump, so the per-packet steady state allocates nothing. The pool is
+// owned by a single scheduler's event loop and is deliberately not
+// thread-safe — a sync.Pool would buy nothing here and cost an atomic
+// per packet.
 //
 // Ownership rule: a packet obtained from Get is released back exactly
 // once, by whoever terminates it — the delivery wrappers in NewPath
-// release on final delivery, the hops release on drop (after OnDrop
-// observers ran) and on HARQ residual loss. Packets built with plain
-// &Packet{} (the transport engines own their retransmission state) are
-// ignored by Release, so pooled and unpooled traffic mix freely on one
-// path.
+// release on final delivery, after the endpoint's callback returns, the
+// hops release on drop (after OnDrop observers ran) and on HARQ residual
+// loss. Release ignores packets built with plain &Packet{} (as in tests),
+// so pooled and unpooled traffic mix freely on one path. Get hands out a
+// fully zeroed packet, Sack included: SACK buffers belong to the
+// transport connection, not to the pool.
 type PacketPool struct {
 	free []*Packet
 
@@ -40,7 +42,7 @@ func (pl *PacketPool) Get() *Packet {
 	p := pl.free[n-1]
 	pl.free[n-1] = nil
 	pl.free = pl.free[:n-1]
-	*p = Packet{Sack: p.Sack[:0], pooled: true}
+	*p = Packet{pooled: true}
 	return p
 }
 

@@ -1,6 +1,9 @@
 package transport
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // intervalSet is a sorted list of disjoint, non-adjacent half-open byte
 // ranges. It backs both the receiver's out-of-order map and the sender's
@@ -28,7 +31,9 @@ func (s *intervalSet) Add(lo, hi int64) {
 		s.total -= s.ranges[j].hi - s.ranges[j].lo
 		j++
 	}
-	s.ranges = append(s.ranges[:i], append([]byteRange{{lo, hi}}, s.ranges[j:]...)...)
+	// Swap ranges[i:j] for the merged range in place; only a new high-water
+	// range count grows the backing array.
+	s.ranges = slices.Replace(s.ranges, i, j, byteRange{lo, hi})
 	s.total += hi - lo
 }
 

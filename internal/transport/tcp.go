@@ -55,6 +55,7 @@ type Conn struct {
 
 	srtt, rttvar, rto time.Duration
 	rtoTimer          des.Timer
+	onRTOFn           func() // c.onRTO, bound once so arming the timer allocates nothing
 	walkRestartAt     time.Duration
 	repairProgressAt  time.Duration
 
@@ -66,6 +67,12 @@ type Conn struct {
 	ooo      intervalSet
 	ackEvery int
 	unacked  int
+
+	// sackFree recycles the SACK buffers ACKs carry: onData takes one for
+	// each ACK that reports out-of-order data, onAck hands it back once
+	// the scoreboard has copied it. It holds as many buffers as there
+	// were ever ACKs with SACK blocks in flight at once.
+	sackFree [][][2]int64
 
 	// Stats.
 	DeliveredBytes int64
@@ -100,6 +107,7 @@ func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64
 		panic("transport: unknown congestion controller " + ctrlName)
 	}
 	c.ctrl = cc.Instrument(c.ctrl, path.Cfg.Obs)
+	c.onRTOFn = c.onRTO
 	c.pacing = c.ctrl.PacingRate() > 0
 	path.ToUE = netsim.ReceiverFunc(c.onData)
 	path.ToServer = netsim.ReceiverFunc(c.onAck)
@@ -161,10 +169,10 @@ func (c *Conn) sendSegment(seq int64, retx bool) {
 	if size <= 0 {
 		return
 	}
-	c.path.ServerIngress.Receive(&netsim.Packet{
-		FlowID: 1, Seq: seq, Len: int(size), Wire: int(size) + netsim.HeaderBytes,
-		SentAt: c.sch.Now(), Retransmit: retx,
-	})
+	p := c.path.Pool.Get()
+	p.FlowID, p.Seq, p.Len, p.Wire = 1, seq, int(size), int(size)+netsim.HeaderBytes
+	p.SentAt, p.Retransmit = c.sch.Now(), retx
+	c.path.ServerIngress.Receive(p)
 	if retx {
 		c.Retransmits++
 	}
@@ -297,17 +305,25 @@ func (c *Conn) onData(p *netsim.Packet) {
 		if p.Retransmit {
 			echo = 0 // Karn's rule: no RTT samples from retransmits
 		}
-		ack := &netsim.Packet{
-			FlowID: 1, Ack: true, AckSeq: c.rcvNext,
-			Wire: netsim.HeaderBytes, SentAt: c.sch.Now(), EchoTS: echo,
-		}
+		ack := c.path.Pool.Get()
+		ack.FlowID, ack.Ack, ack.AckSeq = 1, true, c.rcvNext
+		ack.Wire, ack.SentAt, ack.EchoTS = netsim.HeaderBytes, c.sch.Now(), echo
 		// Report the full out-of-order map. Real TCP fits only 3-4 SACK
 		// blocks per ACK but accumulates complete coverage across the ACK
 		// stream; carrying the full (coalesced, drop-tail losses are
 		// contiguous runs) map per ACK models that endpoint behaviour
-		// without simulating option-space packing.
-		for _, r := range c.ooo.ranges {
-			ack.Sack = append(ack.Sack, [2]int64{r.lo, r.hi})
+		// without simulating option-space packing. With nothing out of
+		// order Sack stays nil: no SACK option.
+		if c.ooo.Len() > 0 {
+			var buf [][2]int64
+			if n := len(c.sackFree); n > 0 {
+				buf = c.sackFree[n-1]
+				c.sackFree = c.sackFree[:n-1]
+			}
+			for _, r := range c.ooo.ranges {
+				buf = append(buf, [2]int64{r.lo, r.hi})
+			}
+			ack.Sack = buf
 		}
 		c.path.UEIngress.Receive(ack)
 	}
@@ -324,8 +340,11 @@ func (c *Conn) onAck(p *netsim.Packet) {
 	}
 	if p.Sack != nil {
 		// The ACK carries the receiver's complete out-of-order map, so the
-		// scoreboard is replaced, not merged.
+		// scoreboard is replaced, not merged. The copy done, the buffer
+		// goes back to the free list before the path recycles the packet.
 		c.sacked.Replace(p.Sack, c.una)
+		c.sackFree = append(c.sackFree, p.Sack[:0])
+		p.Sack = nil
 	}
 	advanced := p.AckSeq > c.una
 	if advanced {
@@ -409,7 +428,7 @@ func (c *Conn) armRTO() {
 	if c.una >= c.limit {
 		return
 	}
-	c.rtoTimer = c.sch.After(c.rto, c.onRTO)
+	c.rtoTimer = c.sch.After(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {

@@ -106,12 +106,14 @@ func TestTransferAllControllersComplete(t *testing.T) {
 	}
 }
 
-func TestSACKRecoveryUnderForcedBurstLoss(t *testing.T) {
-	// Drop a contiguous burst mid-flight via a tiny bottleneck buffer and
-	// verify the transfer still completes exactly.
+// runBurstLoss runs a 4 MiB cubic transfer over a 5G path without cross
+// traffic whose bottleneck buffer is only bufBytes, so slow-start
+// overshoot burst-drops. It returns the connection and its completion
+// time (zero if it never finished within 30 s).
+func runBurstLoss(bufBytes int) (*Conn, time.Duration) {
 	cfg := netsim.DefaultPath(radio.NR, true)
 	cfg.Cross = netsim.CrossConfig{}
-	cfg.BottleneckBufferBytes = 40_000 // tiny: slow-start overshoot must burst-drop
+	cfg.BottleneckBufferBytes = bufBytes
 	sch := des.New()
 	path := netsim.NewPath(sch, cfg)
 	conn := NewConn(sch, path, "cubic", 4<<20)
@@ -119,6 +121,13 @@ func TestSACKRecoveryUnderForcedBurstLoss(t *testing.T) {
 	conn.Done = func(at time.Duration) { done = at }
 	conn.Start()
 	sch.RunUntil(30 * time.Second)
+	return conn, done
+}
+
+func TestSACKRecoveryUnderForcedBurstLoss(t *testing.T) {
+	// Drop a contiguous burst mid-flight via a tiny bottleneck buffer and
+	// verify the transfer still completes exactly.
+	conn, done := runBurstLoss(40_000)
 	if done == 0 {
 		t.Fatalf("transfer stuck (delivered %d bytes, retx %d, rtos %d)",
 			conn.DeliveredBytes, conn.Retransmits, conn.RTOs)

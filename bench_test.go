@@ -126,14 +126,7 @@ func BenchmarkSchedulerObsOff(b *testing.B) {
 
 func BenchmarkSchedulerObsOn(b *testing.B) {
 	s := des.New()
-	s.SetObs(obs.NewRegistry(), nil)
-	benchScheduler(b, s)
-}
-
-func BenchmarkSchedulerObsProfiled(b *testing.B) {
-	s := des.New()
-	s.SetObs(obs.NewRegistry(), nil)
-	s.SetProfile(true)
+	s.SetObs(obs.NewRegistry())
 	benchScheduler(b, s)
 }
 

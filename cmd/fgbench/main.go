@@ -45,7 +45,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON of the campaign to this file")
 	manifestPath := flag.String("manifest", "", "write the run manifests (JSON array) to this file")
 	resultsPath := flag.String("results", "", "stream results to this file as NDJSON (one fivegsim.result/v1 object per line — the same encoding fgserve serves)")
-	profile := flag.Bool("profile", false, "measure per-event callback wall time (adds overhead)")
 	faults := flag.String("faults", "", "arm a fault-scenario preset on every run ('list' to enumerate)")
 	population := flag.Int("population", 0, "override the population-experiment UE count (X12–X14; 0 = built-in sizing)")
 	progress := flag.Bool("progress", false, "stream live start/finish/ETA progress lines to stderr")
@@ -80,7 +79,7 @@ func main() {
 		}
 	}
 
-	cfg := fivegsim.Config{Seed: *seed, Quick: *quick, Workers: *workers, Trace: tracer, Profile: *profile,
+	cfg := fivegsim.Config{Seed: *seed, Quick: *quick, Workers: *workers, Trace: tracer,
 		Population: *population}
 	if *faults != "" {
 		s, err := fault.ScenarioByName(*faults)

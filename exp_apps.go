@@ -3,6 +3,7 @@ package fivegsim
 import (
 	"time"
 
+	"fivegsim/internal/netsim"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/video"
 	"fivegsim/internal/web"
@@ -74,12 +75,22 @@ func runFig15(cfg Config) Result {
 	return res
 }
 
+// webPaths returns the 4G and 5G daytime paths the page loads of F16 and
+// F17 start from, seeded with the run seed.
+func webPaths(cfg Config) []netsim.PathConfig {
+	paths := []netsim.PathConfig{cfg.obsPath(radio.LTE, true), cfg.obsPath(radio.NR, true)}
+	for i := range paths {
+		paths[i].Seed = cfg.Seed
+	}
+	return paths
+}
+
 func runFig16(cfg Config) Result {
 	pages := 6
 	if cfg.Quick {
 		pages = 2
 	}
-	rows := web.RunFig16(pages, cfg.Seed)
+	rows := web.RunFig16(pages, webPaths(cfg))
 	res := Result{ID: "F16", Title: "PLT by category", Values: map[string]float64{}}
 	for _, r := range rows {
 		res.Lines = append(res.Lines, line("%v %-9s: download %5.2f s + render %5.2f s = PLT %5.2f s",
@@ -94,7 +105,7 @@ func runFig16(cfg Config) Result {
 }
 
 func runFig17(cfg Config) Result {
-	rows := web.RunFig17(cfg.Seed)
+	rows := web.RunFig17(webPaths(cfg))
 	res := Result{ID: "F17", Title: "PLT vs image size", Values: map[string]float64{}}
 	for _, r := range rows {
 		res.Lines = append(res.Lines, line("%v %2d MB: download %5.2f s + render %5.2f s",

@@ -9,7 +9,6 @@ import (
 	"fivegsim/internal/fault"
 	"fivegsim/internal/handoff"
 	"fivegsim/internal/netsim"
-	"fivegsim/internal/par"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/transport"
 	"fivegsim/internal/wire"
@@ -81,15 +80,14 @@ func runX9Outage(cfg Config) Result {
 	ladder := []time.Duration{50 * time.Millisecond, nsaHO, 300 * time.Millisecond, time.Second, 3 * time.Second}
 	ctrls := []string{"cubic", "bbr"}
 	cols := 1 + len(ladder) // column 0 is the clean baseline
-	// Each (controller, outage) cell is an independent DES world; the
-	// grid fans out across cfg.Workers and merges in index order.
-	runs := par.Map(cfg.Workers, len(ctrls)*cols, func(k int) transport.BulkResult {
+	// Each (controller, outage) cell is an independent DES world.
+	runs := sweep(cfg, len(ctrls)*cols, func(c Config, k int) transport.BulkResult {
 		ci, oi := k/cols, k%cols
 		var plan *fault.Plan
 		if oi > 0 {
 			plan = fault.Outage("x9-outage", 3*time.Second, ladder[oi-1])
 		}
-		return transport.RunBulk(faultPath(cfg, plan), ctrls[ci], d)
+		return transport.RunBulk(faultPath(c, plan), ctrls[ci], d)
 	})
 	res := Result{ID: "X9", Title: "Outage vs stall", Values: map[string]float64{}}
 	for ci, name := range ctrls {
@@ -127,12 +125,12 @@ func runX10Scenarios(cfg Config) Result {
 	d := bulkDur(cfg)
 	scens := fault.Scenarios()
 	// Index 0 is the clean baseline; each scenario is its own DES world.
-	runs := par.Map(cfg.Workers, 1+len(scens), func(k int) transport.BulkResult {
+	runs := sweep(cfg, 1+len(scens), func(c Config, k int) transport.BulkResult {
 		var plan *fault.Plan
 		if k > 0 {
 			plan = scens[k-1].Plan()
 		}
-		return transport.RunBulk(faultPath(cfg, plan), "bbr", d)
+		return transport.RunBulk(faultPath(c, plan), "bbr", d)
 	})
 	base := runs[0]
 	res := Result{ID: "X10", Title: "Scenario resilience (bbr)", Values: map[string]float64{}}

@@ -7,8 +7,6 @@ import (
 	"fivegsim/internal/des"
 	"fivegsim/internal/handoff"
 	"fivegsim/internal/netsim"
-	"fivegsim/internal/obs"
-	"fivegsim/internal/par"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rng"
 	"fivegsim/internal/stats"
@@ -45,10 +43,11 @@ func runTable3(cfg Config) Result {
 	if cfg.Quick {
 		d = 8 * time.Second
 	}
-	// The two technologies' estimation runs are independent DES worlds;
-	// fan them out when workers allow.
-	ests := par.Map(cfg.Workers, 2, func(i int) wire.BufferEstimate {
-		return wire.EstimateBuffers([]radio.Tech{radio.NR, radio.LTE}[i], d, cfg.Seed)
+	// The two technologies' estimation runs are independent DES worlds.
+	ests := sweep(cfg, 2, func(c Config, i int) wire.BufferEstimate {
+		pcfg := c.obsPath([]radio.Tech{radio.NR, radio.LTE}[i], true)
+		pcfg.Seed = cfg.Seed
+		return wire.EstimateBuffers(pcfg, d)
 	})
 	nr, lte := ests[0], ests[1]
 	return Result{
@@ -144,30 +143,22 @@ func runFig9(cfg Config) Result {
 		name string
 		frac float64
 	}{{"1/5", 0.2}, {"1/4", 0.25}, {"1/3", 1.0 / 3}, {"1/2", 0.5}, {"1", 1}}
-	// Each tech × load point is an independent DES world: fan the sweep
-	// out across cfg.Workers, one sub-registry per point, merged in sweep
-	// order; rows are assembled from the ordered results afterwards.
-	type point struct {
-		loss float64
-		reg  *obs.Registry
-	}
-	points := par.Map(cfg.Workers, len(techs)*len(loads), func(k int) point {
-		c, reg := cfg.shardObs()
+	// Each tech × load point is an independent DES world; rows are
+	// assembled from the ordered results afterwards.
+	losses := sweep(cfg, len(techs)*len(loads), func(c Config, k int) float64 {
 		pcfg := c.obsPath(techs[k/len(loads)], true)
-		r := netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg), false)
-		return point{loss: r.LossRate, reg: reg}
+		return netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg), false).LossRate
 	})
 	for ti, tech := range techs {
 		row := tech.String() + ": "
 		for li, f := range loads {
-			p := points[ti*len(loads)+li]
-			cfg.Obs.Merge(p.reg)
+			loss := losses[ti*len(loads)+li]
 			ref := ""
 			if tech == radio.NR {
 				ref = line("(≈%.1f)", paper5[f.name])
 			}
-			row += line("%s→%.2f%%%s ", f.name, 100*p.loss, ref)
-			res.Values[tech.String()+"@"+f.name] = p.loss
+			row += line("%s→%.2f%%%s ", f.name, 100*loss, ref)
+			res.Values[tech.String()+"@"+f.name] = loss
 		}
 		res.Lines = append(res.Lines, row)
 	}
@@ -181,20 +172,8 @@ func runFig10(cfg Config) Result {
 		pcfg := cfg.obsPath(tech, true)
 		sch := des.New()
 		path := netsim.NewPath(sch, pcfg)
-		path.ToUE = netsim.ReceiverFunc(func(p *netsim.Packet) {})
-		interval := time.Duration(float64((netsim.MSS+netsim.HeaderBytes)*8) / pcfg.RANRateBps * float64(time.Second))
-		var tick func()
 		end := udpDur(cfg)
-		tick = func() {
-			if sch.Now() >= end {
-				return
-			}
-			p := path.Pool.Get()
-			p.Len, p.Wire = netsim.MSS, netsim.MSS+netsim.HeaderBytes
-			path.ServerIngress.Receive(p)
-			sch.After(interval, tick)
-		}
-		tick()
+		path.StartCBR(pcfg.RANRateBps, end)
 		sch.RunUntil(end + time.Second)
 		row := tech.String() + " retx distribution: "
 		maxK := 0
@@ -248,21 +227,10 @@ func runFig12(cfg Config) Result {
 		if kind == handoff.FourToFour {
 			tech = radio.LTE
 		}
-		// Each rep is an independent flow seeded by its rep index; fan
-		// the reps out and merge their telemetry shards in rep order.
-		type rep struct {
-			drop float64
-			reg  *obs.Registry
-		}
-		outs := par.Map(cfg.Workers, reps, func(i int) rep {
-			c, reg := cfg.shardObs()
-			return rep{drop: hoThroughputDrop(c, tech, kind, cfg.Seed+int64(i)), reg: reg}
+		// Each rep is an independent flow seeded by its rep index.
+		drops := sweep(cfg, reps, func(c Config, i int) float64 {
+			return hoThroughputDrop(c, tech, kind, cfg.Seed+int64(i))
 		})
-		drops := make([]float64, len(outs))
-		for i, o := range outs {
-			drops[i] = o.drop
-			cfg.Obs.Merge(o.reg)
-		}
 		s := stats.Summarize(drops)
 		res.Lines = append(res.Lines, line("%-5s: throughput drop %5.1f%% ± %.1f (paper %.2f%%)", kind, 100*s.Mean, 100*s.Std, paper[kind]))
 		res.Values["drop"+kind.String()] = s.Mean

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fivegsim/internal/fault"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -13,24 +14,35 @@ import (
 // fault experiments must render identical Lines and Values for
 // Workers=1 and Workers=8. X10 fans its scenario suite out over the
 // engine; X11 fans out campaign walks under a coverage hole; both draw
-// every injected event from seed-keyed substreams.
+// every injected event from seed-keyed substreams. X10's sweep points
+// each report into their own registry, merged in index order, so its
+// metrics match across worker counts too.
 func TestFaultParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault equivalence sweep is not short-mode work")
 	}
 	ids := []string{"X10", "X11"}
 	cfg := Config{Seed: 42, Quick: true, Faults: fault.CellFailover.Plan()}
-	cfg.Workers = 1
+	cfg.Workers, cfg.Obs = 1, obs.NewRegistry()
 	serial, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	cfg.Workers, cfg.Obs = 8, obs.NewRegistry()
 	parallel, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, serial, parallel, "faulted workers 1 vs 8")
+	a, b := serial[0].Manifest.Metrics, parallel[0].Manifest.Metrics
+	if len(a) != len(b) {
+		t.Fatalf("X10 reports %d metrics at Workers=1, %d at Workers=8", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("X10 metric differs between worker counts:\nserial:   %v\nparallel: %v", a[i], b[i])
+		}
+	}
 
 	// Distinct plans must not collide: the same campaign under a
 	// different scenario renders a different report.

@@ -57,13 +57,9 @@ type Config struct {
 	// the simulator on its no-op fast path.
 	Obs *obs.Registry
 	// Trace, when non-nil, records timestamped span/instant events
-	// (packet drops, outages, profiled callbacks) into a bounded ring
+	// (packet drops, outages, fault windows) into a bounded ring
 	// exportable as a Chrome trace (chrome://tracing / Perfetto).
 	Trace *obs.Tracer
-	// Profile opts into per-event wall-clock measurement on every
-	// scheduler (the `des.callback_wall_us` histogram). It costs two
-	// wall-clock reads per event; leave off for benchmarks.
-	Profile bool
 
 	// Faults, when non-nil, arms the deterministic fault-injection plan
 	// on every end-to-end path an experiment builds (and, for the
@@ -136,29 +132,39 @@ type Event struct {
 }
 
 // obsPath returns the calibrated path config for a technology/time of
-// day with this run's telemetry options attached.
+// day with this run's telemetry and fault plan attached. It is the one
+// place an experiment gets a netsim.PathConfig; callers adjust the
+// returned copy (seed, buffers, delays) but never build one elsewhere.
 func (cfg Config) obsPath(tech radio.Tech, daytime bool) netsim.PathConfig {
 	p := netsim.DefaultPath(tech, daytime)
 	p.Obs = cfg.Obs
 	p.Trace = cfg.Trace
-	p.Profile = cfg.Profile
 	if cfg.Faults != nil {
 		p.Inject = fault.Hook(cfg.Faults)
 	}
 	return p
 }
 
-// shardObs returns a copy of cfg whose Obs — when telemetry is on — is
-// a fresh per-shard registry, plus that registry so the caller can fold
-// it back into cfg.Obs (Registry.Merge) in shard order once the shard
-// finishes. With telemetry off both returns are the no-op nils.
-func (cfg Config) shardObs() (Config, *obs.Registry) {
-	if cfg.Obs == nil {
-		return cfg, nil
+// sweep runs fn for the points 0..n-1 of an experiment's inner sweep
+// across cfg.Workers (par.Map) and returns the results in index order.
+// Each point gets a copy of cfg; with telemetry on, the copy's Obs is the
+// point's own registry, and the registries are merged into cfg.Obs in
+// index order once every point is done, so the merged metrics do not
+// depend on Workers.
+func sweep[T any](cfg Config, n int, fn func(c Config, i int) T) []T {
+	regs := make([]*obs.Registry, n)
+	out := par.Map(cfg.Workers, n, func(i int) T {
+		c := cfg
+		if cfg.Obs != nil {
+			c.Obs = obs.NewRegistry()
+			regs[i] = c.Obs
+		}
+		return fn(c, i)
+	})
+	for _, reg := range regs {
+		cfg.Obs.Merge(reg)
 	}
-	c := cfg
-	c.Obs = obs.NewRegistry()
-	return c, c.Obs
+	return out
 }
 
 // DefaultConfig returns the full-fidelity configuration with the

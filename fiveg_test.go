@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fivegsim/internal/fault"
 	"fivegsim/internal/obs"
 )
 
@@ -89,27 +90,38 @@ func TestResultCarriesManifest(t *testing.T) {
 }
 
 func TestObsMetricsFlowThroughExperiment(t *testing.T) {
-	// The F10 HARQ experiment builds paths on fresh schedulers; with a
-	// registry attached the des and netsim substrates must both report.
-	reg := obs.NewRegistry()
-	cfg := QuickConfig()
-	cfg.Obs = reg
-	res, err := RunContext(context.Background(), "F10", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Counter("des.events_fired").Value() == 0 {
-		t.Error("des.events_fired not collected")
-	}
-	if res.Manifest.EventsExecuted == 0 || res.Manifest.SimTime == 0 || len(res.Manifest.Metrics) == 0 {
-		t.Errorf("manifest snapshot incomplete: events=%d sim=%v metrics=%d",
-			res.Manifest.EventsExecuted, res.Manifest.SimTime, len(res.Manifest.Metrics))
-	}
-	if reg.Counter("netsim.pkt_delivered{hop=5G-RAN}").Value() == 0 {
-		t.Error("netsim.pkt_delivered{hop=5G-RAN} not collected")
-	}
-	if reg.Histogram("netsim.occupancy_bytes{hop=5G-RAN}", nil).Count() == 0 {
-		t.Error("occupancy histogram not collected")
+	// Every packet-level experiment builds its paths through
+	// Config.obsPath, so the run's registry and fault plan reach each of
+	// them: the des and netsim substrates report, and a fault at t=0
+	// opens its window on the experiment's paths. F10 wires its own path;
+	// T3, F16 and F17 hand theirs to internal/wire and internal/web.
+	for _, id := range []string{"F10", "T3", "F16", "F17"} {
+		t.Run(id, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := QuickConfig()
+			cfg.Obs = reg
+			cfg.Faults = fault.Outage("o", 0, 1)
+			res, err := RunContext(context.Background(), id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reg.Counter("des.events_fired").Value() == 0 {
+				t.Error("des.events_fired not collected")
+			}
+			if res.Manifest.EventsExecuted == 0 || res.Manifest.SimTime == 0 || len(res.Manifest.Metrics) == 0 {
+				t.Errorf("manifest snapshot incomplete: events=%d sim=%v metrics=%d",
+					res.Manifest.EventsExecuted, res.Manifest.SimTime, len(res.Manifest.Metrics))
+			}
+			if reg.Counter("netsim.pkt_delivered{hop=5G-RAN}").Value() == 0 {
+				t.Error("netsim.pkt_delivered{hop=5G-RAN} not collected")
+			}
+			if reg.Histogram("netsim.occupancy_bytes{hop=5G-RAN}", nil).Count() == 0 {
+				t.Error("occupancy histogram not collected")
+			}
+			if reg.Counter("fault.windows{kind=link-outage}").Value() == 0 {
+				t.Error("the fault plan never reached the experiment's paths")
+			}
+		})
 	}
 }
 

@@ -15,11 +15,9 @@
 // scheduler.
 //
 // The scheduler is optionally observable: SetObs attaches an obs.Registry
-// (and optionally an obs.Tracer) under the `des.*` metric namespace —
-// events scheduled/fired/canceled, the live queue depth with its
-// high-water mark, and, behind the SetProfile opt-in, a per-callback
-// wall-time histogram. With no registry attached the instrumentation
-// collapses to nil-receiver no-ops.
+// under the `des.*` metric namespace — events scheduled/fired/canceled
+// and the live queue depth with its high-water mark. With no registry
+// attached the instrumentation collapses to nil-receiver no-ops.
 package des
 
 import (
@@ -100,9 +98,6 @@ type schedObs struct {
 	canceled  *obs.Counter
 	depth     *obs.Gauge
 	simTime   *obs.Gauge
-	cbWall    *obs.Histogram
-	tracer    *obs.Tracer
-	profile   bool
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -128,10 +123,10 @@ type Scheduler struct {
 func New() *Scheduler { return &Scheduler{} }
 
 // SetObs attaches telemetry under the `des.*` namespace. A nil registry
-// detaches metrics; a nil tracer disables tracing. Call before the run.
-func (s *Scheduler) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
+// detaches it. Call before the run.
+func (s *Scheduler) SetObs(reg *obs.Registry) {
 	if reg == nil {
-		s.o = schedObs{tracer: tracer, profile: s.o.profile}
+		s.o = schedObs{}
 		return
 	}
 	s.o = schedObs{
@@ -141,18 +136,8 @@ func (s *Scheduler) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
 		canceled:  reg.Counter("des.events_canceled"),
 		depth:     reg.Gauge("des.queue_depth"),
 		simTime:   reg.Gauge(obs.MetricSimTime),
-		cbWall:    reg.Histogram("des.callback_wall_us", obs.DurationBuckets),
-		tracer:    tracer,
-		profile:   s.o.profile,
 	}
 }
-
-// SetProfile opts into per-callback wall-time measurement: each fired
-// event is timed with the wall clock, recorded into the
-// `des.callback_wall_us` histogram and, when a tracer is attached,
-// emitted as a span whose duration is the callback's CPU time. This
-// costs two time.Now() calls per event; leave it off for benchmarks.
-func (s *Scheduler) SetProfile(on bool) { s.o.profile = on }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -262,7 +247,6 @@ func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 			continue
 		}
 		s.now = next.at
-		at := next.at
 		fn, afn, arg := next.fn, next.afn, next.arg
 		// Recycle before the callback runs: the callback may schedule new
 		// events that immediately reuse this struct (gen was bumped, so any
@@ -273,17 +257,7 @@ func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 			s.o.fired.Inc()
 			s.o.depth.Set(int64(s.live))
 		}
-		if s.o.profile {
-			t0 := time.Now()
-			if afn != nil {
-				afn(arg)
-			} else {
-				fn()
-			}
-			wall := time.Since(t0)
-			s.o.cbWall.Observe(float64(wall) / float64(time.Microsecond))
-			s.o.tracer.WallSpan("des.callback", "des", at, wall)
-		} else if afn != nil {
+		if afn != nil {
 			afn(arg)
 		} else {
 			fn()

@@ -154,7 +154,7 @@ func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
 func TestAtPastTimestampWithObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
-	s.SetObs(reg, nil)
+	s.SetObs(reg)
 	var firedAt time.Duration = -1
 	s.At(3*time.Second, func() {
 		// Schedule into the past twice; both must clamp to now and fire.
@@ -179,7 +179,7 @@ func TestAtPastTimestampWithObs(t *testing.T) {
 func TestPendingExcludesCanceled(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
-	s.SetObs(reg, nil)
+	s.SetObs(reg)
 	var timers []Timer
 	for i := 1; i <= 6; i++ {
 		timers = append(timers, s.At(time.Duration(i)*time.Second, func() {}))
@@ -207,25 +207,6 @@ func TestPendingExcludesCanceled(t *testing.T) {
 	}
 	if got := reg.Counter("des.events_fired").Value(); got != 4 {
 		t.Fatalf("des.events_fired = %d, want 4", got)
-	}
-}
-
-func TestSchedulerProfileHistogram(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(16)
-	s := New()
-	s.SetObs(reg, tr)
-	s.SetProfile(true)
-	for i := 0; i < 5; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	s.Run()
-	h := reg.Histogram("des.callback_wall_us", obs.DurationBuckets)
-	if h.Count() != 5 {
-		t.Fatalf("callback_wall_us count = %d, want 5", h.Count())
-	}
-	if got := len(tr.Events()); got != 5 {
-		t.Fatalf("tracer recorded %d spans, want 5", got)
 	}
 }
 

@@ -20,6 +20,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -88,8 +89,8 @@ type Fault struct {
 	Extra time.Duration
 	// Scale is the rate multiplier of WiredDegrade/RadioDegrade, in (0, 1).
 	Scale float64
-	// FallbackBps is the post-failover radio rate of a CellFailure;
-	// 0 means the calibrated daytime 4G rate.
+	// FallbackBps is the finite post-failover radio rate of a
+	// CellFailure, ≥ 0; 0 means the calibrated daytime 4G rate.
 	FallbackBps float64
 	// PCI is the failed cell of a CellFailure (campaign-side hole).
 	PCI int
@@ -107,8 +108,9 @@ type Plan struct {
 	Faults []Fault
 }
 
-// Validate checks every fault's fields. All failures wrap
-// ErrInvalidPlan and name the offending fault.
+// Validate checks every fault's fields. The range checks are written so
+// that NaN fails them, and a window must end at a representable time.
+// All failures wrap ErrInvalidPlan and name the offending fault.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return fmt.Errorf("%w: nil plan", ErrInvalidPlan)
@@ -126,6 +128,9 @@ func (p *Plan) Validate() error {
 		if f.Dur <= 0 {
 			return bad("non-positive duration")
 		}
+		if f.At > math.MaxInt64-f.Dur {
+			return bad("window end overflows")
+		}
 		if f.Hop != "" && f.Hop != HopBottleneck && f.Hop != HopUplink {
 			return bad("unknown hop " + f.Hop)
 		}
@@ -133,7 +138,7 @@ func (p *Plan) Validate() error {
 		case LinkOutage:
 			// At/Dur suffice.
 		case LossBurst:
-			if f.LossRate <= 0 || f.LossRate > 1 {
+			if !(f.LossRate > 0 && f.LossRate <= 1) {
 				return bad("loss rate outside (0, 1]")
 			}
 		case LatencyBurst:
@@ -141,12 +146,12 @@ func (p *Plan) Validate() error {
 				return bad("non-positive extra latency")
 			}
 		case WiredDegrade, RadioDegrade:
-			if f.Scale <= 0 || f.Scale >= 1 {
+			if !(f.Scale > 0 && f.Scale < 1) {
 				return bad("scale outside (0, 1)")
 			}
 		case CellFailure:
-			if f.FallbackBps < 0 {
-				return bad("negative fallback rate")
+			if !(f.FallbackBps >= 0 && f.FallbackBps <= math.MaxFloat64) {
+				return bad("fallback rate not finite and non-negative")
 			}
 		default:
 			return bad("unknown kind")

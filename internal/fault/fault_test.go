@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -41,6 +42,18 @@ func TestPlanValidate(t *testing.T) {
 			{Kind: fault.RadioDegrade, At: 0, Dur: time.Second, Scale: 0.3}}}, true},
 		{"cell failure negative fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: -1}}}, false},
+		{"loss rate NaN", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: math.NaN()}}}, false},
+		{"degrade scale NaN", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.RadioDegrade, At: 0, Dur: time.Second, Scale: math.NaN()}}}, false},
+		{"cell failure NaN fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: math.NaN()}}}, false},
+		{"cell failure infinite fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: math.Inf(1)}}}, false},
+		{"window end overflows", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.LinkOutage, At: math.MaxInt64 - time.Second, Dur: 2 * time.Second}}}, false},
+		{"window ends at the last instant", &fault.Plan{Name: "p", Faults: []fault.Fault{
+			{Kind: fault.LinkOutage, At: math.MaxInt64 - time.Second, Dur: time.Second}}}, true},
 		{"unknown kind", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.Kind(99), At: 0, Dur: time.Second}}}, false},
 	}

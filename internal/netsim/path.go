@@ -14,8 +14,7 @@ import (
 // the UE, per technology and time of day. Defaults are calibrated to the
 // paper's measurements (see DefaultPath).
 type PathConfig struct {
-	Tech    radio.Tech
-	Daytime bool
+	Tech radio.Tech
 
 	// Downlink radio goodput available to the foreground UE (PRB share
 	// and MCS applied): the UDP baselines of Fig. 7.
@@ -43,11 +42,10 @@ type PathConfig struct {
 
 	// Obs, when non-nil, collects `des.*` and `netsim.*` metrics for
 	// every hop and scheduler this path is built on. Trace additionally
-	// records drop/outage instants (and, with Profile, per-callback
-	// spans) into the bounded trace ring. All three default to off.
-	Obs     *obs.Registry
-	Trace   *obs.Tracer
-	Profile bool
+	// records drop/outage instants into the bounded trace ring. Both
+	// default to off.
+	Obs   *obs.Registry
+	Trace *obs.Tracer
 
 	// Inject, when non-nil, is invoked once by NewPath after the path is
 	// wired up, before any traffic flows. It is the fault-injection
@@ -68,7 +66,6 @@ type PathConfig struct {
 func DefaultPath(tech radio.Tech, daytime bool) PathConfig {
 	cfg := PathConfig{
 		Tech:             tech,
-		Daytime:          daytime,
 		BottleneckBps:    1e9,
 		BottleneckOneWay: 3 * time.Millisecond,
 		ServerOneWay:     4 * time.Millisecond,
@@ -145,9 +142,8 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	p := &Path{Sch: sch, Cfg: cfg, Pool: NewPacketPool()}
 	src := rng.New(cfg.Seed)
 
-	if cfg.Obs != nil || cfg.Trace != nil {
-		sch.SetObs(cfg.Obs, cfg.Trace)
-		sch.SetProfile(cfg.Profile)
+	if cfg.Obs != nil {
+		sch.SetObs(cfg.Obs)
 	}
 	flowBytes := newFlowCounters(cfg.Obs)
 

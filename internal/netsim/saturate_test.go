@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -19,30 +20,19 @@ import (
 // under BenchmarkPathSaturate and the packet path's steady-state
 // allocation guard.
 type Saturator struct {
-	sch      *des.Scheduler
-	path     *Path
-	offered  float64
-	rttBase  time.Duration
-	interval time.Duration
+	sch     *des.Scheduler
+	path    *Path
+	offered float64
 
-	seq, sent, received int64
-	receivedBytes       int64
-
-	tick    func()
-	started bool
+	sent                    *int64 // nil until the first slice starts the sender
+	received, receivedBytes int64
 }
 
 // NewSaturator builds the path for cfg and prepares a CBR source at
 // offeredBps. Nothing runs until the first RunSlice.
 func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 	sch := des.New()
-	s := &Saturator{
-		sch:      sch,
-		path:     NewPath(sch, cfg),
-		offered:  offeredBps,
-		rttBase:  cfg.BaseRTT(),
-		interval: time.Duration(float64((MSS+HeaderBytes)*8) / offeredBps * float64(time.Second)),
-	}
+	s := &Saturator{sch: sch, path: NewPath(sch, cfg), offered: offeredBps}
 	s.path.ToUE = ReceiverFunc(func(p *Packet) {
 		s.received++
 		s.receivedBytes += int64(p.Len)
@@ -68,19 +58,6 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 		sch.After(0, func() {})
 	}
 	sch.RunUntil(0)
-	// One self-perpetuating source event, bound once: each firing sends a
-	// full MSS datagram and re-arms itself, exactly RunUDP's send loop.
-	// The chain never stops — RunSlice bounds execution with the
-	// scheduler deadline, leaving the next send queued for the following
-	// slice.
-	s.tick = func() {
-		p := s.path.Pool.Get()
-		p.FlowID, p.Seq, p.Len, p.Wire, p.SentAt = 1, s.seq, MSS, MSS+HeaderBytes, s.sch.Now()
-		s.path.ServerIngress.Receive(p)
-		s.seq++
-		s.sent++
-		s.sch.After(s.interval, s.tick)
-	}
 	return s
 }
 
@@ -92,16 +69,17 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 // — the steady state RunUDP only approximates with its one-second drain
 // tail.
 func (s *Saturator) RunSlice(d time.Duration) UDPResult {
-	if !s.started {
-		s.started = true
-		s.tick()
+	if s.sent == nil {
+		// RunUDP's sender, never stopped: RunSlice bounds execution with
+		// the scheduler deadline, leaving the next send queued for the
+		// following slice.
+		s.sent = s.path.StartCBR(s.offered, math.MaxInt64)
 	}
-	sent0, recv0, bytes0 := s.sent, s.received, s.receivedBytes
+	sent0, recv0, bytes0 := *s.sent, s.received, s.receivedBytes
 	s.sch.RunUntil(s.sch.Now() + d)
 	res := UDPResult{
 		OfferedBps: s.offered,
-		RTTBase:    s.rttBase,
-		Sent:       s.sent - sent0,
+		Sent:       *s.sent - sent0,
 		Received:   s.received - recv0,
 	}
 	if res.Sent > 0 {

@@ -16,8 +16,6 @@ type UDPResult struct {
 	// ReceivedSeq is the in-order list of sequence numbers that arrived,
 	// recorded when tracing is on (the Fig. 11 bursty-loss evidence).
 	ReceivedSeq []int64
-	// RTTBase is the configured no-load RTT (diagnostic).
-	RTTBase time.Duration
 }
 
 // LossRuns returns the lengths of consecutive-loss runs in the trace —
@@ -34,13 +32,38 @@ func (r UDPResult) LossRuns() []int {
 	return runs
 }
 
+// StartCBR starts a constant-bit-rate sender on the path: one full-size
+// datagram of flow 1, with consecutive Seq from 0 and SentAt stamped,
+// enters the server ingress every (MSS+HeaderBytes)·8/offeredBps of
+// simulated time until the clock reaches until. The first datagram is
+// sent before StartCBR returns. The returned count of datagrams sent
+// grows as the scheduler runs.
+func (p *Path) StartCBR(offeredBps float64, until time.Duration) (sent *int64) {
+	interval := time.Duration(float64((MSS+HeaderBytes)*8) / offeredBps * float64(time.Second))
+	sent = new(int64)
+	var tick func()
+	tick = func() {
+		now := p.Sch.Now()
+		if now >= until {
+			return
+		}
+		pkt := p.Pool.Get()
+		pkt.FlowID, pkt.Seq, pkt.Len, pkt.Wire, pkt.SentAt = 1, *sent, MSS, MSS+HeaderBytes, now
+		p.ServerIngress.Receive(pkt)
+		*sent++
+		p.Sch.After(interval, tick)
+	}
+	tick()
+	return sent
+}
+
 // RunUDP sends CBR traffic at offeredBps over a fresh path for the given
 // duration and reports delivery statistics.
 func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration, trace bool) UDPResult {
 	sch := des.New()
 	path := NewPath(sch, cfg)
 
-	res := UDPResult{OfferedBps: offeredBps, RTTBase: cfg.BaseRTT()}
+	res := UDPResult{OfferedBps: offeredBps}
 	var receivedBytes int64
 	path.ToUE = ReceiverFunc(func(p *Packet) {
 		res.Received++
@@ -49,26 +72,12 @@ func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration, trace bo
 			res.ReceivedSeq = append(res.ReceivedSeq, p.Seq)
 		}
 	})
-
-	interval := time.Duration(float64((MSS+HeaderBytes)*8) / offeredBps * float64(time.Second))
-	var seq int64
-	var tick func()
-	tick = func() {
-		if sch.Now() >= duration {
-			return
-		}
-		p := path.Pool.Get()
-		p.FlowID, p.Seq, p.Len, p.Wire, p.SentAt = 1, seq, MSS, MSS+HeaderBytes, sch.Now()
-		path.ServerIngress.Receive(p)
-		seq++
-		res.Sent++
-		sch.After(interval, tick)
-	}
-	tick()
+	sent := path.StartCBR(offeredBps, duration)
 
 	// Run past the nominal duration so in-flight packets drain.
 	sch.RunUntil(duration + time.Second)
 
+	res.Sent = *sent
 	if res.Sent > 0 {
 		res.LossRate = 1 - float64(res.Received)/float64(res.Sent)
 	}

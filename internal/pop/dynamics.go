@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fivegsim/internal/deploy"
 	"fivegsim/internal/geom"
 	"fivegsim/internal/radio"
 )
@@ -137,7 +138,7 @@ func (p *Population) churnStep() {
 	}
 	r := p.churnRng
 	r.Seed(p.churnKey.At(0, p.tick))
-	births := poissonCount(r, p.Model.Churn.ArrivalPerTick)
+	births := deploy.PoissonCount(r, p.Model.Churn.ArrivalPerTick)
 	for b := 0; b < births; b++ {
 		if len(p.free) == 0 {
 			p.tickBlocked++
@@ -152,31 +153,6 @@ func (p *Population) churnStep() {
 	p.birthsTotal += p.tickBirths
 	p.deathsTotal += p.tickDeaths
 	p.blockedTotal += p.tickBlocked
-}
-
-// poissonCount is deploy.PoissonCount's Knuth/normal split, duplicated
-// here without the package dependency inversion: pop already depends on
-// deploy, so this is just the same draw on the churn substream.
-func poissonCount(r *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k, p := 0, 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-	if n < 0 {
-		n = 0
-	}
-	return n
 }
 
 // spawnUE initializes a freshly claimed arena slot: PPP position, class

@@ -56,11 +56,10 @@ type LoadResult struct {
 // PLT returns the total page-load time.
 func (r LoadResult) PLT() time.Duration { return r.Downloading + r.Rendering }
 
-// Load fetches one page over a fresh path using HTTP/2 + BBR and returns
-// the download/render split.
-func Load(page Page, tech radio.Tech, seed int64) LoadResult {
-	cfg := netsim.DefaultPath(tech, true)
-	cfg.Seed = seed
+// Load fetches one page over a fresh path built from cfg using HTTP/2 +
+// BBR and returns the download/render split. cfg.Seed also keys the
+// render-time draw.
+func Load(page Page, cfg netsim.PathConfig) LoadResult {
 	rtt := cfg.BaseRTT()
 
 	// TCP + TLS handshakes (HTTP/2 over TLS 1.2: 2 round trips), then the
@@ -72,7 +71,7 @@ func Load(page Page, tech radio.Tech, seed int64) LoadResult {
 	if !ok {
 		transfer = 60 * time.Second
 	}
-	r := rng.New(seed).Stream("web.render")
+	r := rng.New(cfg.Seed).Stream("web.render")
 	render := page.RenderBase +
 		time.Duration(rng.ClampedNormal(r, 0, 40, -100, 100)*float64(time.Millisecond)) +
 		// Decode/layout cost grows with content size (≈90 ms/MB on the
@@ -80,7 +79,7 @@ func Load(page Page, tech radio.Tech, seed int64) LoadResult {
 		time.Duration(float64(page.Bytes)/float64(1<<20)*140*float64(time.Millisecond))
 	return LoadResult{
 		Page:        page,
-		Tech:        tech,
+		Tech:        cfg.Tech,
 		Downloading: setup + chain + transfer,
 		Rendering:   render,
 	}
@@ -98,18 +97,22 @@ type CategoryResult struct {
 // PLT returns the mean page-load time of the category.
 func (c CategoryResult) PLT() time.Duration { return c.Downloading + c.Rendering }
 
-// RunFig16 loads pagesPerCategory variants of every category on both
-// technologies and returns the per-category means, 4G first then 5G.
-func RunFig16(pagesPerCategory int, seed int64) []CategoryResult {
+// RunFig16 loads pagesPerCategory variants of every category over each
+// path and returns the per-category means in path order. A path's Seed
+// keys its page variants; page i of a category loads over the path
+// reseeded to Seed+31i+len(category).
+func RunFig16(pagesPerCategory int, paths []netsim.PathConfig) []CategoryResult {
 	var out []CategoryResult
-	for _, tech := range []radio.Tech{radio.LTE, radio.NR} {
+	for _, path := range paths {
 		for _, base := range Corpus() {
-			agg := CategoryResult{Category: base.Category, Tech: tech}
-			r := rng.New(seed).Stream("web.variants." + base.Category)
+			agg := CategoryResult{Category: base.Category, Tech: path.Tech}
+			r := rng.New(path.Seed).Stream("web.variants." + base.Category)
 			for i := 0; i < pagesPerCategory; i++ {
 				p := base
 				p.Bytes = int64(float64(p.Bytes) * rng.Uniform(r, 0.8, 1.25))
-				res := Load(p, tech, seed+int64(i)*31+int64(len(base.Category)))
+				pc := path
+				pc.Seed += int64(i)*31 + int64(len(base.Category))
+				res := Load(p, pc)
 				agg.Downloading += res.Downloading
 				agg.Rendering += res.Rendering
 				agg.N++
@@ -134,19 +137,22 @@ type ImageResult struct {
 // PLT returns the total load time.
 func (r ImageResult) PLT() time.Duration { return r.Downloading + r.Rendering }
 
-// RunFig17 loads single-image pages of 1–16 MB on both technologies.
-func RunFig17(seed int64) []ImageResult {
+// RunFig17 loads single-image pages of 1–16 MB over each path, in path
+// order; the m MB page loads over the path reseeded to Seed+m.
+func RunFig17(paths []netsim.PathConfig) []ImageResult {
 	var out []ImageResult
-	for _, tech := range []radio.Tech{radio.LTE, radio.NR} {
+	for _, path := range paths {
 		for _, mb := range []int{1, 2, 4, 8, 16} {
 			p := Page{
 				Category: "Image", Bytes: int64(mb) << 20, ChainDepth: 2,
 				ServerThink: 40 * time.Millisecond,
 				RenderBase:  150 * time.Millisecond,
 			}
-			res := Load(p, tech, seed+int64(mb))
+			pc := path
+			pc.Seed += int64(mb)
+			res := Load(p, pc)
 			out = append(out, ImageResult{
-				SizeMB: mb, Tech: tech,
+				SizeMB: mb, Tech: path.Tech,
 				Downloading: res.Downloading, Rendering: res.Rendering,
 			})
 		}

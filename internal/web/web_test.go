@@ -3,12 +3,23 @@ package web
 import (
 	"testing"
 
+	"fivegsim/internal/netsim"
 	"fivegsim/internal/radio"
 )
 
+// paths returns the calibrated 4G and 5G daytime paths with their seeds
+// set, the configs F16 and F17 hand this package.
+func paths(seed int64) []netsim.PathConfig {
+	ps := []netsim.PathConfig{netsim.DefaultPath(radio.LTE, true), netsim.DefaultPath(radio.NR, true)}
+	for i := range ps {
+		ps[i].Seed = seed
+	}
+	return ps
+}
+
 func fig16(t *testing.T) []CategoryResult {
 	t.Helper()
-	return RunFig16(3, 42)
+	return RunFig16(3, paths(42))
 }
 
 func TestFig16Categories(t *testing.T) {
@@ -58,7 +69,7 @@ func TestFig16RenderingDominatesLargePages(t *testing.T) {
 }
 
 func TestFig17ImageSweep(t *testing.T) {
-	res := RunFig17(42)
+	res := RunFig17(paths(42))
 	if len(res) != 10 {
 		t.Fatalf("got %d image results", len(res))
 	}
@@ -96,8 +107,9 @@ func TestFig17ImageSweep(t *testing.T) {
 
 func TestLoadDeterministic(t *testing.T) {
 	p := Corpus()[0]
-	a := Load(p, radio.NR, 7)
-	b := Load(p, radio.NR, 7)
+	nr := paths(7)[1]
+	a := Load(p, nr)
+	b := Load(p, nr)
 	if a.Downloading != b.Downloading || a.Rendering != b.Rendering {
 		t.Fatal("Load must be deterministic for a fixed seed")
 	}

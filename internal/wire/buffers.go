@@ -5,7 +5,6 @@ import (
 
 	"fivegsim/internal/des"
 	"fivegsim/internal/netsim"
-	"fivegsim/internal/radio"
 )
 
 // BufferEstimate reproduces Table 3: in-network buffer sizes estimated by
@@ -25,33 +24,15 @@ const (
 	assumedPacketBytes = 60
 )
 
-// EstimateBuffers loads a path to 90 % of its baseline (so the wired
+// EstimateBuffers loads the path to 90 % of its baseline (so the wired
 // bottleneck exercises its depth during cross-traffic episodes while the
 // RAN queue stays transient) for the given duration, sampling per-segment
 // queueing delay every 10 ms, then converts max-min delay into the
 // Table 3 packet counts.
-func EstimateBuffers(tech radio.Tech, duration time.Duration, seed int64) BufferEstimate {
-	cfg := netsim.DefaultPath(tech, true)
-	cfg.Seed = seed
+func EstimateBuffers(cfg netsim.PathConfig, duration time.Duration) BufferEstimate {
 	sch := des.New()
 	path := netsim.NewPath(sch, cfg)
-	path.ToUE = netsim.ReceiverFunc(func(p *netsim.Packet) {})
-
-	offered := cfg.RANRateBps * 0.90
-	interval := time.Duration(float64((netsim.MSS+netsim.HeaderBytes)*8) / offered * float64(time.Second))
-	var seq int64
-	var tick func()
-	tick = func() {
-		if sch.Now() >= duration {
-			return
-		}
-		p := path.Pool.Get()
-		p.Seq, p.Len, p.Wire = seq, netsim.MSS, netsim.MSS+netsim.HeaderBytes
-		path.ServerIngress.Receive(p)
-		seq++
-		sch.After(interval, tick)
-	}
-	tick()
+	path.StartCBR(cfg.RANRateBps*0.90, duration)
 
 	var ranMaxDelay, wiredMaxDelay float64 // seconds
 	var sample func()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fivegsim/internal/netsim"
 	"fivegsim/internal/radio"
 )
 
@@ -36,9 +37,17 @@ func TestProbeJitterAlwaysPositive(t *testing.T) {
 }
 
 func TestEstimateBuffersDeterministic(t *testing.T) {
-	a := EstimateBuffers(radio.LTE, 5*time.Second, 3)
-	b := EstimateBuffers(radio.LTE, 5*time.Second, 3)
+	a := EstimateBuffers(seededPath(radio.LTE, 3), 5*time.Second)
+	b := EstimateBuffers(seededPath(radio.LTE, 3), 5*time.Second)
 	if a != b {
 		t.Fatalf("buffer estimation not deterministic: %+v vs %+v", a, b)
 	}
+}
+
+// seededPath returns the calibrated daytime path of tech with its seed
+// set, the config T3 hands EstimateBuffers.
+func seededPath(tech radio.Tech, seed int64) netsim.PathConfig {
+	pc := netsim.DefaultPath(tech, true)
+	pc.Seed = seed
+	return pc
 }

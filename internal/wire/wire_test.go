@@ -119,8 +119,8 @@ func TestFig15RTTvsDistance(t *testing.T) {
 }
 
 func TestTable3BufferEstimates(t *testing.T) {
-	nr := EstimateBuffers(radio.NR, 20*time.Second, 42)
-	lte := EstimateBuffers(radio.LTE, 20*time.Second, 42)
+	nr := EstimateBuffers(seededPath(radio.NR, 42), 20*time.Second)
+	lte := EstimateBuffers(seededPath(radio.LTE, 42), 20*time.Second)
 	// Table 3 shape: wired dominates the whole path; the 5G path's wired
 	// buffer ≈2.5× the 4G path's; whole path ≈2.5–3×.
 	if nr.Wired <= nr.RAN {

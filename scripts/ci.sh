@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
-# race pass over the parallel campaign engine, a short fuzz of the TCP
-# engine's interval set, the fgserve smoke, the benchmark module's tests,
-# and one run of every internal micro-bench.
+# race pass over the parallel campaign engine, short fuzzes of the TCP
+# engine's interval set and of fault-plan validation, the fgserve smoke,
+# the benchmark module's tests, and one run of every internal
+# micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -45,6 +46,9 @@ go test -race -short -run 'Churn|A3|PingPong|LoadCoupling|Dynamics|AttachSkip|Pr
 
 echo "== fuzz: intervalSet against a bitmap model (10 s) =="
 go test -run '^$' -fuzz '^FuzzIntervalSet$' -fuzztime 10s ./internal/transport
+
+echo "== fuzz: fault.Plan.Validate against an independent well-formedness check (10 s) =="
+go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/fault
 
 echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> /progress -> SIGINT) =="
 # Start the campaign service on an ephemeral port and run two campaigns

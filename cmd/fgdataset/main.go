@@ -110,16 +110,12 @@ func main() {
 	// 3. A 5G UDP loss trace near capacity (the Fig. 11 raw data).
 	pcfg := netsim.DefaultPath(radio.NR, true)
 	pcfg.Seed = *seed
-	udp := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, 10*time.Second, true)
+	udp := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, 10*time.Second)
 	var lossRows [][]string
-	prev := int64(-1)
-	for _, seq := range udp.ReceivedSeq {
-		if prev >= 0 && seq > prev+1 {
-			lossRows = append(lossRows, [][]string{{
-				fmt.Sprintf("%d", prev+1), fmt.Sprintf("%d", seq-1), fmt.Sprintf("%d", seq-prev-1),
-			}}...)
-		}
-		prev = seq
+	for _, run := range udp.LossRuns {
+		lossRows = append(lossRows, []string{
+			fmt.Sprintf("%d", run.First), fmt.Sprintf("%d", run.First+int64(run.Len)-1), fmt.Sprintf("%d", run.Len),
+		})
 	}
 	write("udp_loss_runs.csv", []string{"first_lost_seq", "last_lost_seq", "run_len"}, lossRows)
 

@@ -147,7 +147,7 @@ func runFig9(cfg Config) Result {
 	// assembled from the ordered results afterwards.
 	losses := sweep(cfg, len(techs)*len(loads), func(c Config, k int) float64 {
 		pcfg := c.obsPath(techs[k/len(loads)], true)
-		return netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg), false).LossRate
+		return netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg)).LossRate
 	})
 	for ti, tech := range techs {
 		row := tech.String() + ": "
@@ -192,17 +192,15 @@ func runFig10(cfg Config) Result {
 
 func runFig11(cfg Config) Result {
 	pcfg := cfg.obsPath(radio.NR, true)
-	r := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, udpDur(cfg), true)
-	runs := r.LossRuns()
+	r := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, udpDur(cfg))
+	runs := r.LossRuns
 	long := 0
 	maxRun := 0
-	for _, l := range runs {
-		if l >= 5 {
+	for _, run := range runs {
+		if run.Len >= 5 {
 			long++
 		}
-		if l > maxRun {
-			maxRun = l
-		}
+		maxRun = max(maxRun, run.Len)
 	}
 	return Result{
 		ID: "F11", Title: "Bursty loss pattern",

@@ -129,8 +129,8 @@ func TestFig9LossVsLoad(t *testing.T) {
 	fractions := []float64{0.2, 1.0 / 3, 0.5, 1}
 	var nrLoss, lteLoss []float64
 	for _, f := range fractions {
-		nrLoss = append(nrLoss, RunUDP(nr, nr.RANRateBps*f, 10*time.Second, false).LossRate)
-		lteLoss = append(lteLoss, RunUDP(lte, lte.RANRateBps*f, 10*time.Second, false).LossRate)
+		nrLoss = append(nrLoss, RunUDP(nr, nr.RANRateBps*f, 10*time.Second).LossRate)
+		lteLoss = append(lteLoss, RunUDP(lte, lte.RANRateBps*f, 10*time.Second).LossRate)
 	}
 	// Monotone in load for 5G.
 	for i := 1; i < len(nrLoss); i++ {
@@ -153,16 +153,27 @@ func TestFig9LossVsLoad(t *testing.T) {
 
 func TestFig11BurstyLossPattern(t *testing.T) {
 	cfg := DefaultPath(radio.NR, true)
-	r := RunUDP(cfg, cfg.RANRateBps*0.9, 8*time.Second, true)
-	runs := r.LossRuns()
+	r := RunUDP(cfg, cfg.RANRateBps*0.9, 8*time.Second)
+	runs := r.LossRuns
 	if len(runs) == 0 {
 		t.Fatal("no losses at 0.9× baseline")
 	}
 	long := 0
-	for _, l := range runs {
-		if l >= 5 {
+	var lost, next int64
+	for _, run := range runs {
+		if run.Len >= 5 {
 			long++
 		}
+		// Runs are gaps between arrivals: positive, in sequence order,
+		// separated by at least one received datagram.
+		if run.Len <= 0 || run.First <= next {
+			t.Fatalf("loss run %+v after sequence %d", run, next)
+		}
+		next = run.First + int64(run.Len)
+		lost += int64(run.Len)
+	}
+	if lost > r.Sent-r.Received {
+		t.Fatalf("loss runs cover %d datagrams, but only %d of %d were lost", lost, r.Sent-r.Received, r.Sent)
 	}
 	// Bursty: a substantial share of loss runs are ≥5 consecutive packets.
 	if frac := float64(long) / float64(len(runs)); frac < 0.2 {

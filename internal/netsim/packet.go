@@ -20,11 +20,11 @@ type Packet struct {
 	Ack bool
 	// AckSeq is the cumulative acknowledgment (next expected byte).
 	AckSeq int64
-	// Sack carries the receiver's whole out-of-order map as sorted,
-	// disjoint [lo, hi) blocks; nil means the ACK has no SACK option. The
-	// buffer belongs to the transport connection that sent the ACK, which
-	// takes it back on delivery before the packet is recycled.
-	Sack [][2]int64
+	// SackMark reports the receiver's whole out-of-order map by
+	// reference: a mark into the sending connection's log of the ranges
+	// its receiver added to the map (internal/transport). 0 means the ACK
+	// has no SACK option.
+	SackMark int64
 	// Wire is the on-the-wire size in bytes including headers.
 	Wire int
 	// SentAt is the origin timestamp (RTT measurement).

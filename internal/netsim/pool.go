@@ -13,8 +13,7 @@ package netsim
 // hops release on drop (after OnDrop observers ran) and on HARQ residual
 // loss. Release ignores packets built with plain &Packet{} (as in tests),
 // so pooled and unpooled traffic mix freely on one path. Get hands out a
-// fully zeroed packet, Sack included: SACK buffers belong to the
-// transport connection, not to the pool.
+// fully zeroed packet.
 type PacketPool struct {
 	free []*Packet
 

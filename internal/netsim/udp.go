@@ -13,23 +13,18 @@ type UDPResult struct {
 	Sent         int64
 	Received     int64
 	LossRate     float64
-	// ReceivedSeq is the in-order list of sequence numbers that arrived,
-	// recorded when tracing is on (the Fig. 11 bursty-loss evidence).
-	ReceivedSeq []int64
+	// LossRuns lists the runs of consecutive lost datagrams in arrival
+	// order — the burstiness measure behind Fig. 11. A run is recorded
+	// when a datagram arrives more than one sequence number after the
+	// previous arrival.
+	LossRuns []LossRun
 }
 
-// LossRuns returns the lengths of consecutive-loss runs in the trace —
-// the burstiness measure behind Fig. 11.
-func (r UDPResult) LossRuns() []int {
-	var runs []int
-	prev := int64(-1)
-	for _, seq := range r.ReceivedSeq {
-		if prev >= 0 && seq > prev+1 {
-			runs = append(runs, int(seq-prev-1))
-		}
-		prev = seq
-	}
-	return runs
+// LossRun is a run of consecutive lost datagrams: Len sequence numbers
+// from First.
+type LossRun struct {
+	First int64
+	Len   int
 }
 
 // StartCBR starts a constant-bit-rate sender on the path: one full-size
@@ -58,19 +53,21 @@ func (p *Path) StartCBR(offeredBps float64, until time.Duration) (sent *int64) {
 }
 
 // RunUDP sends CBR traffic at offeredBps over a fresh path for the given
-// duration and reports delivery statistics.
-func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration, trace bool) UDPResult {
+// duration and reports delivery statistics and the loss runs.
+func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration) UDPResult {
 	sch := des.New()
 	path := NewPath(sch, cfg)
 
 	res := UDPResult{OfferedBps: offeredBps}
 	var receivedBytes int64
+	prev := int64(-1)
 	path.ToUE = ReceiverFunc(func(p *Packet) {
 		res.Received++
 		receivedBytes += int64(p.Len)
-		if trace {
-			res.ReceivedSeq = append(res.ReceivedSeq, p.Seq)
+		if prev >= 0 && p.Seq > prev+1 {
+			res.LossRuns = append(res.LossRuns, LossRun{First: prev + 1, Len: int(p.Seq - prev - 1)})
 		}
+		prev = p.Seq
 	})
 	sent := path.StartCBR(offeredBps, duration)
 
@@ -89,5 +86,5 @@ func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration, trace bo
 // offering slightly more than the radio can carry, mirroring the paper's
 // "gradually increase the UDP sending rate" methodology (§4.1).
 func UDPBaseline(cfg PathConfig, duration time.Duration) UDPResult {
-	return RunUDP(cfg, cfg.RANRateBps*1.08, duration, false)
+	return RunUDP(cfg, cfg.RANRateBps*1.08, duration)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,12 +11,12 @@ import (
 )
 
 // TestBulkSteadyStateAllocs holds a warmed bulk flow to the hot-path
-// budget: data segments and ACKs come from the path's packet pool and
-// SACK blocks ride in buffers the connection recycles, so one simulated
-// second of a lossy cubic flow allocates next to nothing per ACK. The
-// bound is not zero: the CwndTrace and RxRates series grow by append,
-// and a SACK buffer, the SACK free list or a ring that meets a new
-// high-water mark grows once more.
+// budget: data segments and ACKs come from the path's packet pool and an
+// ACK reports SACK blocks as a mark into the connection's SACK log, so
+// one simulated second of a lossy cubic flow allocates next to nothing
+// per ACK. The bound is not zero: the CwndTrace and RxRates series grow
+// by append, and the SACK log, an interval set or a ring that meets a
+// new high-water mark grows once more.
 func TestBulkSteadyStateAllocs(t *testing.T) {
 	sch := des.New()
 	path := netsim.NewPath(sch, netsim.DefaultPath(radio.NR, true))
@@ -56,6 +57,27 @@ func TestBulkSteadyStateAllocs(t *testing.T) {
 	if pl.Gets-gets < 1_000_000 || pl.News-news > (pl.Gets-gets)/1000 {
 		t.Fatalf("packet pool: %d fresh packets over %d checkouts (%d before them); a packet is not released",
 			pl.News-news, pl.Gets-gets, news)
+	}
+}
+
+// TestBulkFlowAllocBytes holds one whole lossy flow to a byte budget,
+// growth phase included, which the warmed per-ACK guard above does not
+// see: a fresh four-second bbr flow on the daytime 5G path, whose loss
+// episodes keep hundreds of SACK blocks outstanding. With the map copied
+// into every ACK the flow allocated 18.7 MB; with a mark into the SACK
+// log it allocates about 3.5 MB.
+func TestBulkFlowAllocBytes(t *testing.T) {
+	const budgetMB = 6
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := RunBulk(netsim.DefaultPath(radio.NR, true), "bbr", 4*time.Second)
+	runtime.ReadMemStats(&after)
+	if r.LossEvents == 0 {
+		t.Fatal("no loss episodes: the SACK path went unexercised")
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > budgetMB {
+		t.Fatalf("a 4 s 5G bbr flow allocated %.1f MB, want at most %d MB", mb, budgetMB)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"fivegsim/internal/des"
 	"fivegsim/internal/netsim"
 	"fivegsim/internal/radio"
 )
@@ -57,12 +59,36 @@ func hashBulk(r BulkResult) string {
 // whole golden sweep near ten seconds.
 const goldenBulkDur = 1500 * time.Millisecond
 
+// ackFaults is the golden's uplink fault schedule. Every 100 ms the
+// UE's uplink radio hop holds ACKs an extra 20 ms for 40 ms, so the ACKs
+// sent after each window overtake the ones sent inside it, and then for
+// 20 ms it drops a quarter of them.
+func ackFaults(sch *des.Scheduler, p *netsim.Path) {
+	drop := rand.New(rand.NewSource(1))
+	for t := 100 * time.Millisecond; t < goldenBulkDur; t += 100 * time.Millisecond {
+		sch.At(t, func() { p.UplinkRAN.SetExtraProp(20 * time.Millisecond) })
+		sch.At(t+40*time.Millisecond, func() { p.UplinkRAN.SetExtraProp(0) })
+		sch.At(t+50*time.Millisecond, func() { p.UplinkRAN.SetInjectLoss(0.25, drop) })
+		sch.At(t+70*time.Millisecond, func() { p.UplinkRAN.SetInjectLoss(0, nil) })
+	}
+}
+
+// ackFaultPath is the seed-42 daytime path of tech under ackFaults.
+func ackFaultPath(tech radio.Tech) netsim.PathConfig {
+	cfg := netsim.DefaultPath(tech, true)
+	cfg.Seed = 42
+	cfg.Inject = ackFaults
+	return cfg
+}
+
 // TestBulkGolden pins the transport layer's output bit for bit: every
 // controller on both technologies over seeds 1/42/7, one sized transfer,
-// one MPTCP pair and one forced burst-loss run whose recovery needs both
-// SACK repair and a retransmission timeout. The benchmark digests cover
-// F7–F11 only; this golden is what holds the other experiments that run
-// TCP (F12, F16, F17, X2, X7–X10) to the same packet-level behaviour.
+// one MPTCP pair, one forced burst-loss run whose recovery needs both
+// SACK repair and a retransmission timeout, and cubic and bbr on both
+// technologies with reordered and dropped ACKs (ackFaults). The
+// benchmark digests cover F7–F11 only; this golden is what holds the
+// other experiments that run TCP (F12, F16, F17, X2, X7–X10) to the same
+// packet-level behaviour.
 func TestBulkGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
@@ -116,6 +142,14 @@ func TestBulkGolden(t *testing.T) {
 	fmt.Fprintf(&got, "burst NR cubic 4MiB retx=%d rtos=%d losses=%d done=%d %s\n",
 		conn.Retransmits, conn.RTOs, conn.LossEvents, doneAt, bb.sum())
 
+	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+		for _, name := range []string{"cubic", "bbr"} {
+			r := RunBulk(ackFaultPath(tech), name, goldenBulkDur)
+			fmt.Fprintf(&got, "ackfault %s %s seed=42 retx=%d rtos=%d losses=%d %s\n",
+				tech, name, r.Retransmits, r.RTOs, r.LossEvents, hashBulk(r))
+		}
+	}
+
 	path := filepath.Join("testdata", "bulk_v1.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -131,5 +165,40 @@ func TestBulkGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("transport output drifted from %s:\ngot:\n%s\nwant:\n%s", path, got.Bytes(), want)
+	}
+}
+
+// TestAckFaultsReorderAndDrop shows that the golden's ackfault rows take
+// the paths they are there to pin: under ackFaults the sender sees SACK
+// ACKs whose mark is below one it has already seen (the SACK log's
+// reordered-ACK path) and the uplink drops SACK ACKs.
+func TestAckFaultsReorderAndDrop(t *testing.T) {
+	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+		for _, name := range []string{"cubic", "bbr"} {
+			sch := des.New()
+			path := netsim.NewPath(sch, ackFaultPath(tech))
+			conn := NewConn(sch, path, name, Bulk)
+			var maxMark int64
+			reordered, dropped := 0, 0
+			onAck := path.ToServer
+			path.ToServer = netsim.ReceiverFunc(func(p *netsim.Packet) {
+				if p.SackMark != 0 && p.SackMark < maxMark {
+					reordered++
+				}
+				maxMark = max(maxMark, p.SackMark)
+				onAck.Receive(p)
+			})
+			path.UplinkRAN.OnDrop = func(p *netsim.Packet) {
+				if p.SackMark != 0 {
+					dropped++
+				}
+			}
+			conn.Start()
+			sch.RunUntil(goldenBulkDur)
+			t.Logf("%s %s: %d reordered and %d dropped SACK ACKs", tech, name, reordered, dropped)
+			if reordered == 0 || dropped == 0 {
+				t.Errorf("%s %s: %d reordered and %d dropped SACK ACKs, want both > 0", tech, name, reordered, dropped)
+			}
+		}
 	}
 }

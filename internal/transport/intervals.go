@@ -84,18 +84,101 @@ func (s *intervalSet) Clear() {
 
 // Replace overwrites the set with the given disjoint sorted ranges clipped
 // to lie above floor.
-func (s *intervalSet) Replace(blocks [][2]int64, floor int64) {
+func (s *intervalSet) Replace(blocks []byteRange, floor int64) {
 	s.ranges = s.ranges[:0]
 	s.total = 0
-	for _, b := range blocks {
-		lo, hi := b[0], b[1]
-		if hi <= floor {
+	for _, r := range blocks {
+		if r.hi <= floor {
 			continue
 		}
-		if lo < floor {
-			lo = floor
+		if r.lo < floor {
+			r.lo = floor
 		}
-		s.ranges = append(s.ranges, byteRange{lo, hi})
-		s.total += hi - lo
+		s.ranges = append(s.ranges, r)
+		s.total += r.hi - r.lo
+	}
+}
+
+// sackLog lets an ACK report the receiver's whole out-of-order map by
+// reference. The receiver logs every range it adds to the map, and an ACK
+// carries only a mark: the number of ranges logged when it was sent. The
+// receiver adds ranges only above its cumulative point and trims the map
+// only below it, so the map an ACK reported is the union of the ranges
+// logged before its mark, cut at its cumulative ACK.
+//
+// The sender keeps a replica of that union for the highest mark it has
+// seen. An ACK that arrives in order replays the entries logged since
+// into the replica; one the uplink reordered (a mark below the replica's)
+// is rebuilt into a scratch set from the retained entries; a dropped ACK
+// needs no bookkeeping at all. Entries leave the front of the log once
+// they end at or below una, so it holds the out-of-order arrivals since
+// the oldest one still above una, and its dead prefix is reused before
+// the log grows.
+type sackLog struct {
+	entries []byteRange // entries[i] is range number base+i
+	base    int64
+	head    int // entries[:head] lie below una and are never read again
+
+	replica     intervalSet // union of the ranges before replicaMark, above una
+	replicaMark int64
+	scratch     intervalSet
+}
+
+// add logs a range the receiver added to its out-of-order map. A full
+// log first reuses its dead prefix if that is at least half of it, and
+// otherwise doubles: a loss episode grows the log to tens of thousands
+// of entries, and append's gentler growth for large slices would copy
+// it over and over.
+func (l *sackLog) add(lo, hi int64) {
+	if n := len(l.entries); n == cap(l.entries) {
+		if l.head > 0 && 2*l.head >= n {
+			l.entries = l.entries[:copy(l.entries, l.entries[l.head:])]
+			l.base += int64(l.head)
+			l.head = 0
+		} else {
+			l.entries = slices.Grow(l.entries, max(n, 16))
+		}
+	}
+	l.entries = append(l.entries, byteRange{lo, hi})
+}
+
+// mark returns the number of ranges logged so far: the mark an ACK sent
+// now carries.
+func (l *sackLog) mark() int64 { return l.base + int64(len(l.entries)) }
+
+// load replaces sb with the map the ACK carrying mark reported, clipped
+// at floor. floor must be at least the una of the last trim, below which
+// the replica and the log have forgotten ranges, and at least the ACK's
+// cumulative point, below which they still hold ranges the receiver had
+// pulled in order by the time it sent the ACK.
+func (l *sackLog) load(sb *intervalSet, mark, floor int64) {
+	src := &l.replica
+	if mark >= l.replicaMark {
+		for ; l.replicaMark < mark; l.replicaMark++ {
+			r := l.entries[l.replicaMark-l.base]
+			l.replica.Add(r.lo, r.hi)
+		}
+	} else {
+		src = &l.scratch
+		l.scratch.Clear()
+		// A mark at or below the first retained entry reports nothing
+		// above una: every entry before it ended below una.
+		end := max(mark-l.base, int64(l.head))
+		for _, r := range l.entries[l.head:end] {
+			if r.hi > floor {
+				l.scratch.Add(r.lo, r.hi)
+			}
+		}
+	}
+	sb.Replace(src.ranges, floor)
+}
+
+// trim forgets what lies below una: the replica's coverage there, and
+// the log entries at the front that end at or below it. It never drops an
+// entry the replica has yet to replay.
+func (l *sackLog) trim(una int64) {
+	l.replica.TrimBelow(una)
+	for l.base+int64(l.head) < l.replicaMark && l.entries[l.head].hi <= una {
+		l.head++
 	}
 }

@@ -17,8 +17,8 @@ const maxFuzzOps = 64
 // runsOf returns the maximal runs of set bits in m as sorted, disjoint,
 // non-adjacent [lo, hi) blocks: Replace's input and the only layout the
 // set may hold for that coverage.
-func runsOf(m uint64) [][2]int64 {
-	var out [][2]int64
+func runsOf(m uint64) []byteRange {
+	var out []byteRange
 	for lo := 0; lo < fuzzUniverse; {
 		if m&(1<<lo) == 0 {
 			lo++
@@ -28,7 +28,7 @@ func runsOf(m uint64) [][2]int64 {
 		for hi < fuzzUniverse && m&(1<<hi) != 0 {
 			hi++
 		}
-		out = append(out, [2]int64{int64(lo), int64(hi)})
+		out = append(out, byteRange{int64(lo), int64(hi)})
 		lo = hi
 	}
 	return out
@@ -117,8 +117,8 @@ func checkIntervalSet(t *testing.T, s *intervalSet, ref uint64) {
 		var want byteRange
 		found := false
 		for _, r := range runs {
-			if r[1] > seq {
-				want, found = byteRange{r[0], r[1]}, true
+			if r.hi > seq {
+				want, found = r, true
 				break
 			}
 		}

@@ -68,11 +68,9 @@ type Conn struct {
 	ackEvery int
 	unacked  int
 
-	// sackFree recycles the SACK buffers ACKs carry: onData takes one for
-	// each ACK that reports out-of-order data, onAck hands it back once
-	// the scoreboard has copied it. It holds as many buffers as there
-	// were ever ACKs with SACK blocks in flight at once.
-	sackFree [][][2]int64
+	// sack logs every range the receiver adds to ooo, so an ACK carries
+	// a mark into the log instead of a copy of the map (see sackLog).
+	sack sackLog
 
 	// Stats.
 	DeliveredBytes int64
@@ -278,23 +276,7 @@ func (c *Conn) onData(p *netsim.Packet) {
 	if p.Ack {
 		return
 	}
-	end := p.Seq + int64(p.Len)
-	inOrder := false
-	if p.Seq <= c.rcvNext {
-		if end > c.rcvNext {
-			c.rcvNext = end
-			inOrder = true
-			c.rxWindowBytes += int64(p.Len)
-		}
-		// Pull any out-of-order ranges now contiguous.
-		if r, ok := c.ooo.NextAbove(c.rcvNext); ok && r.lo <= c.rcvNext {
-			c.rcvNext = r.hi
-		}
-		c.ooo.TrimBelow(c.rcvNext)
-	} else {
-		c.ooo.Add(p.Seq, end)
-		c.rxWindowBytes += int64(p.Len)
-	}
+	inOrder := c.receive(p.Seq, p.Seq+int64(p.Len))
 
 	// ACK policy: every ackEvery in-order segments, immediately on
 	// out-of-order arrivals (to report SACK blocks fast).
@@ -312,21 +294,36 @@ func (c *Conn) onData(p *netsim.Packet) {
 		// blocks per ACK but accumulates complete coverage across the ACK
 		// stream; carrying the full (coalesced, drop-tail losses are
 		// contiguous runs) map per ACK models that endpoint behaviour
-		// without simulating option-space packing. With nothing out of
-		// order Sack stays nil: no SACK option.
+		// without simulating option-space packing. The ACK carries the map
+		// as a mark into the SACK log; with nothing out of order SackMark
+		// stays 0: no SACK option.
 		if c.ooo.Len() > 0 {
-			var buf [][2]int64
-			if n := len(c.sackFree); n > 0 {
-				buf = c.sackFree[n-1]
-				c.sackFree = c.sackFree[:n-1]
-			}
-			for _, r := range c.ooo.ranges {
-				buf = append(buf, [2]int64{r.lo, r.hi})
-			}
-			ack.Sack = buf
+			ack.SackMark = c.sack.mark()
 		}
 		c.path.UEIngress.Receive(ack)
 	}
+}
+
+// receive updates the receiver's state for the arriving segment
+// [seq, end) and reports whether it advanced the cumulative point.
+func (c *Conn) receive(seq, end int64) (inOrder bool) {
+	if seq <= c.rcvNext {
+		if end > c.rcvNext {
+			c.rcvNext = end
+			inOrder = true
+			c.rxWindowBytes += end - seq
+		}
+		// Pull any out-of-order ranges now contiguous.
+		if r, ok := c.ooo.NextAbove(c.rcvNext); ok && r.lo <= c.rcvNext {
+			c.rcvNext = r.hi
+		}
+		c.ooo.TrimBelow(c.rcvNext)
+	} else {
+		c.ooo.Add(seq, end)
+		c.sack.add(seq, end)
+		c.rxWindowBytes += end - seq
+	}
+	return inOrder
 }
 
 // onAck runs at the server for every returning ACK.
@@ -338,25 +335,16 @@ func (c *Conn) onAck(p *netsim.Packet) {
 	if p.EchoTS > 0 {
 		c.updateRTT(now - p.EchoTS)
 	}
-	if p.Sack != nil {
-		// The ACK carries the receiver's complete out-of-order map, so the
-		// scoreboard is replaced, not merged. The copy done, the buffer
-		// goes back to the free list before the path recycles the packet.
-		c.sacked.Replace(p.Sack, c.una)
-		c.sackFree = append(c.sackFree, p.Sack[:0])
-		p.Sack = nil
-	}
-	advanced := p.AckSeq > c.una
-	if advanced {
-		acked := int(p.AckSeq - c.una)
-		c.una = p.AckSeq
+	una := c.una
+	c.acknowledge(p.AckSeq, p.SackMark)
+	if c.una > una {
+		acked := int(c.una - una)
 		if c.sp < c.una {
 			c.sp = c.una
 		}
 		c.DeliveredBytes = c.una
 		c.dupAcks = 0
 		c.repairProgressAt = now
-		c.sacked.TrimBelow(c.una)
 		rtt := c.srtt
 		if rtt == 0 {
 			rtt = 40 * time.Millisecond
@@ -398,6 +386,25 @@ func (c *Conn) onAck(p *netsim.Packet) {
 
 	if !c.pacing {
 		c.trySend()
+	}
+}
+
+// acknowledge applies an ACK's SACK option and cumulative point to the
+// sender: the scoreboard, una and the SACK log.
+func (c *Conn) acknowledge(ackSeq, mark int64) {
+	if mark != 0 {
+		// The ACK reports the receiver's complete out-of-order map, so the
+		// scoreboard is replaced, not merged. The map lies above ackSeq,
+		// and the scoreboard only above una, so the loaded map is clipped
+		// at the larger of the two: the una this ACK leaves behind.
+		c.sack.load(&c.sacked, mark, max(ackSeq, c.una))
+	}
+	if ackSeq > c.una {
+		c.una = ackSeq
+		if mark == 0 { // a loaded map is already clipped there
+			c.sacked.TrimBelow(c.una)
+		}
+		c.sack.trim(c.una)
 	}
 }
 

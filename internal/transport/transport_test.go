@@ -71,7 +71,7 @@ func TestIntervalSetProperties(t *testing.T) {
 func TestIntervalSetReplace(t *testing.T) {
 	var s intervalSet
 	s.Add(0, 100)
-	s.Replace([][2]int64{{10, 20}, {30, 40}}, 15)
+	s.Replace([]byteRange{{10, 20}, {30, 40}}, 15)
 	if s.Total() != 15 { // [15,20) + [30,40)
 		t.Fatalf("Replace total = %d, want 15", s.Total())
 	}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
 # race pass over the parallel campaign engine, short fuzzes of the TCP
-# engine's interval set and of fault-plan validation, the fgserve smoke,
-# the benchmark module's tests, and one run of every internal
-# micro-bench.
+# engine's interval set and SACK log, of the DES heap and of fault-plan
+# validation, the fgserve smoke, the benchmark module's tests, and one
+# run of every internal micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -46,6 +46,12 @@ go test -race -short -run 'Churn|A3|PingPong|LoadCoupling|Dynamics|AttachSkip|Pr
 
 echo "== fuzz: intervalSet against a bitmap model (10 s) =="
 go test -run '^$' -fuzz '^FuzzIntervalSet$' -fuzztime 10s ./internal/transport
+
+echo "== fuzz: SACK log against the copy-per-ACK reference (10 s) =="
+go test -run '^$' -fuzz '^FuzzSackLog$' -fuzztime 10s ./internal/transport
+
+echo "== fuzz: DES heap against a sorted reference (10 s) =="
+go test -run '^$' -fuzz '^FuzzScheduler$' -fuzztime 10s ./internal/des
 
 echo "== fuzz: fault.Plan.Validate against an independent well-formedness check (10 s) =="
 go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/fault

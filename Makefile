@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race faults pop pop-dynamics serve serve-test bench ci
+.PHONY: build test race race-full faults pop pop-dynamics serve serve-test bench bench-workers ci
 
 build:
 	$(GO) build ./...
@@ -32,11 +32,10 @@ pop:
 	$(GO) test -race -short ./internal/pop/ ./internal/traffic/ ./internal/deploy/
 
 # Population-dynamics property suite under the race detector: churn
-# conservation, A3 TTT/hysteresis invariants, ping-pong detection,
-# load-coupling boundedness and cancellation safety (ci.sh runs the
-# same selection).
+# conservation, A3 TTT/hysteresis invariants, load-coupling boundedness
+# and cancellation safety (ci.sh runs the same selection).
 pop-dynamics:
-	$(GO) test -race -short -run 'Churn|A3|PingPong|LoadCoupling|Dynamics|AttachSkip|ProbeContract|EstimateETA' \
+	$(GO) test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|AttachSkip|ProbeContract|EstimateETA' \
 		./internal/pop/ ./internal/handoff/ ./internal/obs/
 
 # Launch the fgserve campaign service on the default address

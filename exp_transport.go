@@ -283,10 +283,3 @@ func hoThroughputDrop(cfg Config, tech radio.Tech, kind handoff.Kind, seed int64
 	}
 	return drop
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -29,8 +29,9 @@ import (
 type Kind int
 
 const (
-	// LinkOutage interrupts the radio in both directions for Dur (the
-	// data plane of a hand-off or a short radio-link failure).
+	// LinkOutage interrupts the downlink radio for Dur (the data plane
+	// of a hand-off or a short radio-link failure). The uplink radio hop
+	// keeps serving, so ACKs still flow.
 	LinkOutage Kind = iota
 	// LossBurst drops arriving packets i.i.d. with LossRate on a wired
 	// hop for the window (transient congestion upstream).

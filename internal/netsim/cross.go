@@ -61,8 +61,8 @@ func (c CrossConfig) MeanRate() float64 {
 
 // StartCross launches the modulated background source injecting into
 // target. Packets are marked Background, drawn from pool (nil degrades to
-// plain allocation), and terminate in a Sink after the bottleneck, where
-// the path's delivery wrapper recycles them.
+// plain allocation), and terminate right after the bottleneck, where the
+// path's demux recycles them.
 func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketPool, target Receiver) {
 	if cfg.Interval <= 0 {
 		return

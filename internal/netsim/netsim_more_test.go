@@ -6,6 +6,7 @@ import (
 
 	"fivegsim/internal/des"
 	"fivegsim/internal/radio"
+	"fivegsim/internal/rng"
 )
 
 func TestSetRANRateTakesEffect(t *testing.T) {
@@ -63,7 +64,7 @@ func TestUplinkCarriesAckLoad(t *testing.T) {
 
 func TestLockoutRecoversAfterDrain(t *testing.T) {
 	sch := des.New()
-	sink := &Sink{}
+	sink := ReceiverFunc(func(*Packet) {})
 	hop := NewHop(sch, "h", 8e6, 0, 10_000, sink) // 1 kB/ms drain
 	// Overflow the queue.
 	for i := 0; i < 20; i++ {
@@ -79,6 +80,52 @@ func TestLockoutRecoversAfterDrain(t *testing.T) {
 	sch.Run()
 	if hop.Dropped != droppedAtPeak {
 		t.Fatal("lockout did not clear after drain")
+	}
+}
+
+// TestOverflowPolicyPerHop pins each hop type's overflow watermark. A
+// buffer of ten packets is filled until the first overflow drop, the
+// backlog falls by exactly one packet, and one more packet is offered.
+// The wired hop stays locked out until its backlog is at most
+// limit − min(64 KiB, limit/2), so it drops the packet; the RAN is
+// plain drop-tail, so the packet fits and is accepted.
+func TestOverflowPolicyPerHop(t *testing.T) {
+	const wire, limit = 1000, 10 * 1000
+	sink := ReceiverFunc(func(*Packet) {})
+	cases := []struct {
+		name    string
+		build   func(sch *des.Scheduler) *queue
+		dropped int64 // drops after the final offer
+	}{
+		{"wired", func(sch *des.Scheduler) *queue {
+			return &NewHop(sch, "h", 8e6, 0, limit, sink).queue
+		}, 2},
+		{"ran", func(sch *des.Scheduler) *queue {
+			return &NewRANHop(sch, radio.NR, 8e6, 0, limit, rng.New(1).Stream("h"), sink).queue
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sch := des.New()
+			q := c.build(sch)
+			for q.Dropped == 0 {
+				q.Receive(&Packet{Wire: wire})
+			}
+			if q.QueuedBytes() != limit {
+				t.Fatalf("backlog %d at the first drop, want the full %d", q.QueuedBytes(), limit)
+			}
+			// Step the clock until the serializer takes the next packet.
+			for q.QueuedBytes() == limit {
+				sch.RunUntil(sch.Now() + 10*time.Microsecond)
+			}
+			if q.QueuedBytes() != limit-wire {
+				t.Fatalf("backlog %d after one departure, want %d", q.QueuedBytes(), limit-wire)
+			}
+			q.Receive(&Packet{Wire: wire})
+			if q.Dropped != c.dropped {
+				t.Fatalf("%d drops after the final offer, want %d", q.Dropped, c.dropped)
+			}
+		})
 	}
 }
 

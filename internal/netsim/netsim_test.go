@@ -34,7 +34,7 @@ func TestHopForwardsInOrder(t *testing.T) {
 
 func TestHopDropTail(t *testing.T) {
 	sch := des.New()
-	sink := &Sink{}
+	sink := ReceiverFunc(func(*Packet) {})
 	hop := NewHop(sch, "h", 1e3, 0, 2500, sink)
 	for i := 0; i < 10; i++ {
 		hop.Receive(&Packet{Seq: int64(i), Wire: 1000})

@@ -31,8 +31,8 @@ type Packet struct {
 	SentAt time.Duration
 	// EchoTS echoes the data packet's SentAt back on the ACK.
 	EchoTS time.Duration
-	// Background marks cross-traffic packets that terminate at the
-	// bottleneck sink.
+	// Background marks cross-traffic packets, which leave the path
+	// right after the bottleneck.
 	Background bool
 	// Retransmit marks retransmitted data (diagnostics).
 	Retransmit bool
@@ -57,9 +57,3 @@ type ReceiverFunc func(p *Packet)
 
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(p *Packet) { f(p) }
-
-// Sink drops everything (used for cross-traffic termination).
-type Sink struct{ Count int64 }
-
-// Receive implements Receiver.
-func (s *Sink) Receive(p *Packet) { s.Count++ }

@@ -125,7 +125,6 @@ type Path struct {
 	Bottleneck *Hop
 	RAN        *RANHop
 	UplinkRAN  *Hop
-	CrossSink  *Sink
 
 	// Pool recycles every packet the path carries (TCP segments and
 	// ACKs, UDP load and cross traffic); see PacketPool for the
@@ -162,10 +161,8 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 
 	core := NewHop(sch, "core", 10e9, cfg.CoreOneWay, 64_000_000, p.RAN)
 
-	p.CrossSink = &Sink{}
 	demux := ReceiverFunc(func(pkt *Packet) {
 		if pkt.Background {
-			p.CrossSink.Receive(pkt)
 			p.Pool.Release(pkt)
 			return
 		}
@@ -251,7 +248,8 @@ func (p *Path) SetRANRate(bps float64) {
 	p.RAN.SetRate(bps)
 }
 
-// Outage interrupts the radio in both directions for d (hand-off).
+// Outage interrupts the downlink radio for d (hand-off). The uplink radio
+// hop keeps serving, so ACKs still reach the server during the outage.
 func (p *Path) Outage(d time.Duration) {
 	p.Cfg.Trace.Span("outage", "netsim", p.Sch.Now(), d)
 	p.RAN.SetOutage(d)

@@ -6,11 +6,11 @@
 //
 // The contract every parallelized campaign loop in fivegsim follows:
 //
-//  1. Split the work with Shard/ShardSize (layout fixed by n alone).
+//  1. Split the work with ShardSize (layout fixed by n alone).
 //  2. Give each shard its own random substream keyed by a stable name
 //     and the shard index (rng.Source.Shard).
 //  3. Write each shard's output into its own pre-assigned slot and
-//     merge in shard-index order (Map/ShardMap do this for you).
+//     merge in shard-index order (Map does this for you).
 //
 // Workers then only decides how many goroutines execute the shards;
 // scheduling order can vary freely without changing any output.
@@ -45,32 +45,6 @@ func Workers(w int) int {
 		return 1
 	}
 	return w
-}
-
-// Shard splits [0, n) into min(n, shards) contiguous, near-equal ranges
-// (sizes differ by at most one; earlier shards take the remainder).
-// Empty shards are never returned, so n = 0 yields nil. The split is a
-// pure function of n and shards — callers must not derive shards from
-// the worker count, or they forfeit the determinism contract.
-func Shard(n, shards int) []Range {
-	if n <= 0 || shards < 1 {
-		return nil
-	}
-	if shards > n {
-		shards = n
-	}
-	out := make([]Range, shards)
-	size, rem := n/shards, n%shards
-	lo := 0
-	for i := range out {
-		hi := lo + size
-		if i < rem {
-			hi++
-		}
-		out[i] = Range{Index: i, Lo: lo, Hi: hi}
-		lo = hi
-	}
-	return out
 }
 
 // ShardSize splits [0, n) into ⌈n/size⌉ contiguous shards of the given
@@ -184,14 +158,4 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, 
 		out[r.Lo] = fn(r.Lo)
 	})
 	return out, err
-}
-
-// ShardMap runs fn once per shard and returns the per-shard results in
-// shard-index order, independent of the worker count.
-func ShardMap[T any](workers int, shards []Range, fn func(Range) T) []T {
-	out := make([]T, len(shards))
-	Do(workers, shards, func(r Range) {
-		out[r.Index] = fn(r)
-	})
-	return out
 }

@@ -31,37 +31,6 @@ func checkCover(t *testing.T, ranges []Range, n int) {
 	}
 }
 
-func TestShardProperty(t *testing.T) {
-	// The determinism contract rests on Shard being a total, exact
-	// partition for every (n, shards) — including the degenerate shapes
-	// the campaign loops hit: n=0, n=1, shards>n, uneven splits.
-	prop := func(n uint16, shards uint8) bool {
-		ranges := Shard(int(n), int(shards))
-		if n == 0 || shards == 0 {
-			return ranges == nil
-		}
-		want := int(shards)
-		if int(n) < want {
-			want = int(n)
-		}
-		if len(ranges) != want {
-			return false
-		}
-		// Sizes differ by at most one, larger shards first.
-		for i := 1; i < len(ranges); i++ {
-			d := ranges[i-1].Len() - ranges[i].Len()
-			if d < 0 || d > 1 {
-				return false
-			}
-		}
-		checkCover(t, ranges, int(n))
-		return !t.Failed()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShardSizeProperty(t *testing.T) {
 	prop := func(n uint16, size uint8) bool {
 		ranges := ShardSize(int(n), int(size))
@@ -85,31 +54,6 @@ func TestShardSizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShardExplicitCases(t *testing.T) {
-	cases := []struct {
-		n, shards int
-		wantLens  []int
-	}{
-		{0, 4, nil},             // n = 0
-		{1, 4, []int{1}},        // n = 1, shards > items
-		{3, 8, []int{1, 1, 1}},  // shards > items collapse to n
-		{10, 3, []int{4, 3, 3}}, // uneven remainder up front
-		{10, 1, []int{10}},
-		{5, 5, []int{1, 1, 1, 1, 1}},
-	}
-	for _, c := range cases {
-		got := Shard(c.n, c.shards)
-		if len(got) != len(c.wantLens) {
-			t.Fatalf("Shard(%d,%d) = %d shards, want %d", c.n, c.shards, len(got), len(c.wantLens))
-		}
-		for i, w := range c.wantLens {
-			if got[i].Len() != w {
-				t.Fatalf("Shard(%d,%d)[%d].Len() = %d, want %d", c.n, c.shards, i, got[i].Len(), w)
-			}
-		}
 	}
 }
 
@@ -154,19 +98,6 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 	if Map(4, 0, func(i int) int { return i }) != nil {
 		t.Fatal("Map with n=0 must return nil")
-	}
-}
-
-func TestShardMapMergesInShardOrder(t *testing.T) {
-	shards := Shard(1000, 7)
-	want := ShardMap(1, shards, func(r Range) int { return r.Lo })
-	for _, workers := range []int{2, 8} {
-		got := ShardMap(workers, shards, func(r Range) int { return r.Lo })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
 	}
 }
 

@@ -222,44 +222,6 @@ func TestHARQFirstAttemptRate(t *testing.T) {
 	}
 }
 
-func TestShadowerCorrelation(t *testing.T) {
-	r := rng.New(3).Stream("shadow")
-	s := NewShadower(r, 8, 20)
-	v0 := s.Next(0)
-	v1 := s.Next(0.1) // tiny move: nearly identical
-	if math.Abs(v1-v0) > 1.5 {
-		t.Fatalf("shadowing jumped %v dB over 0.1 m", math.Abs(v1-v0))
-	}
-	// Large move: decorrelated. Check statistically over many shadowers.
-	var corrNum, varSum float64
-	n := 5000
-	for i := 0; i < n; i++ {
-		sh := NewShadower(rng.New(int64(i)).Stream("s"), 8, 20)
-		a := sh.Next(0)
-		b := sh.Next(200)
-		corrNum += a * b
-		varSum += a * a
-	}
-	rho := corrNum / varSum
-	if math.Abs(rho) > 0.05 {
-		t.Fatalf("correlation after 200 m = %.3f, want ≈0", rho)
-	}
-}
-
-func TestShadowerStd(t *testing.T) {
-	var ss float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		sh := NewShadower(rng.New(int64(i)).Stream("std"), 8, 20)
-		v := sh.Value()
-		ss += v * v
-	}
-	std := math.Sqrt(ss / float64(n))
-	if math.Abs(std-8) > 0.3 {
-		t.Fatalf("shadowing std = %.2f, want ≈8", std)
-	}
-}
-
 func TestULRateBelowDLRate(t *testing.T) {
 	for _, b := range []Band{BandLTE(), BandNR()} {
 		if b.ULRate(5, b.PRBs) >= b.Rate(5, b.PRBs) {

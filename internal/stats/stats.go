@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the measurement
-// experiments need: summaries (mean ± std), percentiles, empirical CDFs,
-// and histogram binning.
+// experiments need: summaries (mean ± std), percentiles, histogram
+// binning and correlation.
 package stats
 
 import (
@@ -77,58 +77,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs.
-func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}
-}
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Move past equal values so the CDF is right-continuous.
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the value at CDF level q ∈ [0,1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		panic("stats: Quantile of empty CDF")
-	}
-	return Percentile(c.sorted, q*100)
-}
-
-// Points returns up to n evenly spaced (x, F(x)) points for plotting.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / max(1, n-1)
-		pts = append(pts, [2]float64{c.sorted[idx], float64(idx+1) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
 // Bin is one histogram bucket over [Lo, Hi).
 type Bin struct {
 	Lo, Hi float64
@@ -167,13 +115,6 @@ func Histogram(xs []float64, edges []float64) []Bin {
 		bins[idx].Count++
 	}
 	return bins
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length

@@ -51,61 +51,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, cse := range cases {
-		if got := c.At(cse.x); math.Abs(got-cse.want) > 1e-12 {
-			t.Errorf("F(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if q := c.Quantile(0.5); q != 2 {
-		t.Errorf("Quantile(0.5) = %v, want 2", q)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				return true
-			}
-		}
-		c := NewCDF(xs)
-		prev := -1.0
-		for _, x := range xs {
-			v := c.At(x)
-			if v < 0 || v > 1 {
-				return false
-			}
-			_ = prev
-		}
-		// Check monotonicity on a sweep.
-		lo, hi := Percentile(xs, 0), Percentile(xs, 100)
-		step := (hi - lo) / 32
-		if step <= 0 {
-			return true
-		}
-		last := 0.0
-		for x := lo; x <= hi; x += step {
-			v := c.At(x)
-			if v+1e-12 < last {
-				return false
-			}
-			last = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	// Paper-style RSRP buckets.
 	edges := []float64{-140, -105, -90, -80, -70, -60, -40}
@@ -145,22 +90,6 @@ func TestHistogramConservesMassProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] || pts[i][1] < pts[i-1][1] {
-			t.Fatalf("points not monotone: %v", pts)
-		}
-	}
-	if pts[len(pts)-1][1] != 1 {
-		t.Fatalf("last point F = %v, want 1", pts[len(pts)-1][1])
 	}
 }
 

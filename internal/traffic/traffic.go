@@ -77,14 +77,3 @@ func File(seed int64) energy.Trace {
 	}
 	return t
 }
-
-// Saturated returns a full-rate trace of the given duration at the given
-// rate (the Fig. 22 energy-per-bit sweep).
-func Saturated(rateBps float64, duration time.Duration) energy.Trace {
-	bins := int(duration / Bin)
-	t := energy.Trace{BinDur: Bin, Bytes: make([]int64, bins)}
-	for i := range t.Bytes {
-		t.Bytes[i] = int64(rateBps / 8 * Bin.Seconds())
-	}
-	return t
-}

@@ -56,14 +56,6 @@ func TestFileTraceShape(t *testing.T) {
 	}
 }
 
-func TestSaturated(t *testing.T) {
-	tr := Saturated(880e6, 10*time.Second)
-	rate := float64(tr.TotalBytes()*8) / tr.Duration().Seconds()
-	if rate < 870e6 || rate > 890e6 {
-		t.Fatalf("saturated rate = %.0f", rate/1e6)
-	}
-}
-
 func TestTracesDeterministic(t *testing.T) {
 	a, b := Web(9), Web(9)
 	for i := range a.Bytes {

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"fivegsim/internal/des"
+	"fivegsim/internal/fault"
 	"fivegsim/internal/netsim"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -81,14 +83,36 @@ func ackFaultPath(tech radio.Tech) netsim.PathConfig {
 	return cfg
 }
 
+// faultPlans holds one plan per fault.Kind, indexed by kind, each
+// window inside goldenBulkDur. Armed through fault.Hook, they reach every
+// hop fault hook the experiments use: the RAN's outage, rate scale and
+// rate change, and the bottleneck's rate scale, injected loss and extra
+// delay.
+var faultPlans = []*fault.Plan{
+	fault.Outage("link-outage", 500*time.Millisecond, 150*time.Millisecond),
+	{Name: "loss-burst", Faults: []fault.Fault{{Kind: fault.LossBurst, At: 400 * time.Millisecond, Dur: 300 * time.Millisecond, LossRate: 0.02}}},
+	{Name: "latency-burst", Faults: []fault.Fault{{Kind: fault.LatencyBurst, At: 400 * time.Millisecond, Dur: 300 * time.Millisecond, Extra: 20 * time.Millisecond}}},
+	{Name: "wired-degrade", Faults: []fault.Fault{{Kind: fault.WiredDegrade, At: 400 * time.Millisecond, Dur: 500 * time.Millisecond, Scale: 0.5}}},
+	{Name: "radio-degrade", Faults: []fault.Fault{{Kind: fault.RadioDegrade, At: 400 * time.Millisecond, Dur: 500 * time.Millisecond, Scale: 0.3}}},
+	{Name: "cell-failure", Faults: []fault.Fault{{Kind: fault.CellFailure, At: 300 * time.Millisecond, Dur: 700 * time.Millisecond}}},
+}
+
+// faultPath is the seed-42 daytime 5G path with plan armed.
+func faultPath(plan *fault.Plan) netsim.PathConfig {
+	cfg := netsim.DefaultPath(radio.NR, true)
+	cfg.Seed = 42
+	cfg.Inject = fault.Hook(plan)
+	return cfg
+}
+
 // TestBulkGolden pins the transport layer's output bit for bit: every
 // controller on both technologies over seeds 1/42/7, one sized transfer,
 // one MPTCP pair, one forced burst-loss run whose recovery needs both
 // SACK repair and a retransmission timeout, and cubic and bbr on both
-// technologies with reordered and dropped ACKs (ackFaults). The
-// benchmark digests cover F7–F11 only; this golden is what holds the
-// other experiments that run TCP (F12, F16, F17, X2, X7–X10) to the same
-// packet-level behaviour.
+// technologies with reordered and dropped ACKs (ackFaults), and cubic and
+// bbr on 5G under each of faultPlans. The benchmark digests cover F7–F11
+// only; this golden is what holds the other experiments that run TCP
+// (F12, F16, F17, X2, X7–X10) to the same packet-level behaviour.
 func TestBulkGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
@@ -150,6 +174,14 @@ func TestBulkGolden(t *testing.T) {
 		}
 	}
 
+	for _, plan := range faultPlans {
+		for _, name := range []string{"cubic", "bbr"} {
+			r := RunBulk(faultPath(plan), name, goldenBulkDur)
+			fmt.Fprintf(&got, "fault %s 5G %s seed=42 retx=%d rtos=%d losses=%d %s\n",
+				plan.Name, name, r.Retransmits, r.RTOs, r.LossEvents, hashBulk(r))
+		}
+	}
+
 	path := filepath.Join("testdata", "bulk_v1.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -198,6 +230,43 @@ func TestAckFaultsReorderAndDrop(t *testing.T) {
 			t.Logf("%s %s: %d reordered and %d dropped SACK ACKs", tech, name, reordered, dropped)
 			if reordered == 0 || dropped == 0 {
 				t.Errorf("%s %s: %d reordered and %d dropped SACK ACKs, want both > 0", tech, name, reordered, dropped)
+			}
+		}
+	}
+}
+
+// TestFaultRowsArmEveryHook shows that the golden's fault rows take the
+// paths they are there to pin: faultPlans covers every fault.Kind, each
+// plan's window ends, with a re-addition outage's worth of margin,
+// before goldenBulkDur, and under each plan, with either controller, the
+// fault window opens and the flow differs from the unfaulted one.
+func TestFaultRowsArmEveryHook(t *testing.T) {
+	if len(faultPlans) != int(fault.CellFailure)+1 {
+		t.Fatalf("%d fault plans, want one per fault.Kind", len(faultPlans))
+	}
+	unfaulted := netsim.DefaultPath(radio.NR, true)
+	unfaulted.Seed = 42
+	base := map[string]string{}
+	for _, name := range []string{"cubic", "bbr"} {
+		base[name] = hashBulk(RunBulk(unfaulted, name, goldenBulkDur))
+	}
+	for k, plan := range faultPlans {
+		kind := fault.Kind(k)
+		if f := plan.Faults; len(f) != 1 || f[0].Kind != kind {
+			t.Fatalf("faultPlans[%d] = %+v, want one %s fault", k, f, kind)
+		}
+		if end := plan.Duration() + fault.ReestablishLatency; end > goldenBulkDur {
+			t.Errorf("%s: window ends at %v, too close to the %v run's end", plan.Name, plan.Duration(), goldenBulkDur)
+		}
+		for name, h := range base {
+			cfg := faultPath(plan)
+			cfg.Obs = obs.NewRegistry()
+			r := RunBulk(cfg, name, goldenBulkDur)
+			if n := cfg.Obs.Counter("fault.windows{kind=" + kind.String() + "}").Value(); n == 0 {
+				t.Errorf("%s %s: fault.windows{kind=%s} = 0", plan.Name, name, kind)
+			}
+			if hashBulk(r) == h {
+				t.Errorf("%s %s: the fault left the flow unchanged", plan.Name, name)
 			}
 		}
 	}

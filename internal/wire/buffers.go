@@ -61,22 +61,3 @@ func EstimateBuffers(cfg netsim.PathConfig, duration time.Duration) BufferEstima
 	est.WholePath = est.RAN + est.Wired
 	return est
 }
-
-// StanfordBufferRule returns the buffer a bottleneck needs under the
-// B = RTT·C/√n rule the paper cites [16,71,85], in bytes.
-func StanfordBufferRule(rtt time.Duration, capacityBps float64, flows int) int {
-	if flows < 1 {
-		flows = 1
-	}
-	return int(rtt.Seconds() * capacityBps / 8 / sqrtf(flows))
-}
-
-func sqrtf(n int) float64 {
-	x := float64(n)
-	// Newton iterations are plenty for the small n used here.
-	g := x
-	for i := 0; i < 20; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
-}

@@ -144,21 +144,6 @@ func TestTable3BufferEstimates(t *testing.T) {
 	}
 }
 
-func TestStanfordRule(t *testing.T) {
-	// The paper's argument: with equal flow counts and similar RTT, the 5G
-	// path needs ≈5× the buffer of the 4G path (capacity ratio 880/130).
-	rtt := 40 * time.Millisecond
-	b5 := StanfordBufferRule(rtt, 880e6, 16)
-	b4 := StanfordBufferRule(rtt, 130e6, 16)
-	ratio := float64(b5) / float64(b4)
-	if math.Abs(ratio-880.0/130.0) > 0.1 {
-		t.Fatalf("Stanford-rule ratio = %.2f, want %.2f", ratio, 880.0/130.0)
-	}
-	if b5 <= 0 {
-		t.Fatal("non-positive buffer")
-	}
-}
-
 func TestHopCountGrowsWithDistance(t *testing.T) {
 	if HopCount(1) >= HopCount(1000) || HopCount(1000) >= HopCount(3400) {
 		t.Fatal("hop count must grow with distance")

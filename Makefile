@@ -35,7 +35,7 @@ pop:
 # conservation, A3 TTT/hysteresis invariants, load-coupling boundedness
 # and cancellation safety (ci.sh runs the same selection).
 pop-dynamics:
-	$(GO) test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|AttachSkip|ProbeContract|EstimateETA' \
+	$(GO) test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|ProbeContract|EstimateETA' \
 		./internal/pop/ ./internal/handoff/ ./internal/obs/
 
 # Launch the fgserve campaign service on the default address

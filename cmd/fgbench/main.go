@@ -10,7 +10,9 @@
 //	fgbench -list           # enumerate experiments
 //	fgbench -metrics        # print the telemetry snapshot per run
 //	fgbench -trace out.json # export a Chrome trace (Perfetto-loadable)
-//	fgbench -manifest m.json# write the run manifests as JSON (see fgobs)
+//	fgbench -results r.ndjson
+//	                        # write one fivegsim.result/v1 record per line,
+//	                        # each with its run manifest (see fgobs)
 //	fgbench -faults list    # enumerate fault-scenario presets
 //	fgbench -faults cell-failover -run X9
 //	                        # arm a fault scenario on the selected runs
@@ -43,8 +45,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	metrics := flag.Bool("metrics", false, "collect and print the metrics snapshot after each experiment")
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON of the campaign to this file")
-	manifestPath := flag.String("manifest", "", "write the run manifests (JSON array) to this file")
-	resultsPath := flag.String("results", "", "stream results to this file as NDJSON (one fivegsim.result/v1 object per line — the same encoding fgserve serves)")
+	resultsPath := flag.String("results", "", "stream results to this file as NDJSON (one fivegsim.result/v1 object per line — the same encoding fgserve serves), with telemetry on")
 	faults := flag.String("faults", "", "arm a fault-scenario preset on every run ('list' to enumerate)")
 	population := flag.Int("population", 0, "override the population-experiment UE count (X12–X14; 0 = built-in sizing)")
 	progress := flag.Bool("progress", false, "stream live start/finish/ETA progress lines to stderr")
@@ -64,7 +65,7 @@ func main() {
 		return
 	}
 
-	collect := *metrics || *manifestPath != ""
+	collect := *metrics || *resultsPath != ""
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer(0)
@@ -113,7 +114,6 @@ func main() {
 	// One event stream: results arrive in paper order as workers finish;
 	// start/finish progress arrives in completion order and goes to
 	// stderr, apart from the reports.
-	manifests := make([]obs.RunManifest, 0, 32)
 	failed := 0
 	cfg.OnEvent = func(ev fivegsim.Event) {
 		switch {
@@ -139,7 +139,6 @@ func main() {
 				}
 				fmt.Println()
 			}
-			manifests = append(manifests, res.Manifest)
 		case *progress && ev.Kind == fivegsim.EventStart:
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s started\n", ev.Completed, ev.Total, ev.Experiment)
 		case *progress && ev.Kind == fivegsim.EventFinish:
@@ -172,13 +171,6 @@ func main() {
 		fmt.Printf("wrote %d trace events to %s (%d overwritten by ring wrap)\n",
 			len(tracer.Events()), *tracePath, tracer.Dropped())
 	}
-	if *manifestPath != "" {
-		if err := writeManifests(*manifestPath, manifests); err != nil {
-			fmt.Fprintln(os.Stderr, "fgbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d manifests to %s\n", len(manifests), *manifestPath)
-	}
 	fmt.Printf("regenerated %d experiments in %.1fs (seed %d, quick=%v, workers=%d)\n",
 		len(results), time.Since(start).Seconds(), *seed, *quick, *workers)
 	if failed > 0 {
@@ -194,27 +186,4 @@ func writeTrace(path string, tracer *obs.Tracer) error {
 	}
 	defer f.Close()
 	return tracer.WriteChromeTrace(f)
-}
-
-func writeManifests(path string, manifests []obs.RunManifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString("[\n"); err != nil {
-		return err
-	}
-	for i, m := range manifests {
-		if i > 0 {
-			if _, err := f.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		if err := m.WriteJSON(f); err != nil {
-			return err
-		}
-	}
-	_, err = f.WriteString("]\n")
-	return err
 }

@@ -1,28 +1,36 @@
-// Command fgobs inspects the simulator's telemetry: it renders a run
-// manifest's metrics snapshot as text, diffs two manifests
+// Command fgobs inspects the simulator's telemetry: it renders the run
+// manifests of a results file as text, diffs two results files
 // metric-by-metric (e.g. before/after a performance change), or tails a
 // running fgserve's live /metrics + /progress endpoints from the
 // terminal.
 //
 // Usage:
 //
-//	fgobs show run.json            # render every manifest in the file
-//	fgobs show -id F7 run.json     # just one experiment
-//	fgobs diff old.json new.json   # compare runs (matched by ID)
-//	fgobs diff -id F7 old.json new.json
+//	fgobs show run.ndjson          # render every manifest in the file
+//	fgobs show -id F7 run.ndjson   # just one experiment
+//	fgobs diff old.ndjson new.ndjson
+//	                               # compare runs (matched by experiment ID)
+//	fgobs diff -id F7 old.ndjson new.ndjson
 //	fgobs tail -url http://127.0.0.1:9237
 //	                               # stream fgserve progress + counter deltas
 //
-// Manifest files come from `fgbench -manifest out.json` and hold either
-// a single manifest or a JSON array of them.
+// A results file is NDJSON. Each line is either a bare
+// fivegsim.result/v1 record (`fgbench -results`, `fgpop -results`) or an
+// fgserve stream event (a saved /campaigns/{id}/stream), of which only
+// result events carry a record; fgobs reads the manifest each record
+// carries.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"fivegsim"
 	"fivegsim/internal/obs"
+	"fivegsim/internal/serve"
 )
 
 func main() {
@@ -43,8 +51,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  fgobs show [-id EXP] manifest.json
-  fgobs diff [-id EXP] old.json new.json
+  fgobs show [-id EXP] results.ndjson
+  fgobs diff [-id EXP] old.ndjson new.ndjson
   fgobs tail [-url FGSERVE_URL] [-interval DUR] [-follow]`)
 	os.Exit(2)
 }
@@ -96,7 +104,7 @@ func cmdDiff(args []string) {
 }
 
 func load(path, id string) []obs.RunManifest {
-	manifests, err := obs.ReadManifests(path)
+	manifests, err := recordManifests(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fgobs:", err)
 		os.Exit(1)
@@ -115,4 +123,38 @@ func load(path, id string) []obs.RunManifest {
 		os.Exit(1)
 	}
 	return out
+}
+
+// recordManifests returns the manifests of every record in the results
+// file at path, in file order. Stream events other than results are
+// skipped; a line that is neither a result/v1 record nor a stream event
+// is an error that names the file and line.
+func recordManifests(path string) ([]obs.RunManifest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []obs.RunManifest
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var ev serve.Event
+		err := json.Unmarshal(line, &ev)
+		if err == nil && ev.Schema == serve.EventSchemaV1 {
+			if ev.Kind == "result" && ev.Result != nil {
+				out = append(out, ev.Result.Manifest)
+			}
+			continue
+		}
+		var rec fivegsim.Result
+		if err == nil {
+			err = json.Unmarshal(line, &rec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, i+1, err)
+		}
+		out = append(out, rec.Manifest)
+	}
+	return out, nil
 }

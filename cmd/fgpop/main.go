@@ -7,8 +7,9 @@
 //	fgpop -lambda 8000 -mix 0.6,0.3,0.1 -workers 8
 //	fgpop -n 1000 -speed 0 -ticks 50        # static PPP snapshot
 //	fgpop -n 5000 -metrics                  # print the pop.* snapshot
-//	fgpop -n 5000 -trace t.json -manifest m.json
-//	                                        # telemetry artifacts (fgbench parity)
+//	fgpop -n 5000 -trace t.json -results r.ndjson
+//	                                        # telemetry artifacts (fgbench parity;
+//	                                        # one result/v1 record, ID POP)
 //	fgpop -n 5000 -churn 16 -a3 3 -loadfb   # population dynamics: birth–death
 //	                                        # churn, stateful A3 hand-off, load
 //	                                        # coupling (DESIGN.md §13)
@@ -20,6 +21,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"fivegsim"
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/obs"
 	"fivegsim/internal/pop"
@@ -48,7 +51,7 @@ func main() {
 	perCell := flag.Bool("cells", false, "print the per-cell load table")
 	metrics := flag.Bool("metrics", false, "collect and print the pop.* metrics snapshot")
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON of the run to this file")
-	manifestPath := flag.String("manifest", "", "write the run manifest (JSON, fgobs-show compatible) to this file")
+	resultsPath := flag.String("results", "", "write the run as one fivegsim.result/v1 record (ID POP, with its run manifest; fgobs reads it) to this file")
 	churn := flag.Float64("churn", 0, "UE churn: Poisson arrivals per tick (0 = fixed population)")
 	life := flag.Float64("life", 300, "mean UE lifetime in ticks under -churn")
 	a3 := flag.Float64("a3", 0, "stateful A3 hand-off with this hysteresis in dB (0 = memoryless best-server)")
@@ -80,7 +83,7 @@ func main() {
 	}
 
 	var tel pop.Telemetry
-	if *metrics || *manifestPath != "" {
+	if *metrics || *resultsPath != "" {
 		tel.Obs = obs.NewRegistry()
 	}
 	if *tracePath != "" {
@@ -126,12 +129,14 @@ func main() {
 		fmt.Printf("wrote %d trace events to %s (%d overwritten by ring wrap)\n",
 			len(tel.Trace.Events()), *tracePath, tel.Trace.Dropped())
 	}
-	if *manifestPath != "" {
-		man := obs.NewManifest("POP", "population-scale campus run", *seed, false, start, elapsed, tel.Obs)
-		if err := writeFile(*manifestPath, man.WriteJSON); err != nil {
+	if *resultsPath != "" {
+		const id, title = "POP", "population-scale campus run"
+		res := fivegsim.Result{ID: id, Title: title,
+			Manifest: obs.NewManifest(id, title, *seed, false, start, elapsed, tel.Obs)}
+		if err := writeFile(*resultsPath, func(w io.Writer) error { return json.NewEncoder(w).Encode(res) }); err != nil {
 			log.Fatalf("fgpop: %v", err)
 		}
-		fmt.Printf("wrote run manifest to %s\n", *manifestPath)
+		fmt.Printf("wrote the run record to %s\n", *resultsPath)
 	}
 }
 

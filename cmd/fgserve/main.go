@@ -16,9 +16,9 @@
 //	  "schema": "fgserve.spec/v1",
 //	  "experiments": ["T1", "F7"], "seeds": [42], "quick": true}'
 //	curl localhost:9237/campaigns/c0001/stream      # NDJSON result stream
+//	                                                # (save it for fgobs show/diff)
 //	curl localhost:9237/campaigns/c0001             # status + ETA
 //	curl localhost:9237/campaigns/c0001/report      # paper-order text report
-//	curl localhost:9237/campaigns/c0001/manifest    # run-manifest artifact
 //	curl -X DELETE localhost:9237/campaigns/c0001   # cancel
 //	curl localhost:9237/metrics                     # live Prometheus scrape
 //
@@ -66,7 +66,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fgserve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("fgserve: serving campaigns on http://%s (POST /campaigns; GET /campaigns/{id}[/stream|/report|/manifest]; /metrics)\n", srv.Addr)
+	fmt.Printf("fgserve: serving campaigns on http://%s (POST /campaigns; GET /campaigns/{id}[/stream|/report]; /metrics)\n", srv.Addr)
 	if err := srv.Wait(); err != nil {
 		fmt.Fprintln(os.Stderr, "fgserve:", err)
 		os.Exit(1)

@@ -166,8 +166,8 @@ func runX10Scenarios(cfg Config) Result {
 	// What the brownout looks like to the wired probe model (Fig. 13).
 	extra, scale := fault.BackhaulBrownout.Plan().WiredBrownout()
 	srv := wire.Servers[0]
-	clean := probeMeanRTT(wire.MeasureServer(radio.NR, srv, 30, cfg.Seed))
-	brown := probeMeanRTT(wire.MeasureServerDegraded(radio.NR, srv, 30, cfg.Seed,
+	clean := wire.MeanRTT(wire.MeasureServer(radio.NR, srv, 30, cfg.Seed))
+	brown := wire.MeanRTT(wire.MeasureServerDegraded(radio.NR, srv, 30, cfg.Seed,
 		wire.Degradation{ExtraRTT: extra, JitterScale: scale}))
 	res.Lines = append(res.Lines, line("brownout on the probe path (%s): mean RTT %.1f ms → %.1f ms (+%.0f ms inflation, %.1f× jitter)",
 		srv.Name, float64(clean)/1e6, float64(brown)/1e6, float64(brown-clean)/1e6, scale))
@@ -175,14 +175,6 @@ func runX10Scenarios(cfg Config) Result {
 		"§4.2: the wired segment degrades rather than fails — loss-based TCP collapses first;",
 		"§3.2+§6: losing the NR leg trades throughput for a costlier-per-bit 4G radio envelope")
 	return res
-}
-
-func probeMeanRTT(ps []wire.Probe) time.Duration {
-	var sum time.Duration
-	for _, p := range ps {
-		sum += p.RTT
-	}
-	return sum / time.Duration(len(ps))
 }
 
 // runX11Holes carves failed cells out of the coverage map and walks the

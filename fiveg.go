@@ -56,9 +56,9 @@ type Config struct {
 	// events and `energy.*` state residencies. Nil (the default) keeps
 	// the simulator on its no-op fast path.
 	Obs *obs.Registry
-	// Trace, when non-nil, records timestamped span/instant events
-	// (packet drops, outages, fault windows) into a bounded ring
-	// exportable as a Chrome trace (chrome://tracing / Perfetto).
+	// Trace, when non-nil, records spans (outages, fault windows,
+	// population ticks) into a bounded ring exportable as a Chrome trace
+	// (chrome://tracing / Perfetto).
 	Trace *obs.Tracer
 
 	// Faults, when non-nil, arms the deterministic fault-injection plan

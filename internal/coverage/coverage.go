@@ -49,7 +49,7 @@ func drawSample(c *deploy.Campus, r *rand.Rand) Sample {
 	// rejected and retried.
 	var p geom.Point
 	for attempt := 0; attempt < 32; attempt++ {
-		p = roadPoint(c.Roads, rng.Uniform(r, 0, total))
+		p = c.RoadPoint(rng.Uniform(r, 0, total))
 		// Perpendicular jitter up to ±3 m, clamped to campus bounds.
 		p.X += rng.Uniform(r, -3, 3)
 		p.Y += rng.Uniform(r, -3, 3)
@@ -67,23 +67,6 @@ func drawSample(c *deploy.Campus, r *rand.Rand) Sample {
 		sample.LTE = m
 	}
 	return sample
-}
-
-// roadPoint maps a distance along the concatenated road graph to a point.
-// Summed segment lengths accumulate floating-point error, so a draw equal
-// to the total length can land just past the final segment; such overruns
-// clamp to the final road's endpoint instead of falling through to the
-// zero point (the campus origin), which would silently skew the survey's
-// corner statistics.
-func roadPoint(roads []geom.Segment, at float64) geom.Point {
-	for _, road := range roads {
-		l := road.Length()
-		if at <= l {
-			return road.At(at / l)
-		}
-		at -= l
-	}
-	return roads[len(roads)-1].B
 }
 
 // rsrps extracts the per-sample best-server RSRP for a technology. If

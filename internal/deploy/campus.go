@@ -203,6 +203,25 @@ func (c *Campus) RoadLengthM() float64 {
 	return total
 }
 
+// RoadPoint maps a distance along the concatenated road graph to a
+// point: the one walk behind the survey draw and the hand-off and
+// population waypoints, each of which draws the distance on its own
+// random stream. Summed segment lengths accumulate floating-point error, so a draw
+// equal to the total length can land just past the final segment; such
+// overruns clamp to the final road's endpoint instead of falling
+// through to the zero point (the campus origin), which would silently
+// skew the survey's corner statistics.
+func (c *Campus) RoadPoint(at float64) geom.Point {
+	for _, road := range c.Roads {
+		l := road.Length()
+		if at <= l {
+			return road.At(at / l)
+		}
+		at -= l
+	}
+	return c.Roads[len(c.Roads)-1].B
+}
+
 // AreaKm2 returns the campus area in km².
 func (c *Campus) AreaKm2() float64 {
 	return c.Bounds.Width() * c.Bounds.Height() / 1e6

@@ -126,7 +126,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 
 	// Waypoint walker state.
 	pos := geom.Point{X: 250, Y: 100}
-	target := roadPoint(campus, walkRng)
+	target := campus.RoadPoint(walkRng.Float64() * campus.RoadLengthM())
 	speed := rng.Uniform(walkRng, cfg.MinSpeedKmh, cfg.MaxSpeedKmh) / 3.6
 
 	st := ueState{ltePCI: -1, nrPCI: -1}
@@ -150,7 +150,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		step := speed * cfg.SampleInterval.Seconds()
 		if pos.Dist(target) <= step {
 			pos = target
-			target = roadPoint(campus, walkRng)
+			target = campus.RoadPoint(walkRng.Float64() * campus.RoadLengthM())
 			speed = rng.Uniform(walkRng, cfg.MinSpeedKmh, cfg.MaxSpeedKmh) / 3.6
 		} else {
 			dir := target.Sub(pos)
@@ -356,20 +356,6 @@ func pick(ms []radio.Measurement, servingPCI int) (serving, bestNeighbor radio.M
 		break
 	}
 	return serving, bestNeighbor
-}
-
-// roadPoint draws a random waypoint on the road graph.
-func roadPoint(c *deploy.Campus, r interface{ Float64() float64 }) geom.Point {
-	total := c.RoadLengthM()
-	at := r.Float64() * total
-	for _, road := range c.Roads {
-		l := road.Length()
-		if at <= l {
-			return road.At(at / l)
-		}
-		at -= l
-	}
-	return c.Roads[len(c.Roads)-1].B
 }
 
 // CaseStudySample is one tick of the Fig. 4 RSRQ-evolution trace.

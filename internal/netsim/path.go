@@ -42,8 +42,8 @@ type PathConfig struct {
 
 	// Obs, when non-nil, collects `des.*` and `netsim.*` metrics for
 	// every hop and scheduler this path is built on. Trace additionally
-	// records drop/outage instants into the bounded trace ring. Both
-	// default to off.
+	// records every outage, and every window of a fault plan armed on
+	// the path, as a span in the bounded trace ring. Both default to off.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 
@@ -194,13 +194,13 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	}
 	p.RAN.SetPool(p.Pool)
 
-	if cfg.Obs != nil || cfg.Trace != nil {
-		p.RAN.SetObs(cfg.Obs, cfg.Trace)
-		core.SetObs(cfg.Obs, cfg.Trace)
-		p.Bottleneck.SetObs(cfg.Obs, cfg.Trace)
-		serverWired.SetObs(cfg.Obs, cfg.Trace)
-		ulWired.SetObs(cfg.Obs, cfg.Trace)
-		p.UplinkRAN.SetObs(cfg.Obs, cfg.Trace)
+	if cfg.Obs != nil {
+		p.RAN.SetObs(cfg.Obs)
+		core.SetObs(cfg.Obs)
+		p.Bottleneck.SetObs(cfg.Obs)
+		serverWired.SetObs(cfg.Obs)
+		ulWired.SetObs(cfg.Obs)
+		p.UplinkRAN.SetObs(cfg.Obs)
 	}
 
 	if cfg.Inject != nil {

@@ -65,16 +65,12 @@ type queue struct {
 	Dropped int64
 	OnDrop  func(p *Packet)
 
-	// Telemetry handles (nil = off), resolved once by SetObs; dropLabel
-	// is pre-formatted so the obs-on drop path does no per-packet
-	// string building.
-	cEnq      *obs.Counter
-	cDrop     *obs.Counter
-	cFwd      *obs.Counter
-	cBytes    *obs.Counter
-	occ       *obs.Histogram
-	trace     *obs.Tracer
-	dropLabel string
+	// Telemetry handles (nil = off), resolved once by SetObs.
+	cEnq   *obs.Counter
+	cDrop  *obs.Counter
+	cFwd   *obs.Counter
+	cBytes *obs.Counter
+	occ    *obs.Histogram
 }
 
 // newQueue returns the core of a hop that delivers to next. The caller
@@ -83,16 +79,14 @@ func newQueue(sch *des.Scheduler, name string, rateBps float64, prop time.Durati
 	return queue{
 		Name: name, sch: sch, rateBps: rateBps, prop: prop, limit: limitBytes, relief: relief,
 		deliverFn: func(a any) { next.Receive(a.(*Packet)) },
-		dropLabel: "drop " + name,
 	}
 }
 
 // SetObs attaches `netsim.*{hop=Name}` instruments: packets
 // enqueued/dropped/delivered, delivered bytes, and a buffer-occupancy
-// histogram sampled at each enqueue. Drops additionally emit tracer
-// instants so overflow episodes are visible on the trace timeline.
-func (q *queue) SetObs(reg *obs.Registry, tr *obs.Tracer) {
-	if reg == nil && tr == nil {
+// histogram sampled at each enqueue, in which overflow episodes show.
+func (q *queue) SetObs(reg *obs.Registry) {
+	if reg == nil {
 		return
 	}
 	label := "{hop=" + q.Name + "}"
@@ -101,7 +95,6 @@ func (q *queue) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	q.cFwd = reg.Counter("netsim.pkt_delivered" + label)
 	q.cBytes = reg.Counter("netsim.bytes_delivered" + label)
 	q.occ = reg.Histogram("netsim.occupancy_bytes"+label, obs.ByteBuckets)
-	q.trace = tr
 }
 
 // SetPool attaches the pool used to recycle pool-owned packets the hop
@@ -176,7 +169,6 @@ func (q *queue) Receive(p *Packet) {
 func (q *queue) drop(p *Packet) {
 	q.Dropped++
 	q.cDrop.Inc()
-	q.trace.Instant(q.dropLabel, "netsim", q.sch.Now())
 	if q.OnDrop != nil {
 		q.OnDrop(p)
 	}

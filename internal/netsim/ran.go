@@ -37,8 +37,8 @@ type RANHop struct {
 
 // SetObs attaches the `netsim.*{hop=Name}` instruments of every hop, plus
 // a HARQ retransmission counter (attempts beyond the first).
-func (h *RANHop) SetObs(reg *obs.Registry, tr *obs.Tracer) {
-	h.queue.SetObs(reg, tr)
+func (h *RANHop) SetObs(reg *obs.Registry) {
+	h.queue.SetObs(reg)
 	h.cRetx = reg.Counter("netsim.harq_retx{hop=" + h.Name + "}")
 }
 

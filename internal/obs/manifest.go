@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -110,32 +107,6 @@ func (m RunManifest) String() string {
 		fmt.Fprintf(&b, "  %s\n", met.String())
 	}
 	return b.String()
-}
-
-// WriteJSON writes the manifest as indented JSON.
-func (m RunManifest) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// ReadManifests loads one manifest or a JSON array of manifests from a
-// file (both shapes are accepted, so single-run and campaign outputs
-// interchange).
-func ReadManifests(path string) ([]RunManifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var many []RunManifest
-	if err := json.Unmarshal(data, &many); err == nil {
-		return many, nil
-	}
-	var one RunManifest
-	if err := json.Unmarshal(data, &one); err != nil {
-		return nil, fmt.Errorf("obs: %s is neither a manifest nor a manifest array: %w", path, err)
-	}
-	return []RunManifest{one}, nil
 }
 
 // DiffManifests renders a metric-by-metric comparison of two runs:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -124,10 +125,43 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestRegistryReadsDuringWrites runs every reader of the one
+// instrument copy (Snapshot, Merge, WriteProm, Text, Quantile) against
+// live writers; under -race it checks the copy is the only shared read.
+func TestRegistryReadsDuringWrites(t *testing.T) {
+	r, dst := NewRegistry(), NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				r.Counter("c").Inc()
+				r.Gauge("g").Set(int64(j))
+				r.Histogram("h", DurationBuckets).Observe(float64(j))
+			}
+		}()
+	}
+	for k := 0; k < 20; k++ {
+		r.Snapshot()
+		dst.Merge(r)
+		WriteProm(io.Discard, r)
+		_ = r.Text()
+		r.Histogram("h", DurationBuckets).Quantile(0.5)
+	}
+	wg.Wait()
+	if got := r.Counter("c").Value(); got != 2000 {
+		t.Fatalf("counter = %d, want 2000", got)
+	}
+	if got := r.Histogram("h", nil).Count(); got != 2000 {
+		t.Fatalf("histogram count = %d, want 2000", got)
+	}
+}
+
 func TestTracerRingBoundsAndOrder(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 7; i++ {
-		tr.Instant("e", "cat", time.Duration(i))
+		tr.Span("e", "cat", time.Duration(i), 1)
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -146,7 +180,7 @@ func TestTracerRingBoundsAndOrder(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Span("tx", "netsim", 10*time.Microsecond, 5*time.Microsecond)
-	tr.Instant("drop", "netsim", 20*time.Microsecond)
+	tr.Span("outage", "netsim", 20*time.Microsecond, 7*time.Microsecond)
 	tr.WallSpan("cb", "des", 30*time.Microsecond, 2*time.Microsecond)
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
@@ -164,15 +198,19 @@ func TestChromeTraceExport(t *testing.T) {
 	if out.TraceEvents[0]["ph"] != "X" || out.TraceEvents[0]["ts"] != 10.0 || out.TraceEvents[0]["dur"] != 5.0 {
 		t.Fatalf("span event wrong: %v", out.TraceEvents[0])
 	}
-	if out.TraceEvents[1]["ph"] != "i" || out.TraceEvents[1]["s"] != "g" {
-		t.Fatalf("instant event wrong: %v", out.TraceEvents[1])
+	if out.TraceEvents[1]["ph"] != "X" || out.TraceEvents[1]["ts"] != 20.0 || out.TraceEvents[1]["dur"] != 7.0 {
+		t.Fatalf("second span wrong: %v", out.TraceEvents[1])
+	}
+	wall := out.TraceEvents[2]
+	if wall["ph"] != "X" || wall["ts"] != 30.0 || wall["dur"] != 2.0 || wall["args"].(map[string]any)["wall_dur_us"] != 2.0 {
+		t.Fatalf("wall span wrong: %v", wall)
 	}
 }
 
 func TestNilTracerNoop(t *testing.T) {
 	var tr *Tracer
-	tr.Instant("x", "c", 0)
 	tr.Span("y", "c", 0, 1)
+	tr.WallSpan("z", "c", 0, 1)
 	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
@@ -194,12 +232,12 @@ func TestManifestRoundTripAndDiff(t *testing.T) {
 		t.Fatal("version must be non-empty")
 	}
 
-	var b strings.Builder
-	if err := m.WriteJSON(&b); err != nil {
+	data, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back RunManifest
-	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.ExperimentID != "F7" || back.EventsExecuted != 1234 || len(back.Metrics) != len(m.Metrics) {

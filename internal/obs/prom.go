@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Prometheus text-format exposition (version 0.0.4) of a registry.
@@ -34,69 +33,44 @@ type promFamily struct {
 }
 
 // WriteProm writes the registry in Prometheus text exposition format.
-// A nil registry writes nothing. The snapshot is taken under the
-// registry lock, so it is safe against concurrent instrument writers;
-// handed-out instrument handles keep updating atomically while the
-// exposition renders from the copied state.
+// A nil registry writes nothing. It renders from the registry's one
+// locked copy, so it is safe against concurrent instrument writers.
 func WriteProm(w io.Writer, r *Registry) error {
 	if r == nil {
 		return nil
 	}
 	fams := map[string]*promFamily{}
-	add := func(rawName, kind string, lines func(fam, labels string) []string) {
-		fam, labels := promName(rawName)
-		switch kind {
-		case "gauge-max":
-			fam += "_max"
-			kind = "gauge"
-		}
+	add := func(fam, kind, labels string, lines ...string) {
 		f, ok := fams[fam+" "+kind]
 		if !ok {
 			f = &promFamily{name: fam, kind: kind}
 			fams[fam+" "+kind] = f
 		}
-		f.series = append(f.series, promSeries{labels: labels, lines: lines(fam, labels)})
+		f.series = append(f.series, promSeries{labels: labels, lines: lines})
 	}
-
-	r.mu.Lock()
-	for name, c := range r.counters {
-		v := c.Value()
-		add(name, "counter", func(fam, labels string) []string {
-			return []string{fam + labels + " " + strconv.FormatInt(v, 10)}
-		})
-	}
-	for name, g := range r.gauges {
-		v, mx := g.Value(), g.Max()
-		add(name, "gauge", func(fam, labels string) []string {
-			return []string{fam + labels + " " + strconv.FormatInt(v, 10)}
-		})
-		add(name, "gauge-max", func(fam, labels string) []string {
-			return []string{fam + labels + " " + strconv.FormatInt(mx, 10)}
-		})
-	}
-	for name, h := range r.hists {
-		bounds := h.bounds
-		counts := make([]int64, len(h.counts))
-		for i := range h.counts {
-			counts[i] = atomic.LoadInt64(&h.counts[i])
-		}
-		count := h.Count()
-		sum := h.Sum()
-		add(name, "histogram", func(fam, labels string) []string {
-			out := make([]string, 0, len(bounds)+3)
+	for _, in := range r.instruments() {
+		fam, labels := promName(in.name)
+		switch in.kind {
+		case "counter":
+			add(fam, "counter", labels, fam+labels+" "+strconv.FormatInt(in.v, 10))
+		case "gauge":
+			add(fam, "gauge", labels, fam+labels+" "+strconv.FormatInt(in.v, 10))
+			add(fam+"_max", "gauge", labels, fam+"_max"+labels+" "+strconv.FormatInt(in.max, 10))
+		case "histogram":
+			h := in.hist
+			lines := make([]string, 0, len(h.bounds)+3)
 			var cum int64
-			for i, b := range bounds {
-				cum += counts[i]
-				out = append(out, fam+"_bucket"+mergeLE(labels, formatPromFloat(b))+" "+strconv.FormatInt(cum, 10))
+			for i, b := range h.bounds {
+				cum += h.counts[i]
+				lines = append(lines, fam+"_bucket"+mergeLE(labels, formatPromFloat(b))+" "+strconv.FormatInt(cum, 10))
 			}
-			out = append(out,
-				fam+"_bucket"+mergeLE(labels, "+Inf")+" "+strconv.FormatInt(count, 10),
-				fam+"_sum"+labels+" "+formatPromFloat(sum),
-				fam+"_count"+labels+" "+strconv.FormatInt(count, 10))
-			return out
-		})
+			lines = append(lines,
+				fam+"_bucket"+mergeLE(labels, "+Inf")+" "+strconv.FormatInt(h.count, 10),
+				fam+"_sum"+labels+" "+formatPromFloat(h.sum),
+				fam+"_count"+labels+" "+strconv.FormatInt(h.count, 10))
+			add(fam, "histogram", labels, lines...)
+		}
 	}
-	r.mu.Unlock()
 
 	keys := make([]string, 0, len(fams))
 	for k := range fams {

@@ -16,9 +16,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -62,12 +60,7 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	atomic.StoreInt64(&g.v, v)
-	for {
-		m := atomic.LoadInt64(&g.max)
-		if v <= m || atomic.CompareAndSwapInt64(&g.max, m, v) {
-			return
-		}
-	}
+	g.raise(v)
 }
 
 // Add shifts the current level by delta. Nil-safe.
@@ -75,7 +68,11 @@ func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
 	}
-	v := atomic.AddInt64(&g.v, delta)
+	g.raise(atomic.AddInt64(&g.v, delta))
+}
+
+// raise lifts the high-water mark to v if v exceeds it.
+func (g *Gauge) raise(v int64) {
 	for {
 		m := atomic.LoadInt64(&g.max)
 		if v <= m || atomic.CompareAndSwapInt64(&g.max, m, v) {
@@ -177,35 +174,104 @@ func (h *Histogram) Sum() float64 {
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // inside the landing bucket, clamped to the observed min/max. Nil-safe.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.Count() == 0 {
+	if h == nil {
 		return 0
 	}
-	target := q * float64(h.Count())
+	return h.load().quantile(q)
+}
+
+// histState is a histogram's atomics copied out at one instant; bounds
+// are shared, since a histogram never changes them after creation.
+type histState struct {
+	bounds        []float64
+	counts        []int64
+	count         int64
+	sum, min, max float64
+}
+
+func (h *Histogram) load() histState {
+	s := histState{
+		bounds: h.bounds,
+		counts: make([]int64, len(h.counts)),
+		count:  atomic.LoadInt64(&h.count),
+		sum:    math.Float64frombits(atomic.LoadUint64(&h.sum)),
+		min:    math.Float64frombits(atomic.LoadUint64(&h.min)),
+		max:    math.Float64frombits(atomic.LoadUint64(&h.max)),
+	}
+	for i := range h.counts {
+		s.counts[i] = atomic.LoadInt64(&h.counts[i])
+	}
+	return s
+}
+
+func (s histState) quantile(q float64) float64 {
+	if s.count == 0 {
+		return 0
+	}
+	target := q * float64(s.count)
 	var cum float64
-	lo := math.Float64frombits(atomic.LoadUint64(&h.min))
-	for i, bound := range h.bounds {
-		c := float64(atomic.LoadInt64(&h.counts[i]))
+	lo := s.min
+	for i, bound := range s.bounds {
+		c := float64(s.counts[i])
 		if cum+c >= target && c > 0 {
-			frac := (target - cum) / c
-			v := lo + frac*(bound-lo)
-			return clampQ(h, v)
+			v := lo + (target-cum)/c*(bound-lo)
+			if v < s.min {
+				v = s.min
+			}
+			if v > s.max {
+				v = s.max
+			}
+			return v
 		}
 		cum += c
 		if bound > lo {
 			lo = bound
 		}
 	}
-	return math.Float64frombits(atomic.LoadUint64(&h.max))
+	return s.max
 }
 
-func clampQ(h *Histogram, v float64) float64 {
-	if mn := math.Float64frombits(atomic.LoadUint64(&h.min)); v < mn {
-		v = mn
+// add folds a copied histogram into h. When the ladders disagree (the
+// name was first registered with different bounds), each source bucket
+// is re-bucketed at its upper bound and the overflow bucket at the
+// observed max.
+func (h *Histogram) add(s histState) {
+	same := equalBounds(h.bounds, s.bounds)
+	var count int64
+	for i, c := range s.counts {
+		if c == 0 {
+			continue
+		}
+		j := i
+		if !same {
+			v := s.max
+			if i < len(s.bounds) {
+				v = s.bounds[i]
+			}
+			j = sort.SearchFloat64s(h.bounds, v)
+		}
+		atomic.AddInt64(&h.counts[j], c)
+		count += c
 	}
-	if mx := math.Float64frombits(atomic.LoadUint64(&h.max)); v > mx {
-		v = mx
+	if count == 0 {
+		return
 	}
-	return v
+	atomic.AddInt64(&h.count, count)
+	addFloat(&h.sum, s.sum)
+	casFloat(&h.min, s.min, func(cur float64) bool { return s.min < cur })
+	casFloat(&h.max, s.max, func(cur float64) bool { return s.max > cur })
+}
+
+func equalBounds(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Default bucket ladders for the simulator's common units.
@@ -295,6 +361,39 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// instrument is one registry instrument copied out under the registry
+// lock: the one read path behind Snapshot, Merge and WriteProm.
+type instrument struct {
+	name string
+	kind string // counter | gauge | histogram
+	v    int64  // counter value or gauge level
+	max  int64  // gauge high-water mark
+	hist histState
+}
+
+// instruments copies every instrument, sorted by name.
+func (r *Registry) instruments() []instrument {
+	r.mu.Lock()
+	out := make([]instrument, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	for name, c := range r.counters {
+		out = append(out, instrument{name: name, kind: "counter", v: c.Value()})
+	}
+	for name, g := range r.gauges {
+		out = append(out, instrument{name: name, kind: "gauge", v: g.Value(), max: g.Max()})
+	}
+	for name, h := range r.hists {
+		out = append(out, instrument{name: name, kind: "histogram", hist: h.load()})
+	}
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].name != out[j].name {
+			return out[i].name < out[j].name
+		}
+		return out[i].kind < out[j].kind
+	})
+	return out
+}
+
 // Merge folds src's instruments into r: counters sum, gauges take src's
 // current value (last write wins) while high-water marks take the max,
 // and histogram buckets add. Instruments missing from r are created.
@@ -305,104 +404,25 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // merges them in shard order, so merged counter totals and histogram
 // bucket counts are identical for every worker count. (Histogram float
 // sums are accumulated in merge order and may differ from a serial run
-// in the last ulp.) Merge snapshots src first, so it is safe against
+// in the last ulp.) Merge copies src first, so it is safe against
 // concurrent writers on either side, but the combined result is only
 // meaningful once src's shard has finished writing.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil || r == src {
 		return
 	}
-	type histCopy struct {
-		bounds []float64
-		counts []int64
-		sum    float64
-		min    float64
-		max    float64
-	}
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Value()
-	}
-	type gaugeCopy struct{ v, max int64 }
-	gauges := make(map[string]gaugeCopy, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = gaugeCopy{v: g.Value(), max: g.Max()}
-	}
-	hists := make(map[string]histCopy, len(src.hists))
-	for name, h := range src.hists {
-		hc := histCopy{
-			bounds: append([]float64(nil), h.bounds...),
-			counts: make([]int64, len(h.counts)),
-			sum:    h.Sum(),
-			min:    math.Float64frombits(atomic.LoadUint64(&h.min)),
-			max:    math.Float64frombits(atomic.LoadUint64(&h.max)),
-		}
-		for i := range h.counts {
-			hc.counts[i] = atomic.LoadInt64(&h.counts[i])
-		}
-		hists[name] = hc
-	}
-	src.mu.Unlock()
-
-	for name, v := range counters {
-		r.Counter(name).Add(v)
-	}
-	for name, g := range gauges {
-		dst := r.Gauge(name)
-		atomic.StoreInt64(&dst.v, g.v)
-		for {
-			m := atomic.LoadInt64(&dst.max)
-			if g.max <= m || atomic.CompareAndSwapInt64(&dst.max, m, g.max) {
-				break
-			}
+	for _, in := range src.instruments() {
+		switch in.kind {
+		case "counter":
+			r.Counter(in.name).Add(in.v)
+		case "gauge":
+			g := r.Gauge(in.name)
+			atomic.StoreInt64(&g.v, in.v)
+			g.raise(in.max)
+		case "histogram":
+			r.Histogram(in.name, in.hist.bounds).add(in.hist)
 		}
 	}
-	for name, hc := range hists {
-		dst := r.Histogram(name, hc.bounds)
-		var count int64
-		if equalBounds(dst.bounds, hc.bounds) {
-			for i, c := range hc.counts {
-				atomic.AddInt64(&dst.counts[i], c)
-				count += c
-			}
-		} else {
-			// Bounds disagree (the name was first registered with a
-			// different ladder): re-bucket each source bucket at its
-			// upper bound; the overflow bucket lands at the observed max.
-			for i, c := range hc.counts {
-				if c == 0 {
-					continue
-				}
-				v := hc.max
-				if i < len(hc.bounds) {
-					v = hc.bounds[i]
-				}
-				j := sort.SearchFloat64s(dst.bounds, v)
-				atomic.AddInt64(&dst.counts[j], c)
-				count += c
-			}
-		}
-		if count == 0 {
-			continue
-		}
-		atomic.AddInt64(&dst.count, count)
-		addFloat(&dst.sum, hc.sum)
-		casFloat(&dst.min, hc.min, func(cur float64) bool { return hc.min < cur })
-		casFloat(&dst.max, hc.max, func(cur float64) bool { return hc.max > cur })
-	}
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Metric is one snapshotted instrument.
@@ -427,29 +447,21 @@ func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, Metric{Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: "gauge", Value: float64(g.Value()), Max: float64(g.Max())})
-	}
-	for name, h := range r.hists {
-		m := Metric{Name: name, Kind: "histogram", Count: h.Count(), Sum: h.Sum()}
-		if m.Count > 0 {
-			m.Value = m.Sum / float64(m.Count)
-			m.Min = math.Float64frombits(atomic.LoadUint64(&h.min))
-			m.Max = math.Float64frombits(atomic.LoadUint64(&h.max))
-			m.P50 = h.Quantile(0.50)
-			m.P90 = h.Quantile(0.90)
-			m.P95 = h.Quantile(0.95)
-			m.P99 = h.Quantile(0.99)
+	ins := r.instruments()
+	out := make([]Metric, len(ins))
+	for i, in := range ins {
+		m := Metric{Name: in.name, Kind: in.kind, Value: float64(in.v), Max: float64(in.max)}
+		if h := in.hist; in.kind == "histogram" && h.count > 0 {
+			m.Count, m.Sum = h.count, h.sum
+			m.Value = h.sum / float64(h.count)
+			m.Min, m.Max = h.min, h.max
+			m.P50 = h.quantile(0.50)
+			m.P90 = h.quantile(0.90)
+			m.P95 = h.quantile(0.95)
+			m.P99 = h.quantile(0.99)
 		}
-		out = append(out, m)
+		out[i] = m
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -466,26 +478,13 @@ func (m Metric) String() string {
 	}
 }
 
-// WriteText writes the sorted text exposition of the registry.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, m := range r.Snapshot() {
-		if _, err := fmt.Fprintln(w, m.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Text returns the sorted text exposition as a string.
+// Text returns the sorted text exposition of the registry, one metric
+// per line.
 func (r *Registry) Text() string {
 	var b strings.Builder
-	r.WriteText(&b)
+	for _, m := range r.Snapshot() {
+		b.WriteString(m.String())
+		b.WriteByte('\n')
+	}
 	return b.String()
-}
-
-// WriteJSON writes the snapshot as a JSON array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -7,16 +7,14 @@ import (
 	"time"
 )
 
-// TraceEvent is one timestamped record. Sim holds the simulated
-// timestamp; Wall the wall-clock offset since the tracer was created.
-// Complete events ("X") additionally carry a duration: SimDur for spans
-// measured in simulated time, WallDur for spans measured in wall time
-// (e.g. DES callback profiling, where the callback consumes zero sim
-// time but real CPU).
+// TraceEvent is one complete span. Sim holds the simulated start; Wall
+// the wall-clock offset since the tracer was created. The duration is
+// SimDur for spans measured in simulated time, WallDur for spans
+// measured in wall time (e.g. a population tick, which consumes real
+// CPU at one simulated instant).
 type TraceEvent struct {
 	Name    string
 	Cat     string
-	Phase   byte // 'X' complete span, 'i' instant
 	Sim     time.Duration
 	SimDur  time.Duration
 	Wall    time.Duration
@@ -65,18 +63,13 @@ func (t *Tracer) Emit(e TraceEvent) {
 
 // Span records a complete span in simulated time. Nil-safe.
 func (t *Tracer) Span(name, cat string, simStart, simDur time.Duration) {
-	t.Emit(TraceEvent{Name: name, Cat: cat, Phase: 'X', Sim: simStart, SimDur: simDur})
+	t.Emit(TraceEvent{Name: name, Cat: cat, Sim: simStart, SimDur: simDur})
 }
 
 // WallSpan records a span anchored at simulated time simStart whose
-// duration is wall-clock CPU time (DES callback profiling). Nil-safe.
+// duration is wall-clock CPU time. Nil-safe.
 func (t *Tracer) WallSpan(name, cat string, simStart, wallDur time.Duration) {
-	t.Emit(TraceEvent{Name: name, Cat: cat, Phase: 'X', Sim: simStart, WallDur: wallDur})
-}
-
-// Instant records a point event at simulated time sim. Nil-safe.
-func (t *Tracer) Instant(name, cat string, sim time.Duration) {
-	t.Emit(TraceEvent{Name: name, Cat: cat, Phase: 'i', Sim: sim})
+	t.Emit(TraceEvent{Name: name, Cat: cat, Sim: simStart, WallDur: wallDur})
 }
 
 // Events returns the buffered events oldest-first. Nil-safe.
@@ -120,7 +113,6 @@ type chromeEvent struct {
 	Dur   float64        `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -146,7 +138,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		ce := chromeEvent{
 			Name:  e.Name,
 			Cat:   e.Cat,
-			Phase: string(e.Phase),
+			Phase: "X",
 			TS:    float64(e.Sim) / float64(time.Microsecond),
 			PID:   1,
 			TID:   tid,
@@ -158,9 +150,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		case e.WallDur != 0:
 			ce.Dur = float64(e.WallDur) / float64(time.Microsecond)
 			ce.Args["wall_dur_us"] = ce.Dur
-		}
-		if e.Phase == 'i' {
-			ce.Scope = "g"
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}

@@ -164,7 +164,7 @@ func (p *Population) spawnUE(i int, r *rand.Rand) {
 	p.tx[i], p.ty[i] = p.x[i], p.y[i]
 	p.speed[i] = 0
 	if m.MaxSpeedKmh > 0 {
-		t := roadWaypoint(p.Campus, r)
+		t := p.Campus.RoadPoint(r.Float64() * p.Campus.RoadLengthM())
 		p.tx[i], p.ty[i] = t.X, t.Y
 		p.speed[i] = drawSpeedKmh(r, *m) / 3.6
 	}

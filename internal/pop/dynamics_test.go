@@ -15,8 +15,8 @@ import (
 // The population-dynamics property/invariant suite (ISSUE 8): churn
 // conservation, A3 TTT/hysteresis invariants, load-coupling boundedness,
 // the N=1 probe contract under A3, Workers-equivalence with every
-// dynamic enabled, cancellation safety, the attach-skip equivalence and
-// the steady-state allocation guard.
+// dynamic enabled, cancellation safety and the steady-state allocation
+// guard.
 
 func dynamicsModelForTest(n, ticks int) Model {
 	m := DefaultModel()
@@ -342,32 +342,6 @@ func TestChurnCancellation(t *testing.T) {
 	p2, err := RunContext(context.Background(), campus, m, 42, 4, Telemetry{})
 	if err != nil || p2.Ticks() != m.Ticks {
 		t.Fatalf("clean run: err %v ticks %d, want nil and %d", err, p2.Ticks(), m.Ticks)
-	}
-}
-
-// TestAttachSkipEquivalence pins the moved-bitmask optimization: a
-// static population (the skip path's steady state) produces reports
-// byte-identical to the always-recompute path.
-func TestAttachSkipEquivalence(t *testing.T) {
-	m := popModelForTest(800, 12)
-	m.MaxSpeedKmh = 0
-	campus := deploy.New(42)
-
-	fast := New(campus, m, 42)
-	slow := New(campus, m, 42)
-	slow.noAttachSkip = true
-	for k := 0; k < m.Ticks; k++ {
-		fast.Tick(1)
-		slow.Tick(1)
-	}
-	if a, b := reportFingerprint(fast), reportFingerprint(slow); a != b {
-		t.Fatalf("attach-skip path diverged from recompute path:\n--- skip ---\n%s--- recompute ---\n%s", a, b)
-	}
-	for i := 0; i < fast.n; i++ {
-		if fast.cell[i] != slow.cell[i] || fast.se[i] != slow.se[i] {
-			t.Fatalf("UE %d: skip path cell/se (%d, %g) != recompute (%d, %g)",
-				i, fast.cell[i], fast.se[i], slow.cell[i], slow.se[i])
-		}
 	}
 }
 

@@ -121,9 +121,9 @@ type Population struct {
 	grantPRB  []int32   // this tick's PRB grant
 
 	// Dynamics state (dynamics.go). bornTick is -1 on free slots and
-	// doubles as the attach-skip / lifetime anchor; a3Hold is the A3
-	// time-to-trigger counter in ticks; prevCell/lastHOTick feed the
-	// ping-pong detector; hoCount/ppCount are per-UE event totals.
+	// otherwise anchors the lifetime; a3Hold is the A3 time-to-trigger
+	// counter in ticks; prevCell/lastHOTick feed the ping-pong detector;
+	// hoCount/ppCount are per-UE event totals.
 	bornTick   []int32
 	deathTick  []int32
 	a3Hold     []int32
@@ -144,10 +144,6 @@ type Population struct {
 	// utilization EWMA published onto them each tick.
 	baseLoad []float64
 	loadEwma []float64
-
-	// noAttachSkip disables the moved-bitmask attach reuse (tests hold
-	// the skip path byte-identical to the always-recompute path).
-	noAttachSkip bool
 
 	// Cells, dense-indexed NR first then LTE.
 	cells  []*radio.Cell
@@ -270,7 +266,7 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	if m.MaxSpeedKmh > 0 {
 		walkRng := src.Stream("pop.walk")
 		for i := 0; i < n; i++ {
-			t := roadWaypoint(c, walkRng)
+			t := c.RoadPoint(walkRng.Float64() * c.RoadLengthM())
 			p.tx[i], p.ty[i] = t.X, t.Y
 			p.speed[i] = drawSpeedKmh(walkRng, m) / 3.6
 		}
@@ -365,20 +361,6 @@ func drawSpeedKmh(r *rand.Rand, m Model) float64 {
 	return rng.Uniform(r, lo, hi)
 }
 
-// roadWaypoint draws a random waypoint on the campus road graph — the
-// same distance-proportional draw the hand-off walker uses.
-func roadWaypoint(c *deploy.Campus, r *rand.Rand) geom.Point {
-	at := r.Float64() * c.RoadLengthM()
-	for _, road := range c.Roads {
-		l := road.Length()
-		if at <= l {
-			return road.At(at / l)
-		}
-		at -= l
-	}
-	return c.Roads[len(c.Roads)-1].B
-}
-
 // Len returns the arena size — the population size without churn, the
 // slot capacity with it (Alive counts the live UEs).
 func (p *Population) Len() int { return p.n }
@@ -389,9 +371,8 @@ func (p *Population) Ticks() int { return p.tick }
 // Place pins UE i at pos and cancels its current waypoint (the probe
 // harness teleports its single UE along surveyed positions this way).
 // A teleport is a fresh camp: the serving-cell state and the A3
-// time-to-trigger reset, and the attach-skip cache is invalidated, so
-// the next tick resolves the best server at the new position exactly as
-// the survey pipeline does.
+// time-to-trigger reset, so the next tick resolves the best server at
+// the new position exactly as the survey pipeline does.
 func (p *Population) Place(i int, pos geom.Point) {
 	p.x[i], p.y[i] = pos.X, pos.Y
 	p.tx[i], p.ty[i] = pos.X, pos.Y
@@ -399,7 +380,6 @@ func (p *Population) Place(i int, pos geom.Point) {
 	p.cell[i] = -1
 	p.se[i] = 0
 	p.a3Hold[i] = 0
-	p.bornTick[i] = int32(p.tick) // force attach resolution next tick
 }
 
 // ServingPCI returns UE i's serving cell PCI after the last tick, or -1
@@ -527,14 +507,13 @@ func (p *Population) Tick(workers int) {
 // Writes are confined to UE i's slots.
 func (p *Population) stepUE(i int, r *rand.Rand) {
 	m := &p.Model
-	moved := false
 	if m.MaxSpeedKmh > 0 && p.speed[i] > 0 {
 		pos := geom.Point{X: p.x[i], Y: p.y[i]}
 		tgt := geom.Point{X: p.tx[i], Y: p.ty[i]}
 		step := p.speed[i] * m.TickDur.Seconds()
 		if pos.Dist(tgt) <= step {
 			pos = tgt
-			nt := roadWaypoint(p.Campus, r)
+			nt := p.Campus.RoadPoint(r.Float64() * p.Campus.RoadLengthM())
 			p.tx[i], p.ty[i] = nt.X, nt.Y
 			p.speed[i] = drawSpeedKmh(r, *m) / 3.6
 		} else {
@@ -542,7 +521,6 @@ func (p *Population) stepUE(i int, r *rand.Rand) {
 			norm := math.Hypot(dir.X, dir.Y)
 			pos = pos.Add(dir.Scale(step / norm))
 		}
-		moved = pos.X != p.x[i] || pos.Y != p.y[i]
 		p.x[i], p.y[i] = pos.X, pos.Y
 	}
 
@@ -554,18 +532,6 @@ func (p *Population) stepUE(i int, r *rand.Rand) {
 
 	if m.A3.Enabled {
 		p.a3Attach(i, d)
-		return
-	}
-
-	if p.canReuseAttach(i, moved) {
-		// Unmoved UE on the memoryless path: BestServer is a pure
-		// function of position and the (static) cell Loads, so last
-		// tick's serving cell and SE are still exact — skip the field-map
-		// lookups entirely. Demand still varies tick to tick, so the
-		// PRB conversion reruns.
-		if ci := p.cell[i]; ci >= 0 {
-			p.setDemandPRB(i, int(ci), d)
-		}
 		return
 	}
 
@@ -586,19 +552,6 @@ func (p *Population) stepUE(i int, r *rand.Rand) {
 	p.cell[i] = ci
 	p.se[i] = serving.SE
 	p.setDemandPRB(i, int(ci), d)
-}
-
-// canReuseAttach reports whether UE i's cached serving cell and SE from
-// the previous tick are still exact, making the attach lookups skippable.
-// True only when the UE did not move this tick, a previous tick resolved
-// the cache (tick > 0 and the slot was not born or teleported this tick),
-// and nothing position-independent can shift the answer: load coupling
-// changes SINR between ticks, and the A3 path never reaches here (its TTT
-// counter must observe every tick).
-func (p *Population) canReuseAttach(i int, moved bool) bool {
-	return !moved && !p.noAttachSkip &&
-		p.tick > 0 && p.bornTick[i] != int32(p.tick) &&
-		!p.Model.LoadCoupling.Enabled
 }
 
 // setDemandPRB converts UE i's offered rate d into this tick's PRB demand

@@ -29,9 +29,9 @@ import (
 //	GET    /campaigns                list campaign statuses
 //	GET    /campaigns/{id}           status snapshot with ETA
 //	GET    /campaigns/{id}/stream    replay + tail events (NDJSON; SSE
-//	                                 with Accept: text/event-stream)
+//	                                 with Accept: text/event-stream);
+//	                                 saved NDJSON is what fgobs reads
 //	GET    /campaigns/{id}/report    text report (unit order)
-//	GET    /campaigns/{id}/manifest  run-manifest artifact (JSON array)
 //	DELETE /campaigns/{id}           cancel via context cancellation
 
 // errorDoc is the uniform JSON error body.
@@ -99,7 +99,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /campaigns/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /campaigns/{id}/report", s.handleReport)
-	mux.HandleFunc("GET /campaigns/{id}/manifest", s.handleManifest)
 	mux.HandleFunc("DELETE /campaigns/{id}", s.handleCancel)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -110,9 +109,8 @@ func (s *Service) Handler() http.Handler {
 		fmt.Fprintln(w, "  POST   /campaigns                submit a campaign spec (fgserve.spec/v1)")
 		fmt.Fprintln(w, "  GET    /campaigns                list campaigns")
 		fmt.Fprintln(w, "  GET    /campaigns/{id}           status snapshot (ETA, unit counts)")
-		fmt.Fprintln(w, "  GET    /campaigns/{id}/stream    result/progress stream (NDJSON or SSE)")
+		fmt.Fprintln(w, "  GET    /campaigns/{id}/stream    result/progress stream (NDJSON or SSE; fgobs reads saved NDJSON)")
 		fmt.Fprintln(w, "  GET    /campaigns/{id}/report    text report of completed units")
-		fmt.Fprintln(w, "  GET    /campaigns/{id}/manifest  run-manifest artifact (JSON array)")
 		fmt.Fprintln(w, "  DELETE /campaigns/{id}           cancel the campaign")
 		fmt.Fprintln(w, "  GET    /metrics                  Prometheus text exposition")
 		fmt.Fprintln(w, "  GET    /metrics.json /progress   JSON mirrors")
@@ -178,20 +176,6 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Fgserve-State", string(state))
 	fmt.Fprint(w, text)
-}
-
-func (s *Service) handleManifest(w http.ResponseWriter, r *http.Request) {
-	ms, err := s.manifests(r.PathValue("id"))
-	if err != nil {
-		writeError(w, errorCode(err), err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", r.PathValue("id")+"-manifest.json"))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ms)
 }
 
 // handleStream writes the campaign's event log — replay then live tail

@@ -450,7 +450,7 @@ func TestHTTPValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("POST of a %d-byte spec: status %d, want 400", len(big), resp.StatusCode)
 	}
-	for _, path := range []string{"/campaigns/c9999", "/campaigns/c9999/stream", "/campaigns/c9999/report", "/campaigns/c9999/manifest"} {
+	for _, path := range []string{"/campaigns/c9999", "/campaigns/c9999/stream", "/campaigns/c9999/report"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -497,7 +497,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Tail the stream to completion, collecting result IDs in arrival
-	// order and checking the v1 result envelope decodes.
+	// order and checking the v1 result envelope decodes and carries its
+	// run manifest.
 	resp, err = http.Get(ts.URL + "/campaigns/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -518,6 +519,9 @@ func TestServiceEndToEnd(t *testing.T) {
 		case "result":
 			if ev.Result == nil || ev.Result.ID == "" {
 				t.Fatalf("result event without result: %s", sc.Text())
+			}
+			if ev.Result.Manifest.ExperimentID != ev.Result.ID {
+				t.Fatalf("result %s carries manifest %q", ev.Result.ID, ev.Result.Manifest.ExperimentID)
 			}
 			resultIDs = append(resultIDs, ev.Result.ID)
 		case "status":
@@ -547,20 +551,6 @@ func TestServiceEndToEnd(t *testing.T) {
 		if !strings.Contains(prom.String(), series) {
 			t.Fatalf("/metrics missing %q:\n%s", series, prom.String())
 		}
-	}
-
-	// The manifest artifact holds one manifest per unit, in order.
-	resp, err = http.Get(ts.URL + "/campaigns/" + st.ID + "/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var manifests []json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&manifests); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(manifests) != 3 {
-		t.Fatalf("manifest artifact has %d entries, want 3", len(manifests))
 	}
 
 	// Acceptance: the served report is byte-identical to the same spec

@@ -641,20 +641,3 @@ func (s *Service) report(id string) (string, State, error) {
 	}
 	return string(b), c.state, nil
 }
-
-// manifests returns the run manifests of completed units in unit order.
-func (s *Service) manifests(id string) ([]obs.RunManifest, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.campaigns[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	out := make([]obs.RunManifest, 0, c.completed)
-	for ui := range c.units {
-		if c.done[ui] {
-			out = append(out, c.results[ui].Manifest)
-		}
-	}
-	return out, nil
-}

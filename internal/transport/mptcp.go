@@ -48,15 +48,6 @@ func (m *MPTCP) Start() {
 	}
 }
 
-// DeliveredBytes returns the aggregate in-order bytes across subflows.
-func (m *MPTCP) DeliveredBytes() int64 {
-	var n int64
-	for _, c := range m.subflows {
-		n += c.DeliveredBytes
-	}
-	return n
-}
-
 // RunMPTCPBulk runs a dual-path bulk transfer (one subflow per config)
 // and compares against the single-path throughputs.
 func RunMPTCPBulk(cfgs []netsim.PathConfig, ctrlName string, duration time.Duration) MPTCPResult {

@@ -47,7 +47,6 @@ type Conn struct {
 	maxSent int64 // highest byte ever sent
 	limit   int64 // application bytes available (Bulk = unbounded)
 
-	dupAcks      int
 	inRecovery   bool
 	recoverPoint int64
 	retxNext     int64
@@ -63,10 +62,9 @@ type Conn struct {
 	pacingBusy bool
 
 	// Receiver state.
-	rcvNext  int64
-	ooo      intervalSet
-	ackEvery int
-	unacked  int
+	rcvNext int64
+	ooo     intervalSet
+	unacked int
 
 	// sack logs every range the receiver adds to ooo, so an ACK carries
 	// a mark into the log instead of a copy of the map (see sackLog).
@@ -82,13 +80,16 @@ type Conn struct {
 	rxWindows      []RateSample
 
 	// Done fires once when limit bytes have been acknowledged.
-	Done   func(at time.Duration)
-	doneAt time.Duration
-	fired  bool
+	Done  func(at time.Duration)
+	fired bool
 }
 
 // minRTO guards the retransmission timer (Linux: 200 ms).
 const minRTO = 200 * time.Millisecond
+
+// ackEvery is the receiver's delayed-ACK count: one ACK per two in-order
+// segments.
+const ackEvery = 2
 
 // Bulk marks an unbounded transfer.
 const Bulk = int64(1) << 62
@@ -99,7 +100,7 @@ const Bulk = int64(1) << 62
 func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64) *Conn {
 	c := &Conn{
 		sch: sch, path: path, ctrl: cc.New(ctrlName), limit: limit,
-		rto: time.Second, ackEvery: 2,
+		rto: time.Second,
 	}
 	if c.ctrl == nil {
 		panic("transport: unknown congestion controller " + ctrlName)
@@ -139,9 +140,6 @@ func (c *Conn) Start() {
 
 // RxRates returns the 100 ms receiver throughput series.
 func (c *Conn) RxRates() []RateSample { return c.rxWindows }
-
-// FinishedAt returns when the transfer completed (zero if still running).
-func (c *Conn) FinishedAt() time.Duration { return c.doneAt }
 
 // SRTT returns the smoothed RTT estimate.
 func (c *Conn) SRTT() time.Duration { return c.srtt }
@@ -281,7 +279,7 @@ func (c *Conn) onData(p *netsim.Packet) {
 	// ACK policy: every ackEvery in-order segments, immediately on
 	// out-of-order arrivals (to report SACK blocks fast).
 	c.unacked++
-	if !inOrder || c.ooo.Len() > 0 || c.unacked >= c.ackEvery {
+	if !inOrder || c.ooo.Len() > 0 || c.unacked >= ackEvery {
 		c.unacked = 0
 		echo := p.SentAt
 		if p.Retransmit {
@@ -343,7 +341,6 @@ func (c *Conn) onAck(p *netsim.Packet) {
 			c.sp = c.una
 		}
 		c.DeliveredBytes = c.una
-		c.dupAcks = 0
 		c.repairProgressAt = now
 		rtt := c.srtt
 		if rtt == 0 {
@@ -356,14 +353,11 @@ func (c *Conn) onAck(p *netsim.Packet) {
 		c.armRTO()
 		if !c.fired && c.una >= c.limit {
 			c.fired = true
-			c.doneAt = now
 			c.rtoTimer.Cancel()
 			if c.Done != nil {
 				c.Done(now)
 			}
 		}
-	} else if p.AckSeq == c.una && c.una < c.maxSent {
-		c.dupAcks++
 	}
 
 	// Loss detection: SACK reporting ≥3 segments above a hole
@@ -446,7 +440,6 @@ func (c *Conn) onRTO() {
 	c.RTOs++
 	c.ctrl.OnRTO(c.sch.Now())
 	c.inRecovery = false
-	c.dupAcks = 0
 	c.sacked.Clear() // conservative: forget SACK state
 	c.sp = c.una     // go-back-N
 	c.sendSegment(c.una, true)

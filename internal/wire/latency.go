@@ -115,13 +115,14 @@ func RTTScatter(seed int64, workers int) []Fig13Pair {
 		p5 := MeasureServer(radio.NR, s, 30, seed+int64(site*1000+s.ID)+7)
 		return Fig13Pair{
 			Server: s,
-			RTT4G:  meanRTT(p4),
-			RTT5G:  meanRTT(p5),
+			RTT4G:  MeanRTT(p4),
+			RTT5G:  MeanRTT(p5),
 		}
 	})
 }
 
-func meanRTT(ps []Probe) time.Duration {
+// MeanRTT returns the mean round-trip time of a probe series.
+func MeanRTT(ps []Probe) time.Duration {
 	var sum time.Duration
 	for _, p := range ps {
 		sum += p.RTT

@@ -124,6 +124,35 @@ func TestResultJSONSchemaGate(t *testing.T) {
 	}
 }
 
+// FuzzResultJSON holds the result/v1 decoder to a round trip: whatever
+// bytes decode as a Result must encode, decode and encode again to the
+// same bytes, and nothing may panic. The seed corpus under
+// testdata/fuzz/FuzzResultJSON holds the golden result, a bare record,
+// an unknown schema and a manifest with no ID or version.
+func FuzzResultJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Result
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		first, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("decoded %q but cannot encode it: %v", data, err)
+		}
+		var back Result
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("cannot decode its own encoding %s: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("cannot re-encode %s: %v", first, err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip drifted:\n%s\n%s", first, second)
+		}
+	})
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
 # race pass over the parallel campaign engine, short fuzzes of the TCP
-# engine's interval set and SACK log, of the DES heap and of fault-plan
-# validation, the fgserve smoke, the benchmark module's tests, and one
-# run of every internal micro-bench.
+# engine's interval set and SACK log, of the DES heap, of fault-plan
+# validation and of the result/v1 decode round trip, the fgserve smoke
+# (which reads a saved stream back through fgobs), the benchmark
+# module's tests, and one run of every internal micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -41,7 +42,7 @@ echo "== population suite (PRB properties, determinism, N=1, alloc guards) =="
 go test -race -short ./internal/pop/ ./internal/traffic/ ./internal/deploy/
 
 echo "== pop-dynamics property suite (churn conservation, A3 invariants, cancellation) =="
-go test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|AttachSkip|ProbeContract|EstimateETA' \
+go test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|ProbeContract|EstimateETA' \
 	./internal/pop/ ./internal/handoff/ ./internal/obs/
 
 echo "== fuzz: intervalSet against a bitmap model (10 s) =="
@@ -56,14 +57,18 @@ go test -run '^$' -fuzz '^FuzzScheduler$' -fuzztime 10s ./internal/des
 echo "== fuzz: fault.Plan.Validate against an independent well-formedness check (10 s) =="
 go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/fault
 
+echo "== fuzz: result/v1 decode, encode, decode, encode round trip (10 s) =="
+go test -run '^$' -fuzz '^FuzzResultJSON$' -fuzztime 10s .
+
 echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> /progress -> SIGINT) =="
 # Start the campaign service on an ephemeral port and run two campaigns
 # back to back. The first lists its experiments OUT of paper order and
 # must stream them in paper order (T1 before F4) while a live serve_
-# series shows in /metrics. The second (X12,F10) must put population and
-# DES series in /metrics, and /progress must count both campaigns'
-# units service-wide. fgobs tail must follow the service to done, and
-# SIGINT — the one shutdown path — must drain it clean.
+# series shows in /metrics; its saved stream is a results file, which
+# fgobs show and diff must read. The second (X12,F10) must put
+# population and DES series in /metrics, and /progress must count both
+# campaigns' units service-wide. fgobs tail must follow the service to
+# done, and SIGINT — the one shutdown path — must drain it clean.
 go build -o /tmp/fgserve_ci ./cmd/fgserve
 go build -o /tmp/fgobs_ci ./cmd/fgobs
 /tmp/fgserve_ci -addr 127.0.0.1:0 -pool 2 >/tmp/fgserve_ci.log 2>&1 &
@@ -85,9 +90,15 @@ curl -fsS "http://$ADDR/metrics" > /tmp/fgserve_metrics.txt
 grep -q '^serve_campaigns_submitted 1' /tmp/fgserve_metrics.txt || {
 	echo "no live serve_ series in /metrics" >&2; cat /tmp/fgserve_metrics.txt >&2; exit 1; }
 ORDER=$(curl -fsS --max-time 120 "http://$ADDR/campaigns/$CID/stream" \
+	| tee /tmp/fgserve_stream.ndjson \
 	| sed -n 's|.*"kind":"result".*"result":{"schema":"fivegsim.result/v1","id":"\([A-Z0-9]*\)".*|\1|p' \
 	| paste -sd, -)
 [ "$ORDER" = "T1,F4" ] || { echo "streamed results '$ORDER', want paper order T1,F4" >&2; exit 1; }
+/tmp/fgobs_ci show -id T1 /tmp/fgserve_stream.ndjson > /tmp/fgobs_show.log || {
+	echo "fgobs show cannot read the saved stream" >&2; exit 1; }
+grep -q '^run T1 ' /tmp/fgobs_show.log || { echo "fgobs show never printed run T1" >&2; cat /tmp/fgobs_show.log >&2; exit 1; }
+/tmp/fgobs_ci diff /tmp/fgserve_stream.ndjson /tmp/fgserve_stream.ndjson > /dev/null || {
+	echo "fgobs diff of the saved stream against itself failed" >&2; exit 1; }
 curl -fsS "http://$ADDR/campaigns/$CID" | grep -q '"state":"done"' || {
 	echo "campaign never reached done" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" | grep -q '^serve_units_completed 2' || {

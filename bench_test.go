@@ -88,31 +88,28 @@ func BenchmarkRunAllWorkers1(b *testing.B) { benchRunAll(b, 1) }
 func BenchmarkRunAllWorkers8(b *testing.B) { benchRunAll(b, 8) }
 
 // Telemetry overhead benches: the DES scheduler with observability
-// detached (the default), attached, and attached with per-callback
-// profiling. The no-op path is the one every pre-existing experiment
-// runs on, so ObsOff must stay within a few percent of the pre-obs
-// scheduler (EXPERIMENTS.md records the measured ratios).
+// detached (the default) and attached. The no-op path is the one every
+// experiment runs on without Config.Obs, so ObsOff must stay within a
+// few percent of the pre-obs scheduler (EXPERIMENTS.md records the
+// measured ratios).
 
 // benchScheduler drives a self-perpetuating event chain with a standing
-// population of pending timers, approximating the scheduler load of a
-// packet-level run: every fired event reschedules itself and one in four
-// cancels a previously armed timer.
+// population of pending events, approximating the scheduler load of a
+// packet-level run: every fired event reschedules itself and arms one
+// more that fires fanout+i µs later. Nothing is canceled: the scheduler
+// has no cancellation.
 func benchScheduler(b *testing.B, s *des.Scheduler) {
 	b.Helper()
 	const fanout = 32
 	fired := 0
-	var timers [fanout]des.Timer
+	noop := func() {}
 	var tick func()
 	tick = func() {
 		fired++
 		if fired >= b.N {
 			return
 		}
-		i := fired % fanout
-		if fired%4 == 0 {
-			timers[i].Cancel()
-		}
-		timers[i] = s.After(time.Duration(fanout+i)*time.Microsecond, func() {})
+		s.After(time.Duration(fanout+fired%fanout)*time.Microsecond, noop)
 		s.After(time.Microsecond, tick)
 	}
 	s.After(0, tick)

@@ -36,6 +36,7 @@ import (
 	"fivegsim/internal/obs"
 	"fivegsim/internal/pop"
 	"fivegsim/internal/radio"
+	"fivegsim/internal/stats"
 	"fivegsim/internal/traffic"
 )
 
@@ -101,8 +102,8 @@ func main() {
 	for _, t := range []radio.Tech{radio.NR, radio.LTE} {
 		u := p.UtilSamples(t, nil)
 		fmt.Printf("%-3s PRB utilization: mean %5.1f%%  p50 %5.1f%%  p90 %5.1f%%  p99 %5.1f%%\n",
-			t, 100*p.MeanUtil(t), 100*pop.Quantile(u, 0.50),
-			100*pop.Quantile(u, 0.90), 100*pop.Quantile(u, 0.99))
+			t, 100*p.MeanUtil(t), 100*stats.Quantile(u, 0.50),
+			100*stats.Quantile(u, 0.90), 100*stats.Quantile(u, 0.99))
 	}
 	if *perCell {
 		for _, l := range p.CellLoadLines() {

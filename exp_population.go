@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"fivegsim/internal/coverage"
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/handoff"
 	"fivegsim/internal/pop"
@@ -76,8 +77,8 @@ func runX12CellLoad(cfg Config) Result {
 		u := p.UtilSamples(t, nil)
 		res.Lines = append(res.Lines, line(
 			"%-3s PRB utilization: mean %5.1f%%  p50 %5.1f%%  p90 %5.1f%%  p99 %5.1f%% (%d cell-tick samples)",
-			t, 100*p.MeanUtil(t), 100*pop.Quantile(u, 0.50), 100*pop.Quantile(u, 0.90),
-			100*pop.Quantile(u, 0.99), len(u)))
+			t, 100*p.MeanUtil(t), 100*stats.Quantile(u, 0.50), 100*stats.Quantile(u, 0.90),
+			100*stats.Quantile(u, 0.99), len(u)))
 		res.Values["util"+t.String()] = p.MeanUtil(t)
 	}
 	thr := p.PerUEThroughputBps()
@@ -89,7 +90,7 @@ func runX12CellLoad(cfg Config) Result {
 	}
 	res.Lines = append(res.Lines, line(
 		"per-UE throughput: p10 %6.2f  p50 %6.2f  p90 %6.2f Mb/s   jain %.3f   outage %.2f%%",
-		pop.Quantile(thr, 0.10)/1e6, pop.Quantile(thr, 0.50)/1e6, pop.Quantile(thr, 0.90)/1e6,
+		stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6, stats.Quantile(thr, 0.90)/1e6,
 		pop.JainIndex(thr), 100*float64(outage)/float64(p.Len())))
 	res.Values["jain"] = pop.JainIndex(thr)
 	res.Values["outageFrac"] = float64(outage) / float64(p.Len())
@@ -136,8 +137,8 @@ func runX13Fairness(cfg Config) Result {
 		j := pop.JainIndex(thr)
 		res.Lines = append(res.Lines, line(
 			"N=%6d: jain %.3f  p10 %7.2f  p50 %7.2f  p90 %7.2f Mb/s  NR util %5.1f%%",
-			n, j, pop.Quantile(thr, 0.10)/1e6, pop.Quantile(thr, 0.50)/1e6,
-			pop.Quantile(thr, 0.90)/1e6, 100*p.MeanUtil(radio.NR)))
+			n, j, stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6,
+			stats.Quantile(thr, 0.90)/1e6, 100*p.MeanUtil(radio.NR)))
 		res.Values[line("jainN%d", n)] = j
 	}
 	res.Lines = append(res.Lines, line(
@@ -217,9 +218,9 @@ func runX14Probe(cfg Config) Result {
 	res := Result{ID: "X14", Title: "Paper probe as the N=1 population special case",
 		Values: map[string]float64{}}
 
-	// Coverage side: the population layer's probe survey is the seed
-	// T1/T2 pipeline by construction — same samples, any Workers value.
-	s := pop.ProbeSurvey(campus, surveySamples(cfg), cfg.Seed, cfg.Workers)
+	// Coverage side: the N=1 probe survey is the seed T1/T2 pipeline —
+	// same samples, any Workers value.
+	s := coverage.NewSurveyor(campus, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
 	nr := s.RSRPSummary(radio.NR)
 	lte := s.RSRPSummary(radio.LTE)
 	res.Lines = append(res.Lines, line("probe survey (N=1): 5G RSRP %s (paper −84.03 ± 11.72)", nr))
@@ -236,7 +237,7 @@ func runX14Probe(cfg Config) Result {
 		hcfg.Duration = 10 * time.Minute
 		walks = 2
 	}
-	camp := pop.ProbeCampaign(campus, hcfg, cfg.Seed, walks, cfg.Workers)
+	camp := handoff.RunCampaigns(campus, hcfg, cfg.Seed, walks, cfg.Workers)
 	lat := camp.Latencies(handoff.FiveToFive)
 	if len(lat) > 0 {
 		sm := stats.Summarize(lat)

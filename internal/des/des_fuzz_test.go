@@ -8,9 +8,8 @@ import (
 // maxSchedOps caps the ops one FuzzScheduler input decodes into.
 const maxSchedOps = 64
 
-// fuzzBatch is how many events one batch op schedules: enough that
-// canceling most of a batch passes both compaction triggers (at least
-// compactMin canceled events, more than half the heap).
+// fuzzBatch is how many events one batch op schedules: enough to grow
+// the heap several levels deep in one op.
 const fuzzBatch = 48
 
 // schedModel is FuzzScheduler's reference: every event ever scheduled,
@@ -30,14 +29,12 @@ type schedModel struct {
 }
 
 type modelEvent struct {
-	id       int
-	at       time.Duration
-	timer    Timer
-	pending  bool
-	canceled bool
-	// action says what the callback does when it fires: nothing, schedule
-	// a child (after a delay, or at a past time the scheduler must clamp),
-	// or cancel some timer, live or stale.
+	id      int
+	at      time.Duration
+	pending bool
+	// action says what the callback does when it fires: nothing, or
+	// schedule a child after a delay, at the present instant, or at a
+	// past time the scheduler must clamp.
 	action byte
 }
 
@@ -49,31 +46,18 @@ func (m *schedModel) schedule(at time.Duration, after bool, action byte) {
 	if after {
 		d := at - m.s.Now()
 		e.at = m.s.Now() + max(d, 0)
-		e.timer = m.s.After(d, fire)
+		m.s.After(d, fire)
 	} else {
 		e.at = max(at, m.s.Now())
-		e.timer = m.s.At(at, fire)
+		m.s.At(at, fire)
 	}
 	m.events = append(m.events, e)
 	m.live++
 }
 
-// cancel cancels e's timer; only a pending event changes state.
-func (m *schedModel) cancel(e *modelEvent) {
-	if e.timer.Active() != e.pending {
-		m.t.Fatalf("event %d: Active() = %t, want %t", e.id, e.timer.Active(), e.pending)
-	}
-	e.timer.Cancel()
-	if e.pending {
-		e.pending, e.canceled = false, true
-		m.live--
-	}
-	m.checkPending()
-}
-
 func (m *schedModel) fire(e *modelEvent) {
 	if !e.pending {
-		m.t.Fatalf("event %d fired, but it was canceled (%t) or already fired", e.id, e.canceled)
+		m.t.Fatalf("event %d fired twice", e.id)
 	}
 	if now := m.s.Now(); now != e.at {
 		m.t.Fatalf("event %d fired at %v, want %v", e.id, now, e.at)
@@ -86,16 +70,16 @@ func (m *schedModel) fire(e *modelEvent) {
 	e.pending = false
 	m.live--
 	m.checkPending()
-	arg := time.Duration(e.action>>2) * time.Microsecond
+	// A child's action is the rest of this one's bits, so a chain of
+	// children ends within four generations.
+	rest := e.action >> 2
 	switch e.action % 4 {
 	case 1:
-		// The child's action is the rest of this one's bits, so a chain
-		// of children ends within four generations.
-		m.schedule(m.s.Now()+arg, true, e.action>>2)
+		m.schedule(m.s.Now()+time.Duration(rest)*time.Microsecond, true, rest)
 	case 2:
-		m.cancel(m.events[int(e.action>>2)%len(m.events)])
+		m.schedule(m.s.Now(), false, rest)
 	case 3:
-		m.schedule(m.s.Now()-arg, false, 0)
+		m.schedule(m.s.Now()-time.Duration(rest)*time.Microsecond, false, 0)
 	}
 	m.checkPending()
 }
@@ -109,20 +93,18 @@ func (m *schedModel) checkPending() {
 // FuzzScheduler checks the DES heap against a sorted reference. The
 // input decodes into three-byte ops: At (past times included) and After
 // (negative delays included) with a callback action, a batch of
-// fuzzBatch events, Cancel of any timer ever returned (live, fired or
-// canceled, so stale handles whose event was recycled), a mass cancel
-// that makes the heap compact, and RunUntil. Callbacks schedule children
-// and cancel timers while the scheduler runs. Every event must fire once,
-// at its time, strictly after the previous fire in (at, scheduling
-// order); Pending must equal the live count after every op and fire; a
-// stale handle's Cancel must change nothing; and RunUntil(d) must leave
-// no event due at or before d.
+// fuzzBatch events, and RunUntil. Callbacks schedule children while the
+// scheduler runs. Every event must fire once, at its time, strictly
+// after the previous fire in (at, scheduling order); Pending must equal
+// the live count after every op and fire; RunUntil(d) must leave no
+// event due at or before d; and a drained heap must hold no fired
+// callback in any slot.
 func FuzzScheduler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		m := &schedModel{t: t, s: s}
 		for ops := 0; len(data) >= 3 && ops < maxSchedOps; ops++ {
-			op, a, b := data[0]%6, data[1], data[2]
+			op, a, b := data[0]%4, data[1], data[2]
 			data = data[3:]
 			us := func(x byte) time.Duration { return time.Duration(x) * time.Microsecond }
 			switch op {
@@ -135,18 +117,6 @@ func FuzzScheduler(f *testing.F) {
 					m.schedule(s.Now()+us(a)+time.Duration(k*int(b|1)%97)*time.Microsecond, true, 0)
 				}
 			case 3:
-				if len(m.events) > 0 {
-					m.cancel(m.events[(int(a)<<8|int(b))%len(m.events)])
-				}
-			case 4:
-				// Cancel every live event whose id is not ≡ a mod (b%4+2),
-				// most of the heap.
-				for _, e := range m.events {
-					if e.pending && e.id%(int(b%4)+2) != int(a)%(int(b%4)+2) {
-						m.cancel(e)
-					}
-				}
-			case 5:
 				deadline := s.Now() + us(a)
 				s.RunUntil(deadline)
 				if s.Now() != deadline {
@@ -166,8 +136,13 @@ func FuzzScheduler(f *testing.F) {
 				t.Fatalf("event %d (at %v) never fired", e.id, e.at)
 			}
 		}
-		if s.Pending() != 0 || s.QueueLen() != 0 {
-			t.Fatalf("drained scheduler: Pending() = %d, QueueLen() = %d", s.Pending(), s.QueueLen())
+		if s.Pending() != 0 {
+			t.Fatalf("drained scheduler: Pending() = %d", s.Pending())
+		}
+		for i, ev := range s.queue[:cap(s.queue)] {
+			if ev.fn != nil || ev.arg != nil {
+				t.Fatalf("drained heap slot %d still holds a callback", i)
+			}
 		}
 	})
 }

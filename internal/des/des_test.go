@@ -60,23 +60,6 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := New()
-	fired := false
-	tm := s.After(time.Second, func() { fired = true })
-	if !tm.Active() {
-		t.Fatal("timer should be active before firing")
-	}
-	tm.Cancel()
-	if tm.Active() {
-		t.Fatal("timer should be inactive after cancel")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("canceled timer fired")
-	}
-}
-
 func TestSchedulerRunUntil(t *testing.T) {
 	s := New()
 	var fired []time.Duration
@@ -109,32 +92,6 @@ func TestSchedulerPastEventClamped(t *testing.T) {
 	s.Run()
 	if at != 5*time.Second {
 		t.Fatalf("past event ran at %v, want clamped to 5s", at)
-	}
-}
-
-func TestTimerActiveLifecycle(t *testing.T) {
-	s := New()
-	tm := s.After(time.Second, func() {})
-	if !tm.Active() {
-		t.Fatal("timer should be active while pending")
-	}
-	s.Run()
-	if tm.Active() {
-		t.Fatal("timer should be inactive after firing")
-	}
-	tm.Cancel() // canceling a fired timer is a no-op
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after post-fire cancel, want 0", s.Pending())
-	}
-
-	tm2 := s.After(time.Second, func() {})
-	tm2.Cancel()
-	if tm2.Active() {
-		t.Fatal("timer should be inactive after cancel")
-	}
-	tm2.Cancel() // double-cancel is a no-op
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after double cancel, want 0", s.Pending())
 	}
 }
 
@@ -176,21 +133,21 @@ func TestAtPastTimestampWithObs(t *testing.T) {
 	}
 }
 
-func TestPendingExcludesCanceled(t *testing.T) {
+// TestPendingIsHeapLength: Pending and the des.queue_depth gauge both
+// read the heap length, and no cancellation counter is registered.
+func TestPendingIsHeapLength(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
 	s.SetObs(reg)
-	var timers []Timer
 	for i := 1; i <= 6; i++ {
-		timers = append(timers, s.At(time.Duration(i)*time.Second, func() {}))
+		s.At(time.Duration(i)*time.Second, func() {})
 	}
-	timers[1].Cancel()
-	timers[3].Cancel()
+	if s.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6", s.Pending())
+	}
+	s.RunUntil(2 * time.Second)
 	if s.Pending() != 4 {
-		t.Fatalf("Pending = %d after 2 cancels, want 4", s.Pending())
-	}
-	if s.QueueLen() != 6 {
-		t.Fatalf("QueueLen = %d (canceled events linger until reaped), want 6", s.QueueLen())
+		t.Fatalf("Pending = %d after two fires, want 4", s.Pending())
 	}
 	if got := reg.Gauge("des.queue_depth").Value(); got != 4 {
 		t.Fatalf("des.queue_depth = %d, want 4", got)
@@ -199,14 +156,16 @@ func TestPendingExcludesCanceled(t *testing.T) {
 		t.Fatalf("des.queue_depth high-water = %d, want 6", got)
 	}
 	s.Run()
-	if s.Pending() != 0 || s.QueueLen() != 0 {
-		t.Fatalf("Pending/QueueLen = %d/%d after drain, want 0/0", s.Pending(), s.QueueLen())
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", s.Pending())
 	}
-	if got := reg.Counter("des.events_canceled").Value(); got != 2 {
-		t.Fatalf("des.events_canceled = %d, want 2", got)
+	if got := reg.Counter("des.events_fired").Value(); got != 6 {
+		t.Fatalf("des.events_fired = %d, want 6", got)
 	}
-	if got := reg.Counter("des.events_fired").Value(); got != 4 {
-		t.Fatalf("des.events_fired = %d, want 4", got)
+	for _, m := range reg.Snapshot() {
+		if m.Name == "des.events_canceled" {
+			t.Fatal("des.events_canceled is registered; the scheduler cannot cancel")
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 		s.received++
 		s.receivedBytes += int64(p.Len)
 	})
-	// Provision the packet pool and the scheduler's event free list past
-	// their worst-case occupancy up front. Both are bounded — every hop
+	// Provision the packet pool and the scheduler's event heap past their
+	// worst-case occupancy up front. Both are bounded — every hop
 	// queue is byte-limited drop-tail and the cross-traffic rate is capped
 	// — but the busy-period draws are heavy-tailed enough that the
 	// high-water mark keeps inching up for simulated hours, and each new
@@ -46,6 +46,8 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 	// state (TestSaturatorSliceAllocFree). The bound: ≈3500 full-size
 	// packets fill every buffer, plus the pump's one-tick backlog; events
 	// track in-flight packets one-to-one plus the handful of sources.
+	// Scheduling prime events grows the heap slice to hold them, and
+	// draining them leaves its capacity in place.
 	const prime = 8192
 	pkts := make([]*Packet, prime)
 	for i := range pkts {
@@ -112,12 +114,12 @@ func TestSaturatorSteadyStateMatchesBaseline(t *testing.T) {
 
 // TestSaturatorSliceAllocFree pins the steady-state allocation contract
 // behind BenchmarkPathSaturate: once the pipe, pool, rings and
-// event free list have reached their high-water marks, advancing the
+// event heap have reached their high-water marks, advancing the
 // same simulation by another slice allocates nothing.
 func TestSaturatorSliceAllocFree(t *testing.T) {
 	cfg := DefaultPath(radio.NR, true)
 	s := NewSaturator(cfg, cfg.RANRateBps*1.2)
-	s.RunSlice(2 * time.Second) // warm: pool, rings, free list at capacity
+	s.RunSlice(2 * time.Second) // warm: pool, rings, event heap at capacity
 	avg := testing.AllocsPerRun(10, func() { s.RunSlice(100 * time.Millisecond) })
 	if avg != 0 {
 		t.Fatalf("steady-state RunSlice allocates: %.2f allocs/run", avg)

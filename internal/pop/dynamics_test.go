@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"fivegsim/internal/coverage"
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/geom"
 	"fivegsim/internal/obs"
@@ -202,7 +203,7 @@ func TestSingleUEProbeContractWithA3(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	survey := ProbeSurvey(campus, n, 42, 1)
+	survey := coverage.NewSurveyor(campus, n, 42).Run(1)
 
 	m := DefaultModel()
 	m.N = 1

@@ -4,7 +4,7 @@
 // the system regime — cell-load distributions, per-UE throughput
 // fairness and outage exposure as emergent properties of contention —
 // while keeping the probe experiments recoverable bit-for-bit as the
-// N=1 special case (see probe.go).
+// N=1 special case (see probe_test.go).
 //
 // UE state is structure-of-arrays in a preallocated arena: one tick of a
 // 100k-UE population is a batch loop over flat slices with zero per-UE

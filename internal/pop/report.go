@@ -2,10 +2,9 @@ package pop
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"fivegsim/internal/radio"
+	"fivegsim/internal/stats"
 )
 
 // Reports over a finished run. Every formatter here emits byte-stable
@@ -97,29 +96,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by sorting a copy;
-// nearest-rank with linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
-}
-
 // CellLoadLines formats one line per cell — dense index order — with the
 // cell's PCI, technology, mean utilization over the sample window, and
 // mean attached UEs per tick. The byte-stable output is the determinism
@@ -159,6 +135,6 @@ func (p *Population) FairnessLines() []string {
 	return []string{
 		fmt.Sprintf("fairness n=%d jain=%.9f", len(thr), JainIndex(thr)),
 		fmt.Sprintf("throughput_mbps p10=%.6f p50=%.6f p90=%.6f",
-			Quantile(thr, 0.10)/1e6, Quantile(thr, 0.50)/1e6, Quantile(thr, 0.90)/1e6),
+			stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6, stats.Quantile(thr, 0.90)/1e6),
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the measurement
-// experiments need: summaries (mean ± std), percentiles, histogram
+// experiments need: summaries (mean ± std), quantiles, histogram
 // binning and correlation.
 package stats
 
@@ -53,28 +53,28 @@ func (s Summary) String() string { return fmt.Sprintf("%.2f ± %.2f", s.Mean, s.
 // Mean returns the arithmetic mean of xs (0 for an empty sample).
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by sorting a copy
+// and interpolating linearly between the order statistics either side
+// of q·(n−1). An empty sample yields 0.
+func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
+		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if q <= 0 {
+		return s[0]
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	if q >= 1 {
+		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return s[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
 }
 
 // Bin is one histogram bucket over [Lo, Hi).

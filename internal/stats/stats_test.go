@@ -31,23 +31,28 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4},
+func TestQuantile(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3}
+	cases := []struct {
+		xs      []float64
+		q, want float64
+	}{
+		{xs, 0, 1}, {xs, 0.25, 2}, {xs, 0.5, 3}, {xs, 0.75, 4}, {xs, 1, 5},
+		{xs, 0.1, 1.4}, {xs, 0.6, 3.4},
+		{nil, 0.5, 0}, // an empty sample yields 0
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
+		if got := Quantile(c.xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v, %v) = %v, want %v", c.xs, c.q, got, c.want)
 		}
 	}
 }
 
-func TestPercentileDoesNotMutate(t *testing.T) {
+func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Percentile mutated its input")
+		t.Fatal("Quantile mutated its input")
 	}
 }
 

@@ -7,21 +7,6 @@ import (
 	"fivegsim/internal/netsim"
 )
 
-// MPTCP is the multipath extension the paper flags as future work twice:
-// "dynamic 4G-5G switching may also be a use case for MPTCP [53], which
-// is an interesting topic particularly considering the long-term 4G/5G
-// coexistence" (§6.3). This implementation runs one subflow per radio on
-// a shared simulated clock and aggregates their delivery — the
-// capacity-pooling configuration of MPTCP with decoupled per-subflow
-// congestion control (each subflow runs its own controller, as Linux's
-// default scheduler does for disjoint bottlenecks; the 4G and 5G paths
-// share no queue in the NSA data plane, so coupling would only slow the
-// aggregate down).
-type MPTCP struct {
-	sch      *des.Scheduler
-	subflows []*Conn
-}
-
 // MPTCPResult summarizes a dual-radio bulk run.
 type MPTCPResult struct {
 	TotalBps   float64
@@ -31,38 +16,36 @@ type MPTCPResult struct {
 	AggregationEfficiency float64
 }
 
-// NewMPTCP builds subflows, one per path, all using the named controller.
-// The paths must share the scheduler.
-func NewMPTCP(sch *des.Scheduler, paths []*netsim.Path, ctrlName string) *MPTCP {
-	m := &MPTCP{sch: sch}
-	for _, p := range paths {
-		m.subflows = append(m.subflows, NewConn(sch, p, ctrlName, Bulk))
-	}
-	return m
-}
-
-// Start launches every subflow.
-func (m *MPTCP) Start() {
-	for _, c := range m.subflows {
-		c.Start()
-	}
-}
-
-// RunMPTCPBulk runs a dual-path bulk transfer (one subflow per config)
-// and compares against the single-path throughputs.
+// RunMPTCPBulk runs a multipath bulk transfer, one subflow per config,
+// and compares it against the single-path throughputs.
+//
+// This is the multipath extension the paper flags as future work twice:
+// "dynamic 4G-5G switching may also be a use case for MPTCP [53], which
+// is an interesting topic particularly considering the long-term 4G/5G
+// coexistence" (§6.3). The subflows run on a shared simulated clock and
+// their delivery is aggregated — the capacity-pooling configuration of
+// MPTCP with decoupled per-subflow congestion control (each subflow runs
+// its own controller, as Linux's default scheduler does for disjoint
+// bottlenecks; the 4G and 5G paths share no queue in the NSA data plane,
+// so coupling would only slow the aggregate down).
 func RunMPTCPBulk(cfgs []netsim.PathConfig, ctrlName string, duration time.Duration) MPTCPResult {
 	sch := des.New()
+	// Every path is built before any subflow starts, so the paths'
+	// own events are scheduled first.
 	paths := make([]*netsim.Path, len(cfgs))
 	for i, cfg := range cfgs {
 		paths[i] = netsim.NewPath(sch, cfg)
 	}
-	m := NewMPTCP(sch, paths, ctrlName)
-	m.Start()
+	subflows := make([]*Conn, len(paths))
+	for i, p := range paths {
+		subflows[i] = NewConn(sch, p, ctrlName, Bulk)
+		subflows[i].Start()
+	}
 	sch.RunUntil(duration)
 
 	res := MPTCPResult{}
 	var soloSum float64
-	for i, c := range m.subflows {
+	for i, c := range subflows {
 		bps := float64(c.DeliveredBytes*8) / duration.Seconds()
 		res.PerPathBps = append(res.PerPathBps, bps)
 		res.TotalBps += bps

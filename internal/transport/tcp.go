@@ -53,10 +53,13 @@ type Conn struct {
 	sacked       intervalSet // SACK scoreboard above una
 
 	srtt, rttvar, rto time.Duration
-	rtoTimer          des.Timer
-	onRTOFn           func() // c.onRTO, bound once so arming the timer allocates nothing
-	walkRestartAt     time.Duration
-	repairProgressAt  time.Duration
+	// The retransmission timer is a deadline, rtoAt (0 = disarmed), and
+	// the time of the pending check event, rtoCheck (0 = none); see
+	// armRTO.
+	rtoAt, rtoCheck  time.Duration
+	checkRTOFn       func() // c.checkRTO, bound once so scheduling a check allocates nothing
+	walkRestartAt    time.Duration
+	repairProgressAt time.Duration
 
 	pacing     bool
 	pacingBusy bool
@@ -106,7 +109,7 @@ func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64
 		panic("transport: unknown congestion controller " + ctrlName)
 	}
 	c.ctrl = cc.Instrument(c.ctrl, path.Cfg.Obs)
-	c.onRTOFn = c.onRTO
+	c.checkRTOFn = c.checkRTO
 	c.pacing = c.ctrl.PacingRate() > 0
 	path.ToUE = netsim.ReceiverFunc(c.onData)
 	path.ToServer = netsim.ReceiverFunc(c.onAck)
@@ -353,7 +356,6 @@ func (c *Conn) onAck(p *netsim.Packet) {
 		c.armRTO()
 		if !c.fired && c.una >= c.limit {
 			c.fired = true
-			c.rtoTimer.Cancel()
 			if c.Done != nil {
 				c.Done(now)
 			}
@@ -424,12 +426,42 @@ func (c *Conn) updateRTT(sample time.Duration) {
 	}
 }
 
+// armRTO restarts the retransmission timer: the deadline becomes now +
+// rto, or 0 (disarmed) once every byte is acknowledged. The scheduler
+// cannot cancel an event, so a check is scheduled only when none is
+// pending or the deadline moved before the pending one. That happens
+// after RTO backoff, when the next ACK shrinks rto. A deadline that moved
+// later is found by the pending check, which re-schedules itself.
 func (c *Conn) armRTO() {
-	c.rtoTimer.Cancel()
 	if c.una >= c.limit {
+		c.rtoAt = 0
 		return
 	}
-	c.rtoTimer = c.sch.After(c.rto, c.onRTOFn)
+	c.rtoAt = c.sch.Now() + c.rto
+	if c.rtoCheck == 0 || c.rtoAt < c.rtoCheck {
+		c.rtoCheck = c.rtoAt
+		c.sch.At(c.rtoAt, c.checkRTOFn)
+	}
+}
+
+// checkRTO runs at a scheduled check time. A check superseded by an
+// earlier one returns. The current check follows a deadline that moved
+// later and fires the timeout at one that is due, so onRTO runs at
+// exactly rtoAt.
+func (c *Conn) checkRTO() {
+	now := c.sch.Now()
+	if now != c.rtoCheck {
+		return
+	}
+	c.rtoCheck = 0
+	switch {
+	case c.rtoAt == 0: // disarmed: every byte is acknowledged
+	case c.rtoAt > now:
+		c.rtoCheck = c.rtoAt
+		c.sch.At(c.rtoAt, c.checkRTOFn)
+	default:
+		c.onRTO()
+	}
 }
 
 func (c *Conn) onRTO() {

@@ -74,8 +74,8 @@ func Load(page Page, cfg netsim.PathConfig) LoadResult {
 	r := rng.New(cfg.Seed).Stream("web.render")
 	render := page.RenderBase +
 		time.Duration(rng.ClampedNormal(r, 0, 40, -100, 100)*float64(time.Millisecond)) +
-		// Decode/layout cost grows with content size (≈90 ms/MB on the
-		// phone-class device).
+		// Decode/layout cost grows with content size (140 ms/MB on the
+		// phone-class device; F16 and F17 are calibrated with it).
 		time.Duration(float64(page.Bytes)/float64(1<<20)*140*float64(time.Millisecond))
 	return LoadResult{
 		Page:        page,

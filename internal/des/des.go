@@ -11,6 +11,13 @@
 // min-heap pops events in exactly the same sequence, so the firing order
 // and every simulation output are independent of the heap's layout.
 //
+// A client that keeps its own queue of events already in (at, seq)
+// order, such as a hop's delay line (internal/netsim), takes each
+// event's place in that order with Reserve when it would have scheduled
+// it, and hands the scheduler only its queue's head with AtKey. The heap
+// then holds one entry per such queue, not one per queued event, and
+// the firing order is the one the events would have had in the heap.
+//
 // Events cannot be canceled. A client whose deadline moves keeps the
 // deadline itself and lets a check event that finds it moved return
 // without acting (TCP's retransmission timer does this).
@@ -83,6 +90,13 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	}
 }
 
+// Key is an event's place in the firing order: its time and the
+// sequence number that breaks ties at that time.
+type Key struct {
+	At  time.Duration
+	seq uint64
+}
+
 // Now returns the current simulated time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
@@ -95,14 +109,34 @@ func (s *Scheduler) At(at time.Duration, fn func()) { s.AtArg(at, callFunc, fn) 
 // pre-bound fn plus a pointer-shaped arg (e.g. *netsim.Packet) schedules
 // with zero heap allocations in steady state.
 func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) {
+	s.AtKey(s.Reserve(at), fn, arg)
+}
+
+// Reserve takes the place in the firing order that an event scheduled
+// now for at would take, clamping at to the present, and counts it as
+// scheduled. Nothing fires until the key is passed to AtKey.
+func (s *Scheduler) Reserve(at time.Duration) Key {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	s.queue = append(s.queue, event{at: at, seq: s.seq, fn: fn, arg: arg})
-	s.siftUp(len(s.queue) - 1)
 	if s.o.on {
 		s.o.scheduled.Inc()
+	}
+	return Key{At: at, seq: s.seq}
+}
+
+// AtKey schedules fn(arg) in the place k reserved. A key whose time has
+// already passed fires at the present, so the clock never runs
+// backwards; it still fires ahead of every event at the present that
+// was scheduled after k was reserved.
+func (s *Scheduler) AtKey(k Key, fn func(any), arg any) {
+	if k.At < s.now {
+		k.At = s.now
+	}
+	s.queue = append(s.queue, event{at: k.At, seq: k.seq, fn: fn, arg: arg})
+	s.siftUp(len(s.queue) - 1)
+	if s.o.on {
 		s.o.depth.Set(int64(len(s.queue)))
 	}
 }

@@ -12,20 +12,21 @@ const maxSchedOps = 64
 // the heap several levels deep in one op.
 const fuzzBatch = 48
 
-// schedModel is FuzzScheduler's reference: every event ever scheduled,
-// in scheduling order, with the time it must fire at and whether it is
-// still pending. Firing in (at, scheduling order) is the scheduler's
-// contract; seq is unique, so that order is total.
+// schedModel is FuzzScheduler's reference: every event ever scheduled
+// or reserved, in scheduling order, with the time it must fire at and
+// whether it is pending in the scheduler. The scheduler's contract is
+// that it always fires the pending event least in (at, scheduling
+// order); seq is unique, so that order is total. A deferred event is
+// scheduled when its key is reserved and pushed later: it keeps its
+// place in scheduling order, and a push after its time fires it at the
+// present.
 type schedModel struct {
 	t      *testing.T
 	s      *Scheduler
 	events []*modelEvent
 	live   int
-	// lastAt and lastID are the key of the last event fired: every fire
-	// must come strictly after it.
-	lastAt time.Duration
-	lastID int
-	fired  int
+	// reserved holds the deferred events not yet pushed, oldest first.
+	reserved []*modelEvent
 }
 
 type modelEvent struct {
@@ -36,11 +37,15 @@ type modelEvent struct {
 	// schedule a child after a delay, at the present instant, or at a
 	// past time the scheduler must clamp.
 	action byte
+	// key is a deferred event's reserved key.
+	key Key
+	// push, when set, is the deferred event this one's callback pushes.
+	push *modelEvent
 }
 
 // schedule adds an event through At (past times included) or After, as
 // the scheduler's clamping rules predict it.
-func (m *schedModel) schedule(at time.Duration, after bool, action byte) {
+func (m *schedModel) schedule(at time.Duration, after bool, action byte) *modelEvent {
 	e := &modelEvent{id: len(m.events), pending: true, action: action}
 	fire := func() { m.fire(e) }
 	if after {
@@ -53,23 +58,55 @@ func (m *schedModel) schedule(at time.Duration, after bool, action byte) {
 	}
 	m.events = append(m.events, e)
 	m.live++
+	return e
+}
+
+// reserve adds a deferred event: its key is reserved now, for at (past
+// times included), and pushed by a later op or callback.
+func (m *schedModel) reserve(at time.Duration, action byte) {
+	e := &modelEvent{id: len(m.events), at: max(at, m.s.Now()), action: action}
+	e.key = m.s.Reserve(at)
+	m.events = append(m.events, e)
+	m.reserved = append(m.reserved, e)
+}
+
+// take removes the oldest deferred event not yet pushed, or returns nil.
+func (m *schedModel) take() *modelEvent {
+	if len(m.reserved) == 0 {
+		return nil
+	}
+	e := m.reserved[0]
+	m.reserved = m.reserved[1:]
+	return e
+}
+
+// push hands a deferred event's key to the scheduler. Pushed after its
+// time, it is due at the present.
+func (m *schedModel) push(e *modelEvent) {
+	e.at = max(e.at, m.s.Now())
+	e.pending = true
+	m.live++
+	m.s.AtKey(e.key, func(any) { m.fire(e) }, nil)
 }
 
 func (m *schedModel) fire(e *modelEvent) {
 	if !e.pending {
-		m.t.Fatalf("event %d fired twice", e.id)
+		m.t.Fatalf("event %d fired while not pending", e.id)
 	}
 	if now := m.s.Now(); now != e.at {
 		m.t.Fatalf("event %d fired at %v, want %v", e.id, now, e.at)
 	}
-	if m.fired > 0 && (e.at < m.lastAt || e.at == m.lastAt && e.id <= m.lastID) {
-		m.t.Fatalf("event %d (at %v) fired after event %d (at %v)", e.id, e.at, m.lastID, m.lastAt)
+	for _, o := range m.events {
+		if o.pending && (o.at < e.at || o.at == e.at && o.id < e.id) {
+			m.t.Fatalf("event %d (at %v) fired before event %d (at %v)", e.id, e.at, o.id, o.at)
+		}
 	}
-	m.lastAt, m.lastID = e.at, e.id
-	m.fired++
 	e.pending = false
 	m.live--
 	m.checkPending()
+	if e.push != nil {
+		m.push(e.push)
+	}
 	// A child's action is the rest of this one's bits, so a chain of
 	// children ends within four generations.
 	rest := e.action >> 2
@@ -93,18 +130,21 @@ func (m *schedModel) checkPending() {
 // FuzzScheduler checks the DES heap against a sorted reference. The
 // input decodes into three-byte ops: At (past times included) and After
 // (negative delays included) with a callback action, a batch of
-// fuzzBatch events, and RunUntil. Callbacks schedule children while the
-// scheduler runs. Every event must fire once, at its time, strictly
-// after the previous fire in (at, scheduling order); Pending must equal
-// the live count after every op and fire; RunUntil(d) must leave no
-// event due at or before d; and a drained heap must hold no fired
-// callback in any slot.
+// fuzzBatch events, RunUntil, Reserve (past times included), and a push
+// of the oldest reserved key, either at once or from the callback of an
+// event scheduled for it. Callbacks schedule children while the
+// scheduler runs, and a RunUntil or a pushing event due after a key's
+// time makes its push late. Every event must fire once, at its time,
+// ahead of every other pending event in (at, scheduling order); Pending
+// must equal the live count after every op and fire; RunUntil(d) must
+// leave no event due at or before d; and a drained heap must hold no
+// fired callback in any slot.
 func FuzzScheduler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		m := &schedModel{t: t, s: s}
 		for ops := 0; len(data) >= 3 && ops < maxSchedOps; ops++ {
-			op, a, b := data[0]%4, data[1], data[2]
+			op, a, b := data[0]%6, data[1], data[2]
 			data = data[3:]
 			us := func(x byte) time.Duration { return time.Duration(x) * time.Microsecond }
 			switch op {
@@ -127,8 +167,21 @@ func FuzzScheduler(f *testing.F) {
 						t.Fatalf("event %d due at %v still pending after RunUntil(%v)", e.id, e.at, deadline)
 					}
 				}
+			case 4:
+				m.reserve(s.Now()+us(a)-16*time.Microsecond, b)
+			case 5:
+				switch e := m.take(); {
+				case e == nil:
+				case a%2 == 0:
+					m.push(e)
+				default:
+					m.schedule(s.Now()+us(b), true, 0).push = e
+				}
 			}
 			m.checkPending()
+		}
+		for e := m.take(); e != nil; e = m.take() {
+			m.push(e)
 		}
 		s.Run()
 		for _, e := range m.events {

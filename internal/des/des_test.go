@@ -169,6 +169,31 @@ func TestPendingIsHeapLength(t *testing.T) {
 	}
 }
 
+// TestReserveCountsWhenReserved: a reserved key counts in
+// des.events_scheduled when it is reserved, as the event it stands for
+// would have, but is in the heap, and Pending, only once AtKey pushes
+// it; pushed after an event scheduled later for the same instant, it
+// still fires first.
+func TestReserveCountsWhenReserved(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New()
+	s.SetObs(reg)
+	var got []string
+	k := s.Reserve(time.Second)
+	s.At(time.Second, func() { got = append(got, "later") })
+	if n := reg.Counter("des.events_scheduled").Value(); n != 2 || s.Pending() != 1 {
+		t.Fatalf("des.events_scheduled = %d and Pending = %d, want 2 and 1", n, s.Pending())
+	}
+	s.AtKey(k, func(any) { got = append(got, "reserved") }, nil)
+	if n := reg.Counter("des.events_scheduled").Value(); n != 2 || s.Pending() != 2 {
+		t.Fatalf("after AtKey: des.events_scheduled = %d and Pending = %d, want 2 and 2", n, s.Pending())
+	}
+	s.Run()
+	if len(got) != 2 || got[0] != "reserved" {
+		t.Fatalf("fired %v, want the reserved key first", got)
+	}
+}
+
 func TestSchedulerStop(t *testing.T) {
 	s := New()
 	n := 0

@@ -11,10 +11,9 @@ import (
 
 // The per-packet hot path — pool checkout, hop enqueue, serialization,
 // propagation, HARQ, delivery, pool release — must be allocation-free in
-// steady state with observability off. A warm-up pass grows the ring
-// buffers, the packet pool, and the scheduler's event free list to their
-// high-water marks; after that, moving a packet end to end allocates
-// nothing.
+// steady state with observability off. A warm-up pass grows the packet
+// pool and the scheduler's heap slice to their high-water marks; after
+// that, moving a packet end to end allocates nothing.
 
 func TestPacketPathSteadyStateAllocFree(t *testing.T) {
 	sch := des.New()
@@ -38,7 +37,7 @@ func TestPacketPathSteadyStateAllocFree(t *testing.T) {
 		}
 		sch.Run()
 	}
-	send(256) // warm: rings, pool and event free list reach capacity
+	send(256) // warm: pool and event heap reach capacity
 
 	before := delivered
 	avg := testing.AllocsPerRun(20, func() { send(64) })

@@ -54,11 +54,6 @@ func LegacyCross() CrossConfig {
 	return cfg
 }
 
-// MeanRate returns the long-run aggregate background rate in bits/s.
-func (c CrossConfig) MeanRate() float64 {
-	return c.PBusy*(c.BusyLoBps+c.BusyHiBps)/2 + (1-c.PBusy)*c.IdleHiBps/2
-}
-
 // StartCross launches the modulated background source injecting into
 // target. Packets are marked Background, drawn from pool (nil degrades to
 // plain allocation), and terminate right after the bottleneck, where the

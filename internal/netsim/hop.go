@@ -50,6 +50,6 @@ func (h *Hop) txDone() {
 	h.inflight = nil
 	h.cFwd.Inc()
 	h.cBytes.Add(int64(p.Wire))
-	h.sch.AfterArg(h.prop+h.extraProp, h.deliverFn, p)
+	h.propagate(p, h.sch.Now()+h.prop+h.extraProp)
 	h.serve()
 }

@@ -225,6 +225,11 @@ func TestFig10HARQAttempts(t *testing.T) {
 	}
 }
 
+// MeanRate returns the long-run aggregate background rate in bits/s.
+func (c CrossConfig) MeanRate() float64 {
+	return c.PBusy*(c.BusyLoBps+c.BusyHiBps)/2 + (1-c.PBusy)*c.IdleHiBps/2
+}
+
 func TestCrossMeanRate(t *testing.T) {
 	c := DefaultCross()
 	if m := c.MeanRate(); m < 50e6 || m > 300e6 {

@@ -6,7 +6,11 @@
 // congestion-control algorithms over these paths.
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"fivegsim/internal/des"
+)
 
 // Packet is the unit moved through the simulated network. Transport
 // engines use Seq/Len/Ack*; the network layer only looks at Wire.
@@ -16,8 +20,6 @@ type Packet struct {
 	Seq int64
 	// Len is the payload length in bytes (0 for pure ACKs).
 	Len int
-	// Ack marks a pure acknowledgment travelling the reverse path.
-	Ack bool
 	// AckSeq is the cumulative acknowledgment (next expected byte).
 	AckSeq int64
 	// SackMark reports the receiver's whole out-of-order map by
@@ -31,6 +33,8 @@ type Packet struct {
 	SentAt time.Duration
 	// EchoTS echoes the data packet's SentAt back on the ACK.
 	EchoTS time.Duration
+	// Ack marks a pure acknowledgment travelling the reverse path.
+	Ack bool
 	// Background marks cross-traffic packets, which leave the path
 	// right after the bottleneck.
 	Background bool
@@ -39,6 +43,13 @@ type Packet struct {
 	// pooled marks packets checked out of a PacketPool; only these are
 	// recycled on delivery/drop (see PacketPool's ownership rule).
 	pooled bool
+
+	// next links the packet into the one list it waits in: a hop's
+	// buffer, a hop's delay line or a pool's free list.
+	next *Packet
+	// key is the packet's delivery event's place in the firing order
+	// while it waits in a delay line.
+	key des.Key
 }
 
 // HeaderBytes is the IP+TCP/UDP header overhead per packet.

@@ -14,8 +14,11 @@ package netsim
 // loss. Release ignores packets built with plain &Packet{} (as in tests),
 // so pooled and unpooled traffic mix freely on one path. Get hands out a
 // fully zeroed packet.
+//
+// The free list is a stack linked through Packet.next, so the pool
+// holds no storage besides the packets themselves.
 type PacketPool struct {
-	free []*Packet
+	free *Packet
 
 	// Gets and News count checkouts and fresh allocations (diagnostic;
 	// Gets − News is the number of reuses).
@@ -33,14 +36,12 @@ func (pl *PacketPool) Get() *Packet {
 		return &Packet{}
 	}
 	pl.Gets++
-	n := len(pl.free)
-	if n == 0 {
+	p := pl.free
+	if p == nil {
 		pl.News++
 		return &Packet{pooled: true}
 	}
-	p := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
+	pl.free = p.next
 	*p = Packet{pooled: true}
 	return p
 }
@@ -53,46 +54,6 @@ func (pl *PacketPool) Release(p *Packet) {
 		return
 	}
 	p.pooled = false
-	pl.free = append(pl.free, p)
-}
-
-// pktRing is a growable FIFO ring buffer of packets: the hop queues.
-// Unlike the append/reslice idiom it never leaks the consumed prefix and
-// reaches a zero-allocation steady state once grown to the high-water
-// mark.
-type pktRing struct {
-	buf  []*Packet
-	head int
-	n    int
-}
-
-func (r *pktRing) len() int { return r.n }
-
-func (r *pktRing) push(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
-	r.n++
-}
-
-func (r *pktRing) pop() *Packet {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return p
-}
-
-func (r *pktRing) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]*Packet, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = buf
-	r.head = 0
+	p.next = pl.free
+	pl.free = p
 }

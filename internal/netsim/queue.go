@@ -15,11 +15,18 @@ import (
 // serve (how long the head packet holds the serializer, built on head)
 // and txDone (when, and whether, the sent packet is delivered).
 //
-// The per-packet path is allocation-free in steady state: the buffer is
-// a ring, the serializer holds its packet in a struct slot, and the
-// scheduler callbacks (serve retry, tx complete, delivery) are bound
-// once at construction — the delivery leg rides the scheduler's
-// arg-carrying events instead of a per-packet closure.
+// A sent packet waits out its propagation delay in the hop's delay line,
+// a FIFO of the packets sent and not yet delivered. Each keeps the place
+// in the scheduler's firing order that its own delivery event would have
+// taken (des.Scheduler.Reserve), and only the line's head is in the
+// scheduler's heap: the heap holds one entry per busy leg, not one per
+// packet in flight, and deliveries fire in exactly the order one event
+// per packet would give.
+//
+// The per-packet path is allocation-free: the buffer and the delay line
+// are lists linked through the packets themselves, the serializer holds
+// its packet in a struct slot, and no scheduler callback is built per
+// packet.
 type queue struct {
 	Name string
 
@@ -36,7 +43,7 @@ type queue struct {
 	relief  int
 	lockout bool
 
-	ring        pktRing
+	buf         pktList
 	queuedBytes int
 	busy        bool
 
@@ -46,6 +53,10 @@ type queue struct {
 	serveFn   func()
 	txDoneFn  func()
 	deliverFn func(any)
+
+	// line is the delay line: sent packets in delivery order, each
+	// holding its reserved key. Its head's key is in the scheduler.
+	line pktList
 
 	// pool, when set, recycles pool-owned packets this hop terminates.
 	// Nil is a no-op.
@@ -80,6 +91,35 @@ func newQueue(sch *des.Scheduler, name string, rateBps float64, prop time.Durati
 		Name: name, sch: sch, rateBps: rateBps, prop: prop, limit: limitBytes, relief: relief,
 		deliverFn: func(a any) { next.Receive(a.(*Packet)) },
 	}
+}
+
+// pktList is a FIFO of packets linked through Packet.next: a hop's
+// buffer and its delay line. A packet is in at most one list at a time,
+// so neither needs storage of its own.
+type pktList struct {
+	head, tail *Packet
+}
+
+// push appends p and reports whether the list was empty.
+func (l *pktList) push(p *Packet) (wasEmpty bool) {
+	p.next = nil
+	if l.tail == nil {
+		l.head, l.tail = p, p
+		return true
+	}
+	l.tail.next = p
+	l.tail = p
+	return false
+}
+
+// pop removes and returns the head; the list must not be empty.
+func (l *pktList) pop() *Packet {
+	p := l.head
+	l.head = p.next
+	if l.head == nil {
+		l.tail = nil
+	}
+	return p
 }
 
 // SetObs attaches `netsim.*{hop=Name}` instruments: packets
@@ -155,7 +195,7 @@ func (q *queue) Receive(p *Packet) {
 		q.drop(p)
 		return
 	}
-	q.ring.push(p)
+	q.buf.push(p)
 	q.queuedBytes += p.Wire
 	q.cEnq.Inc()
 	q.occ.Observe(float64(q.queuedBytes))
@@ -181,7 +221,7 @@ func (q *queue) drop(p *Packet) {
 // head packet still queued; those return nil. Otherwise it moves the
 // head packet into the serializer and returns it with the scaled rate.
 func (q *queue) head(rate float64) (*Packet, float64) {
-	if q.ring.len() == 0 {
+	if q.buf.head == nil {
 		q.busy = false
 		return nil, 0
 	}
@@ -197,8 +237,35 @@ func (q *queue) head(rate float64) (*Packet, float64) {
 		q.sch.After(time.Millisecond, q.serveFn)
 		return nil, 0
 	}
-	p := q.ring.pop()
+	p := q.buf.pop()
 	q.queuedBytes -= p.Wire
 	q.inflight = p
 	return p, rate
+}
+
+// propagate sends p down the delay line to be delivered at at. A
+// delivery due before the line's tail (a wired hop's latency burst has
+// just ended) would break the line's order, so it is scheduled on its
+// own.
+func (q *queue) propagate(p *Packet, at time.Duration) {
+	if t := q.line.tail; t != nil && at < t.key.At {
+		q.sch.AtArg(at, q.deliverFn, p)
+		return
+	}
+	p.key = q.sch.Reserve(at)
+	if q.line.push(p) {
+		q.sch.AtKey(p.key, arrive, q)
+	}
+}
+
+// arrive is the event of a delay line's head: it delivers the head of
+// q's line (q is a *queue), after handing the next head's key to the
+// scheduler.
+func arrive(a any) {
+	q := a.(*queue)
+	p := q.line.pop()
+	if h := q.line.head; h != nil {
+		q.sch.AtKey(h.key, arrive, q)
+	}
+	q.deliverFn(p)
 }

@@ -18,11 +18,10 @@ import (
 type RANHop struct {
 	queue
 
-	harq          radio.HARQ
-	harqRTT       time.Duration // per-retransmission round trip on the air
-	airScale      float64
-	rng           *rand.Rand
-	lastDeliverAt time.Duration
+	harq     radio.HARQ
+	harqRTT  time.Duration // per-retransmission round trip on the air
+	airScale float64
+	rng      *rand.Rand
 
 	// The in-flight block's HARQ outcome and the retransmission latency
 	// it accrued, drawn when it enters the serializer.
@@ -101,12 +100,12 @@ func (h *RANHop) txDone() {
 		// RLC in-order delivery: a block held up by HARQ round trips
 		// also holds back its successors (head-of-line jitter), so
 		// the transport layer never sees radio-induced reordering.
+		// An empty line has delivered everything sent before.
 		deliverAt := h.sch.Now() + h.prop + h.inflightExtra
-		if deliverAt < h.lastDeliverAt {
-			deliverAt = h.lastDeliverAt
+		if t := h.line.tail; t != nil && deliverAt < t.key.At {
+			deliverAt = t.key.At
 		}
-		h.lastDeliverAt = deliverAt
-		h.sch.AtArg(deliverAt, h.deliverFn, p)
+		h.propagate(p, deliverAt)
 	}
 	h.serve()
 }

@@ -11,7 +11,7 @@ import (
 
 // Saturator drives saturating CBR traffic over one long-lived path. Where
 // RunUDP builds a fresh scheduler and path per call — thousands of
-// allocations of hops, pools and rings that dominate short runs — a
+// allocations of hops, packets and heap growth that dominate short runs — a
 // Saturator constructs them once and advances the same simulation in
 // slices: in-flight packets, pool inventory and cross-traffic state carry
 // over between slices, so every slice after the first measures the
@@ -43,20 +43,22 @@ func NewSaturator(cfg PathConfig, offeredBps float64) *Saturator {
 	// — but the busy-period draws are heavy-tailed enough that the
 	// high-water mark keeps inching up for simulated hours, and each new
 	// record is an allocation in what must be an allocation-free steady
-	// state (TestSaturatorSliceAllocFree). The bound: ≈3500 full-size
-	// packets fill every buffer, plus the pump's one-tick backlog; events
-	// track in-flight packets one-to-one plus the handful of sources.
-	// Scheduling prime events grows the heap slice to hold them, and
-	// draining them leaves its capacity in place.
-	const prime = 8192
-	pkts := make([]*Packet, prime)
+	// state (TestSaturatorSliceAllocFree). Packets: ≈3500 full-size ones
+	// fill every buffer and delay line, plus the pump's one-tick backlog.
+	// Events: packets in flight wait in their hops' delay lines, so the
+	// heap holds only the pump's one-tick backlog (≈100 packets at the
+	// busiest draw), one head per busy leg and the handful of sources
+	// and serializers. Scheduling primeEvents grows the heap slice to
+	// hold them, and draining them leaves its capacity in place.
+	const primePkts, primeEvents = 8192, 512
+	pkts := make([]*Packet, primePkts)
 	for i := range pkts {
 		pkts[i] = s.path.Pool.Get()
 	}
 	for _, p := range pkts {
 		s.path.Pool.Release(p)
 	}
-	for i := 0; i < prime; i++ {
+	for i := 0; i < primeEvents; i++ {
 		sch.After(0, func() {})
 	}
 	sch.RunUntil(0)
@@ -113,13 +115,13 @@ func TestSaturatorSteadyStateMatchesBaseline(t *testing.T) {
 }
 
 // TestSaturatorSliceAllocFree pins the steady-state allocation contract
-// behind BenchmarkPathSaturate: once the pipe, pool, rings and
-// event heap have reached their high-water marks, advancing the
-// same simulation by another slice allocates nothing.
+// behind BenchmarkPathSaturate: once the pipe, pool and event heap
+// have reached their high-water marks, advancing the same simulation
+// by another slice allocates nothing.
 func TestSaturatorSliceAllocFree(t *testing.T) {
 	cfg := DefaultPath(radio.NR, true)
 	s := NewSaturator(cfg, cfg.RANRateBps*1.2)
-	s.RunSlice(2 * time.Second) // warm: pool, rings, event heap at capacity
+	s.RunSlice(2 * time.Second) // warm: pool and event heap at capacity
 	avg := testing.AllocsPerRun(10, func() { s.RunSlice(100 * time.Millisecond) })
 	if avg != 0 {
 		t.Fatalf("steady-state RunSlice allocates: %.2f allocs/run", avg)

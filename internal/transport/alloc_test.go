@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fivegsim/internal/des"
 	"fivegsim/internal/netsim"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -60,14 +62,23 @@ func TestBulkSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector instruments
+// the build.
+var raceEnabled bool
+
 // TestBulkFlowAllocBytes holds one whole lossy flow to a byte budget,
 // growth phase included, which the warmed per-ACK guard above does not
 // see: a fresh four-second bbr flow on the daytime 5G path, whose loss
-// episodes keep hundreds of SACK blocks outstanding. With the map copied
-// into every ACK the flow allocated 18.7 MB; with a mark into the SACK
-// log it allocates about 3.5 MB.
+// episodes keep hundreds of SACK blocks outstanding. It allocates
+// 1.82 MB; the race detector's build grows the SACK log's slices
+// further, to 2.32 MB, so it has a budget of its own. Each budget fails
+// a path that keeps its packets in flight in the scheduler's heap, in
+// hop rings and in pool slices (2.36 and 2.85 MB).
 func TestBulkFlowAllocBytes(t *testing.T) {
-	const budgetMB = 6
+	budgetMB := 2.1
+	if raceEnabled {
+		budgetMB = 2.6
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -76,8 +87,37 @@ func TestBulkFlowAllocBytes(t *testing.T) {
 	if r.LossEvents == 0 {
 		t.Fatal("no loss episodes: the SACK path went unexercised")
 	}
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > budgetMB {
-		t.Fatalf("a 4 s 5G bbr flow allocated %.1f MB, want at most %d MB", mb, budgetMB)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("a 4 s 5G bbr flow allocated %.2f MB", mb)
+	if mb > budgetMB {
+		t.Fatalf("a 4 s 5G bbr flow allocated %.2f MB, want at most %.1f MB", mb, budgetMB)
+	}
+}
+
+// TestDelayLinesBoundHeap: a packet on a propagation leg waits in its
+// hop's delay line, and only each line's head is in the scheduler's
+// heap, so the heap's high-water mark stays near one entry per leg
+// however many packets are in flight. With one heap event per packet in
+// flight it read 1,308 on a 2 s 5G UDP baseline and 4,260 on a 4 s 4G
+// cubic flow. The link that threads a packet through the lines keeps a
+// packet within the 96-byte size class.
+func TestDelayLinesBoundHeap(t *testing.T) {
+	const maxDepth = 256
+	if size := unsafe.Sizeof(netsim.Packet{}); size > 96 {
+		t.Errorf("netsim.Packet is %d bytes, want at most 96", size)
+	}
+	udpCfg := netsim.DefaultPath(radio.NR, true)
+	udpCfg.Obs = obs.NewRegistry()
+	netsim.UDPBaseline(udpCfg, 2*time.Second)
+	bulkCfg := netsim.DefaultPath(radio.LTE, true)
+	bulkCfg.Obs = obs.NewRegistry()
+	RunBulk(bulkCfg, "cubic", 4*time.Second)
+	udp := udpCfg.Obs.Gauge("des.queue_depth").Max()
+	bulk := bulkCfg.Obs.Gauge("des.queue_depth").Max()
+	t.Logf("des.queue_depth high-water: %d (5G UDP baseline), %d (4G cubic flow)", udp, bulk)
+	if udp > maxDepth || bulk > maxDepth {
+		t.Fatalf("des.queue_depth high-water %d (5G UDP baseline) and %d (4G cubic flow), want at most %d",
+			udp, bulk, maxDepth)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fivegsim/internal/obs"
 )
 
 // tempExperiment registers an experiment for the duration of one test
@@ -107,6 +109,33 @@ func TestRunContextPreCanceled(t *testing.T) {
 // TestCancellationBetweenExperiments: canceling mid-campaign stops the
 // engine within one experiment boundary — the experiment in flight
 // finishes, nothing later starts, and the typed context error surfaces.
+func TestRunContextManifestCoversItsOwnRun(t *testing.T) {
+	tempExperiment(t, "Z97", func(cfg Config) Result {
+		cfg.Obs.Counter("test.runs").Inc()
+		return Result{ID: "Z97"}
+	})
+	cfg := QuickConfig()
+	cfg.Obs = obs.NewRegistry()
+	for run := 1; run <= 2; run++ {
+		res, err := RunContext(context.Background(), "Z97", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := -1.0
+		for _, m := range res.Manifest.Metrics {
+			if m.Name == "test.runs" {
+				got = m.Value
+			}
+		}
+		if got != 1 {
+			t.Fatalf("run %d: manifest reads test.runs = %g, want 1 (this run alone)", run, got)
+		}
+	}
+	if n := cfg.Obs.Counter("test.runs").Value(); n != 2 {
+		t.Fatalf("caller's registry reads test.runs = %d after two runs, want 2", n)
+	}
+}
+
 func TestCancellationBetweenExperiments(t *testing.T) {
 	var ran int32
 	for _, id := range []string{"Z90", "Z91", "Z92", "Z93"} {

@@ -178,7 +178,7 @@ func runX15Dynamics(cfg Config) Result {
 		Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line(
 		"population: %d UEs (arena %d), churn %.1f arrivals/tick × %g-tick mean lifetime, %d ticks",
-		n, p.Capacity(), m.Churn.ArrivalPerTick, m.Churn.MeanLifetimeTicks, ticks))
+		n, p.Len(), m.Churn.ArrivalPerTick, m.Churn.MeanLifetimeTicks, ticks))
 	res.Lines = append(res.Lines, line(
 		"A3: %.0f dB hysteresis, TTT %d ticks (paper: 3 dB / 324 ms); load EWMA α=%.1f",
 		m.A3.HysteresisDB, m.A3.TTTTicks, m.LoadCoupling.Alpha))

@@ -373,6 +373,9 @@ func ValidateExperiments(ids ...string) error {
 // canceled before the experiment starts returns ctx.Err() (wrapped, so
 // errors.Is matches); an experiment already running is not interrupted.
 // cfg.OnEvent reaches the experiment as is, so it sees only EventTick.
+// When cfg.Obs is set the experiment runs against a fresh registry, so
+// its Manifest snapshot covers that run alone, and the registry is
+// merged into cfg.Obs when the run returns.
 // An unknown id is an *UnknownExperimentError; a config that fails
 // Config.Validate is an *InvalidConfigError.
 func RunContext(ctx context.Context, id string, cfg Config) (Result, error) {
@@ -384,7 +387,13 @@ func RunContext(ctx context.Context, id string, cfg Config) (Result, error) {
 	}
 	for _, e := range registry {
 		if e.ID == id {
-			return e.Run(cfg), nil
+			run := cfg
+			if cfg.Obs != nil {
+				run.Obs = obs.NewRegistry()
+			}
+			res := e.Run(run)
+			cfg.Obs.Merge(run.Obs)
+			return res, nil
 		}
 	}
 	return Result{}, &UnknownExperimentError{ID: id}

@@ -11,8 +11,9 @@ import "time"
 type BBR struct {
 	state bbrState
 
-	// Bandwidth filter: windowed max over the last bwWindow samples.
-	bwSamples []bwSample
+	// Bandwidth filter: windowed max over the last bwWindow
+	// delivery-rate samples (bits/s).
+	bwSamples []float64
 	btlBw     float64 // bits/s
 
 	// RTprop filter.
@@ -22,7 +23,6 @@ type BBR struct {
 	// Delivery-rate sampling.
 	accBytes   int
 	accStart   time.Duration
-	sampleRTT  time.Duration
 	fullBwLast float64
 	fullBwCnt  int
 
@@ -45,11 +45,6 @@ const (
 	bbrProbeRTT
 )
 
-type bwSample struct {
-	at time.Duration
-	bw float64
-}
-
 const (
 	bbrHighGain  = 2.885
 	bbrBwWindow  = 10 // samples
@@ -66,23 +61,8 @@ func NewBBR() *BBR {
 // Name implements Controller.
 func (b *BBR) Name() string { return "bbr" }
 
-// State returns a human-readable phase name (diagnostics).
-func (b *BBR) State() string {
-	switch b.state {
-	case bbrStartup:
-		return "STARTUP"
-	case bbrDrain:
-		return "DRAIN"
-	case bbrProbeBW:
-		return "PROBE_BW"
-	default:
-		return "PROBE_RTT"
-	}
-}
-
 // OnAck implements Controller.
 func (b *BBR) OnAck(now time.Duration, acked int, rtt time.Duration, inflight int) {
-	b.sampleRTT = rtt
 	if b.rtProp == 0 || rtt <= b.rtProp || now-b.rtPropStamp > bbrRTTWindow {
 		b.rtProp = rtt
 		b.rtPropStamp = now
@@ -103,7 +83,7 @@ func (b *BBR) OnAck(now time.Duration, acked int, rtt time.Duration, inflight in
 		if bw > phyCeilingBps {
 			bw = phyCeilingBps
 		}
-		b.pushBw(now, bw)
+		b.pushBw(bw)
 		b.accBytes = 0
 		b.accStart = now
 		b.advance(now, inflight)
@@ -126,15 +106,15 @@ func (b *BBR) OnAck(now time.Duration, acked int, rtt time.Duration, inflight in
 }
 
 // pushBw records a delivery-rate sample and refreshes the max filter.
-func (b *BBR) pushBw(now time.Duration, bw float64) {
-	b.bwSamples = append(b.bwSamples, bwSample{at: now, bw: bw})
+func (b *BBR) pushBw(bw float64) {
+	b.bwSamples = append(b.bwSamples, bw)
 	if len(b.bwSamples) > bbrBwWindow {
 		b.bwSamples = b.bwSamples[1:]
 	}
 	b.btlBw = 0
 	for _, s := range b.bwSamples {
-		if s.bw > b.btlBw {
-			b.btlBw = s.bw
+		if s > b.btlBw {
+			b.btlBw = s
 		}
 	}
 }

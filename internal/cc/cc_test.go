@@ -128,6 +128,20 @@ func TestVenoRenoCutOnCongestiveLoss(t *testing.T) {
 	}
 }
 
+// State returns a human-readable phase name (diagnostics).
+func (b *BBR) State() string {
+	switch b.state {
+	case bbrStartup:
+		return "STARTUP"
+	case bbrDrain:
+		return "DRAIN"
+	case bbrProbeBW:
+		return "PROBE_BW"
+	default:
+		return "PROBE_RTT"
+	}
+}
+
 func TestBBRStartupExitsOnPlateau(t *testing.T) {
 	b := NewBBR()
 	rtt := 20 * time.Millisecond

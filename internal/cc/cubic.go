@@ -15,7 +15,6 @@ type Cubic struct {
 	epochAt   time.Duration
 	k         float64 // seconds
 	inEpoch   bool
-	lastRTT   time.Duration
 	friendlyW float64
 }
 
@@ -35,7 +34,6 @@ func (c *Cubic) Name() string { return "cubic" }
 
 // OnAck implements Controller.
 func (c *Cubic) OnAck(now time.Duration, acked int, rtt time.Duration, inflight int) {
-	c.lastRTT = rtt
 	if c.cwnd < c.ssthresh {
 		c.cwnd += float64(acked)
 		return

@@ -146,7 +146,6 @@ type GridCell struct {
 	Center     geom.Point
 	RSRPdBm    float64
 	BitRateBps float64
-	ServingPCI int
 	Indoor     bool
 }
 
@@ -178,7 +177,6 @@ func GridMap(c *deploy.Campus, t radio.Tech, resolution float64, workers int) []
 				gc := GridCell{Center: p, RSRPdBm: math.Inf(-1), Indoor: c.Indoor(p)}
 				if m, ok := c.BestServer(t, p); ok {
 					gc.RSRPdBm = m.RSRPdBm
-					gc.ServingPCI = m.PCI
 					if m.Usable() {
 						gc.BitRateBps = radio.DLBitRate(m, band, band.PRBs)
 					}

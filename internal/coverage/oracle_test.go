@@ -32,7 +32,11 @@ func cellRSRP(c *deploy.Campus, cell *radio.Cell, p geom.Point) float64 {
 func scalarCellLocked(c *deploy.Campus, cell *radio.Cell, p geom.Point) radio.Measurement {
 	var terms []radio.InterferenceTerm
 	var servingRSRP float64
-	for _, other := range c.Cells(cell.Tech) {
+	cells := c.LTECells
+	if cell.Tech == radio.NR {
+		cells = c.NRCells
+	}
+	for _, other := range cells {
 		v := cellRSRP(c, other, p)
 		if other.PCI == cell.PCI {
 			servingRSRP = v

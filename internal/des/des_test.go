@@ -7,6 +7,9 @@ import (
 	"fivegsim/internal/obs"
 )
 
+// Pending reports the number of events still queued.
+func (s *Scheduler) Pending() int { return len(s.queue) }
+
 func TestSchedulerOrdering(t *testing.T) {
 	s := New()
 	var got []int

@@ -7,7 +7,7 @@
 // a timed list of such adversities — link outages, loss and latency
 // bursts, backhaul brownouts, radio degradation at the coverage edge,
 // and serving-cell failures with 4G fallback — that is armed onto a
-// netsim path (Arm / Hook) or onto a walking hand-off campaign
+// netsim path (Hook) or onto a walking hand-off campaign
 // (Plan.CellDown).
 //
 // Determinism contract: every random draw a plan makes comes from

@@ -26,16 +26,16 @@ var fallbackRateBps = netsim.DefaultPath(radio.LTE, true).RANRateBps
 // scheduler, keyed by its own PathConfig.Seed. Paths are independent
 // DES worlds, so arming per path preserves worker-count invariance.
 func Hook(p *Plan) func(sch *des.Scheduler, path *netsim.Path) {
-	return func(sch *des.Scheduler, path *netsim.Path) { Arm(p, sch, path) }
+	return func(sch *des.Scheduler, path *netsim.Path) { arm(p, sch, path) }
 }
 
-// Arm schedules every fault of the plan onto the path's scheduler.
+// arm schedules every fault of the plan onto the path's scheduler.
 // Random draws (loss-burst coin flips) come from substreams keyed by
 // the path seed and the fault index. Fault activations are counted as
 // `fault.windows{kind=...}` on the path's registry and appear as
 // `fault` category spans on its tracer; both are nil-safe no-ops when
 // telemetry is off.
-func Arm(p *Plan, sch *des.Scheduler, path *netsim.Path) {
+func arm(p *Plan, sch *des.Scheduler, path *netsim.Path) {
 	if p == nil || len(p.Faults) == 0 {
 		return
 	}

@@ -89,20 +89,6 @@ func (r Rect) edges() [4]Segment {
 	return [4]Segment{{a, b}, {b, c}, {c, d}, {d, a}}
 }
 
-// Intersects reports whether the segment s crosses or touches the
-// rectangle boundary or interior.
-func (r Rect) Intersects(s Segment) bool {
-	if r.Contains(s.A) || r.Contains(s.B) {
-		return true
-	}
-	for _, e := range r.edges() {
-		if SegmentsIntersect(s, e) {
-			return true
-		}
-	}
-	return false
-}
-
 // CrossingCount returns the number of rectangle walls the segment crosses.
 // A segment passing clean through a building crosses 2 walls; one ending
 // inside crosses 1. Touching a corner counts once per edge touched, which

@@ -87,19 +87,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	r := NewRect(Point{1, 1}, Point{2, 2})
-	if !r.Intersects(Segment{Point{0, 1.5}, Point{3, 1.5}}) {
-		t.Fatal("segment through rect should intersect")
-	}
-	if !r.Intersects(Segment{Point{1.5, 1.5}, Point{5, 5}}) {
-		t.Fatal("segment starting inside should intersect")
-	}
-	if r.Intersects(Segment{Point{0, 0}, Point{0.5, 0.5}}) {
-		t.Fatal("far segment should not intersect")
-	}
-}
-
 func TestCrossingCount(t *testing.T) {
 	r := NewRect(Point{1, 1}, Point{2, 2})
 	if n := r.CrossingCount(Segment{Point{0, 1.5}, Point{3, 1.5}}); n != 2 {

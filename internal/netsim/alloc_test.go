@@ -31,7 +31,7 @@ func TestPacketPathSteadyStateAllocFree(t *testing.T) {
 	send := func(n int) {
 		for i := 0; i < n; i++ {
 			p := pool.Get()
-			p.FlowID, p.Seq, p.Len, p.Wire = 1, int64(i), MSS, MSS+HeaderBytes
+			p.Seq, p.Len, p.Wire = int64(i), MSS, MSS+HeaderBytes
 			p.SentAt = sch.Now()
 			wired.Receive(p)
 		}

@@ -89,7 +89,7 @@ func StartCross(sch *des.Scheduler, cfg CrossConfig, r *rand.Rand, pool *PacketP
 		tokens -= float64(n * cfg.PacketWire)
 		for i := 0; i < n; i++ {
 			p := pool.Get()
-			p.FlowID, p.Wire, p.Background = -1, cfg.PacketWire, true
+			p.Wire, p.Background = cfg.PacketWire, true
 			sch.AfterArg(time.Duration(i)*pumpTick/time.Duration(n), emit, p)
 		}
 		sch.After(pumpTick, pump)

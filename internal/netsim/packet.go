@@ -15,7 +15,6 @@ import (
 // Packet is the unit moved through the simulated network. Transport
 // engines use Seq/Len/Ack*; the network layer only looks at Wire.
 type Packet struct {
-	FlowID int
 	// Seq is the first payload byte's sequence number (data packets).
 	Seq int64
 	// Len is the payload length in bytes (0 for pure ACKs).

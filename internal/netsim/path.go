@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strconv"
 	"time"
 
 	"fivegsim/internal/des"
@@ -144,13 +143,16 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	if cfg.Obs != nil {
 		sch.SetObs(cfg.Obs)
 	}
-	flowBytes := newFlowCounters(cfg.Obs)
+	// A path carries one foreground flow, so every packet delivered to
+	// the UE is its payload. The series keeps its flow label so that
+	// result files line up with those of older builds.
+	flowBytes := cfg.Obs.Counter("netsim.flow_bytes{flow=1}")
 
 	// Downlink, built back to front. The endpoint wrappers are where
 	// pool-owned packets finish their life: released after the consumer
 	// callback returns (consumers copy what they need synchronously).
 	ueDeliver := ReceiverFunc(func(pkt *Packet) {
-		flowBytes.add(pkt)
+		flowBytes.Add(int64(pkt.Len))
 		if p.ToUE != nil {
 			p.ToUE.Receive(pkt)
 		}
@@ -208,37 +210,6 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	}
 
 	return p
-}
-
-// flowCounters caches per-flow delivered-byte counters so the per-packet
-// delivery path never takes the registry lock. Small flow IDs (the
-// foreground flows) hit a fixed array; others fall back to one shared
-// overflow counter.
-type flowCounters struct {
-	small [8]*obs.Counter
-	other *obs.Counter
-}
-
-func newFlowCounters(reg *obs.Registry) *flowCounters {
-	if reg == nil {
-		return nil
-	}
-	fc := &flowCounters{other: reg.Counter("netsim.flow_bytes{flow=other}")}
-	for i := range fc.small {
-		fc.small[i] = reg.Counter("netsim.flow_bytes{flow=" + strconv.Itoa(i) + "}")
-	}
-	return fc
-}
-
-func (fc *flowCounters) add(p *Packet) {
-	if fc == nil {
-		return
-	}
-	c := fc.other
-	if p.FlowID >= 0 && p.FlowID < len(fc.small) {
-		c = fc.small[p.FlowID]
-	}
-	c.Add(int64(p.Len))
 }
 
 // SetRANRate changes the downlink radio goodput (e.g. PRB contention or a

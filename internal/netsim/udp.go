@@ -43,7 +43,7 @@ func (p *Path) StartCBR(offeredBps float64, until time.Duration) (sent *int64) {
 			return
 		}
 		pkt := p.Pool.Get()
-		pkt.FlowID, pkt.Seq, pkt.Len, pkt.Wire, pkt.SentAt = 1, *sent, MSS, MSS+HeaderBytes, now
+		pkt.Seq, pkt.Len, pkt.Wire, pkt.SentAt = *sent, MSS, MSS+HeaderBytes, now
 		p.ServerIngress.Receive(pkt)
 		*sent++
 		p.Sch.After(interval, tick)

@@ -111,7 +111,8 @@ func (m RunManifest) String() string {
 
 // DiffManifests renders a metric-by-metric comparison of two runs:
 // every metric present in either manifest, with absolute and relative
-// deltas, plus the headline wall/sim/events comparison.
+// deltas of its Value (a histogram's mean), plus the headline
+// wall/sim/events comparison.
 func DiffManifests(a, b RunManifest) string {
 	var out strings.Builder
 	fmt.Fprintf(&out, "diff %s (seed %d, %s) vs %s (seed %d, %s)\n",
@@ -145,11 +146,11 @@ func DiffManifests(a, b RunManifest) string {
 		mb, inB := bm[n]
 		switch {
 		case !inA:
-			fmt.Fprintf(&out, "  + %-42s %.6g\n", n, metricHeadline(mb))
+			fmt.Fprintf(&out, "  + %-42s %.6g\n", n, mb.Value)
 		case !inB:
-			fmt.Fprintf(&out, "  - %-42s %.6g\n", n, metricHeadline(ma))
+			fmt.Fprintf(&out, "  - %-42s %.6g\n", n, ma.Value)
 		default:
-			va, vb := metricHeadline(ma), metricHeadline(mb)
+			va, vb := ma.Value, mb.Value
 			if va == vb {
 				continue
 			}
@@ -158,10 +159,6 @@ func DiffManifests(a, b RunManifest) string {
 	}
 	return out.String()
 }
-
-// metricHeadline is the single comparable number per metric: the value
-// for counters/gauges, the mean for histograms.
-func metricHeadline(m Metric) float64 { return m.Value }
 
 func ratio(a, b float64) string {
 	if a == 0 || math.IsNaN(a) || math.IsNaN(b) {

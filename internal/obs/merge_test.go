@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -73,20 +75,19 @@ func TestMergeHistogramBucketsAdd(t *testing.T) {
 	}
 }
 
-func TestMergeHistogramBoundsMismatchRebuckets(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Histogram("lat", []float64{10, 100}).Observe(3)
-	src := b.Histogram("lat", []float64{1, 2, 4})
-	src.Observe(1.5) // bucket ≤2 → re-bucketed at bound 2 → dst ≤10
-	src.Observe(9)   // overflow → re-bucketed at observed max 9 → dst ≤10
-
-	a.Merge(b)
-	h := a.Histogram("lat", []float64{10, 100})
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
-	}
-	if h.counts[0] != 3 || h.counts[1] != 0 || h.counts[2] != 0 {
-		t.Fatalf("counts = %v, want all three samples in the ≤10 bucket", h.counts)
+func TestMergeHistogramBoundsMismatchPanics(t *testing.T) {
+	for _, bounds := range [][]float64{{1, 2, 4}, {10, 200}} {
+		a, b := NewRegistry(), NewRegistry()
+		a.Histogram("lat", []float64{10, 100}).Observe(3)
+		b.Histogram("lat", bounds).Observe(1.5)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "lat") {
+					t.Fatalf("Merge of ladder %v into {10, 100}: recovered %v, want a panic naming the histogram", bounds, r)
+				}
+			}()
+			a.Merge(b)
+		}()
 	}
 }
 

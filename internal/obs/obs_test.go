@@ -3,11 +3,38 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// Count returns the number of observations. Nil-safe (0).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return atomic.LoadInt64(&h.count)
+}
+
+// Sum returns the sum of observations. Nil-safe (0).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(atomic.LoadUint64(&h.sum))
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
+// inside the landing bucket, clamped to the observed min/max. Nil-safe.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	return h.load().quantile(q)
+}
 
 func TestNilRegistryHandsOutNoopHandles(t *testing.T) {
 	var r *Registry

@@ -18,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,31 +156,6 @@ func casFloat(bits *uint64, v float64, better func(cur float64) bool) {
 	}
 }
 
-// Count returns the number of observations. Nil-safe (0).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.count)
-}
-
-// Sum returns the sum of observations. Nil-safe (0).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(atomic.LoadUint64(&h.sum))
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the landing bucket, clamped to the observed min/max. Nil-safe.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.load().quantile(q)
-}
-
 // histState is a histogram's atomics copied out at one instant; bounds
 // are shared, since a histogram never changes them after creation.
 type histState struct {
@@ -231,26 +207,11 @@ func (s histState) quantile(q float64) float64 {
 	return s.max
 }
 
-// add folds a copied histogram into h. When the ladders disagree (the
-// name was first registered with different bounds), each source bucket
-// is re-bucketed at its upper bound and the overflow bucket at the
-// observed max.
+// add folds a copied histogram with the same ladder into h.
 func (h *Histogram) add(s histState) {
-	same := equalBounds(h.bounds, s.bounds)
 	var count int64
 	for i, c := range s.counts {
-		if c == 0 {
-			continue
-		}
-		j := i
-		if !same {
-			v := s.max
-			if i < len(s.bounds) {
-				v = s.bounds[i]
-			}
-			j = sort.SearchFloat64s(h.bounds, v)
-		}
-		atomic.AddInt64(&h.counts[j], c)
+		atomic.AddInt64(&h.counts[i], c)
 		count += c
 	}
 	if count == 0 {
@@ -260,18 +221,6 @@ func (h *Histogram) add(s histState) {
 	addFloat(&h.sum, s.sum)
 	casFloat(&h.min, s.min, func(cur float64) bool { return s.min < cur })
 	casFloat(&h.max, s.max, func(cur float64) bool { return s.max > cur })
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Default bucket ladders for the simulator's common units.
@@ -398,7 +347,8 @@ func (r *Registry) instruments() []instrument {
 // current value (last write wins) while high-water marks take the max,
 // and histogram buckets add. Instruments missing from r are created.
 // Merging from or into a nil registry — or a registry into itself — is
-// a safe no-op.
+// a safe no-op. Every histogram name has one ladder, so Merge panics
+// when r and src registered a name with different bounds.
 //
 // The parallel campaign engine gives each shard its own registry and
 // merges them in shard order, so merged counter totals and histogram
@@ -420,7 +370,11 @@ func (r *Registry) Merge(src *Registry) {
 			atomic.StoreInt64(&g.v, in.v)
 			g.raise(in.max)
 		case "histogram":
-			r.Histogram(in.name, in.hist.bounds).add(in.hist)
+			h := r.Histogram(in.name, in.hist.bounds)
+			if !slices.Equal(h.bounds, in.hist.bounds) {
+				panic("obs: Merge of histogram " + in.name + " with a different bucket ladder")
+			}
+			h.add(in.hist)
 		}
 	}
 }

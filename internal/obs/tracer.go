@@ -25,12 +25,11 @@ type TraceEvent struct {
 // concurrent use; a nil *Tracer is a no-op. When the ring wraps, the
 // oldest events are overwritten and Dropped counts them.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []TraceEvent
-	next    int
-	total   uint64
-	wall0   time.Time
-	started bool
+	mu    sync.Mutex
+	buf   []TraceEvent
+	next  int
+	total uint64
+	wall0 time.Time
 }
 
 // DefaultTraceCapacity bounds the ring when NewTracer is given cap ≤ 0.
@@ -41,7 +40,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]TraceEvent, 0, capacity), wall0: time.Now(), started: true}
+	return &Tracer{buf: make([]TraceEvent, 0, capacity), wall0: time.Now()}
 }
 
 // Emit records one event. Nil-safe.

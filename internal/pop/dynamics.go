@@ -38,9 +38,9 @@ type ChurnModel struct {
 	// MeanLifetimeTicks is the mean of the exponential UE lifetime,
 	// in ticks (default 300 — 30 s of 100 ms ticks).
 	MeanLifetimeTicks float64
-	// MaxN caps the arena (live UEs at any instant). 0 sizes it from
+	// maxN caps the arena (live UEs at any instant). 0 sizes it from
 	// Little's law: N + λ·L plus a 4σ Poisson fluctuation margin.
-	MaxN int
+	maxN int
 }
 
 // A3Model parametrizes the per-UE sticky serving-cell state machine:
@@ -99,11 +99,11 @@ func (m Model) dynamicsDefaults() Model {
 // count plus the Little's-law standing churn population λ·L and a 4σ
 // Poisson margin, so blocked births are rare at the configured rates.
 func churnCapacity(n int, ch ChurnModel) int {
-	if ch.MaxN > 0 {
-		if ch.MaxN < n {
+	if ch.maxN > 0 {
+		if ch.maxN < n {
 			return n
 		}
-		return ch.MaxN
+		return ch.maxN
 	}
 	standing := ch.ArrivalPerTick * ch.MeanLifetimeTicks
 	c := float64(n) + standing + 4*math.Sqrt(standing+1) + 16
@@ -304,35 +304,14 @@ func (p *Population) RestoreLoads() {
 	}
 }
 
-// CoupledLoad returns cell c's (dense index) current load EWMA.
-func (p *Population) CoupledLoad(c int) float64 { return p.loadEwma[c] }
-
 // Alive returns the number of live UEs (== Len() without churn).
 func (p *Population) Alive() int { return p.alive }
 
-// Capacity returns the arena capacity (== Len()).
-func (p *Population) Capacity() int { return p.n }
-
-// FreeSlots returns the current free-list depth. The conservation
-// invariant FreeSlots() + Alive() == Capacity() holds after every tick,
-// including a run cut short by cancellation.
-func (p *Population) FreeSlots() int { return len(p.free) }
-
-// Births, Deaths and BlockedBirths return the cumulative churn counts.
+// Births returns the cumulative birth count.
 func (p *Population) Births() int64 { return p.birthsTotal }
 
 // Deaths returns the cumulative death count.
 func (p *Population) Deaths() int64 { return p.deathsTotal }
-
-// BlockedBirths returns how many arrivals found the arena full and were
-// dropped.
-func (p *Population) BlockedBirths() int64 { return p.blockedTotal }
-
-// TickChurn returns the last tick's (births, deaths, blocked) counts —
-// the per-tick conservation triple births − deaths == ΔAlive.
-func (p *Population) TickChurn() (births, deaths, blocked int64) {
-	return p.tickBirths, p.tickDeaths, p.tickBlocked
-}
 
 // Handoffs returns the cumulative hand-off and ping-pong counts over
 // the live arena (counters of dead UEs leave the totals when their slot

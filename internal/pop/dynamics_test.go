@@ -65,9 +65,9 @@ func TestChurnConservation(t *testing.T) {
 		if blocked < 0 {
 			t.Fatalf("tick %d: negative blocked count %d", k, blocked)
 		}
-		if p.FreeSlots()+p.Alive() != p.Capacity() {
+		if p.FreeSlots()+p.Alive() != p.Len() {
 			t.Fatalf("tick %d: free %d + alive %d != capacity %d",
-				k, p.FreeSlots(), p.Alive(), p.Capacity())
+				k, p.FreeSlots(), p.Alive(), p.Len())
 		}
 		occupied := 0
 		for i := 0; i < p.n; i++ {
@@ -95,15 +95,15 @@ func TestChurnArenaFullBlocksBirths(t *testing.T) {
 	m := DefaultModel()
 	m.N = 50
 	m.Ticks = 30
-	m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 20, MeanLifetimeTicks: 1000, MaxN: 60}
+	m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 20, MeanLifetimeTicks: 1000, maxN: 60}
 	campus := deploy.New(7)
 	p := New(campus, m, 7)
 	for k := 0; k < m.Ticks; k++ {
 		p.Tick(1)
-		if p.Alive() > p.Capacity() {
-			t.Fatalf("tick %d: alive %d exceeds capacity %d", k, p.Alive(), p.Capacity())
+		if p.Alive() > p.Len() {
+			t.Fatalf("tick %d: alive %d exceeds capacity %d", k, p.Alive(), p.Len())
 		}
-		if p.FreeSlots()+p.Alive() != p.Capacity() {
+		if p.FreeSlots()+p.Alive() != p.Len() {
 			t.Fatalf("tick %d: arena partition broken", k)
 		}
 	}
@@ -323,9 +323,9 @@ func TestChurnCancellation(t *testing.T) {
 	if p.Ticks() != cutAt {
 		t.Fatalf("canceled run executed %d ticks, want %d", p.Ticks(), cutAt)
 	}
-	if p.FreeSlots()+p.Alive() != p.Capacity() {
+	if p.FreeSlots()+p.Alive() != p.Len() {
 		t.Fatalf("canceled run leaked arena slots: free %d + alive %d != capacity %d",
-			p.FreeSlots(), p.Alive(), p.Capacity())
+			p.FreeSlots(), p.Alive(), p.Len())
 	}
 
 	// Reference: the same model ticked exactly cutAt times, no cancellation.

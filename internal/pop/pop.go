@@ -105,7 +105,6 @@ type Population struct {
 
 	n     int // arena capacity (== initial count without churn)
 	alive int // live UEs; tracked by the churn step
-	seed  int64
 
 	// Per-UE state (SoA arena).
 	x, y      []float64 // position (m)
@@ -147,7 +146,6 @@ type Population struct {
 
 	// Cells, dense-indexed NR first then LTE.
 	cells  []*radio.Cell
-	nNR    int
 	budget []int32
 	pciIdx map[int]int32
 
@@ -175,9 +173,8 @@ type Population struct {
 	tel *telemetry
 
 	// Tick-phase closures, built once so Tick allocates nothing.
-	workers int
-	phaseA  func(par.Range)
-	phaseC  func(par.Range)
+	phaseA func(par.Range)
+	phaseC func(par.Range)
 }
 
 // New builds a population over the campus: PPP placement (outdoor,
@@ -199,7 +196,7 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	if m.Churn.Enabled {
 		capN = churnCapacity(n, m.Churn)
 	}
-	p := &Population{Campus: c, Model: m, n: capN, alive: n, seed: seed}
+	p := &Population{Campus: c, Model: m, n: capN, alive: n}
 
 	p.x = make([]float64, capN)
 	p.y = make([]float64, capN)
@@ -228,7 +225,6 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	}
 
 	p.cells = append(append([]*radio.Cell(nil), c.NRCells...), c.LTECells...)
-	p.nNR = len(c.NRCells)
 	p.budget = make([]int32, len(p.cells))
 	p.pciIdx = make(map[int]int32, len(p.cells))
 	for i, cell := range p.cells {
@@ -310,12 +306,11 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 		}
 		// Instrumented shard body: the same per-UE step, bracketed by
 		// before/after reads feeding the shard's own accumulator slot.
-		// prev-cell comparison counts hand-offs (skipped on the first
-		// tick, when cell[] still holds its pre-attach zero state);
+		// prev-cell comparison counts hand-offs (a UE unattached before
+		// the tick, as every UE is before the first, holds cell -1);
 		// position comparison counts movers; ping-pong deltas come off
 		// the per-UE counter the A3 state machine maintains.
 		sc := &p.tel.ueShard[r.Index]
-		firstTick := p.tick == 0
 		for i := r.Lo; i < r.Hi; i++ {
 			if p.bornTick[i] < 0 {
 				continue // free churn slot
@@ -329,7 +324,7 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 			}
 			if c := p.cell[i]; c >= 0 {
 				sc.attached++
-				if !firstTick && prev >= 0 && prev != c {
+				if prev >= 0 && prev != c {
 					sc.handoffs++
 				}
 			} else {
@@ -368,20 +363,6 @@ func (p *Population) Len() int { return p.n }
 // Ticks returns how many ticks have executed.
 func (p *Population) Ticks() int { return p.tick }
 
-// Place pins UE i at pos and cancels its current waypoint (the probe
-// harness teleports its single UE along surveyed positions this way).
-// A teleport is a fresh camp: the serving-cell state and the A3
-// time-to-trigger reset, so the next tick resolves the best server at
-// the new position exactly as the survey pipeline does.
-func (p *Population) Place(i int, pos geom.Point) {
-	p.x[i], p.y[i] = pos.X, pos.Y
-	p.tx[i], p.ty[i] = pos.X, pos.Y
-	p.speed[i] = 0
-	p.cell[i] = -1
-	p.se[i] = 0
-	p.a3Hold[i] = 0
-}
-
 // ServingPCI returns UE i's serving cell PCI after the last tick, or -1
 // in outage.
 func (p *Population) ServingPCI(i int) int {
@@ -390,15 +371,6 @@ func (p *Population) ServingPCI(i int) int {
 	}
 	return p.cells[p.cell[i]].PCI
 }
-
-// GrantPRB returns UE i's PRB grant from the last tick.
-func (p *Population) GrantPRB(i int) int { return int(p.grantPRB[i]) }
-
-// ThroughputBps returns UE i's delivered rate over the last tick.
-func (p *Population) ThroughputBps(i int) float64 { return p.thrBps[i] }
-
-// Class returns UE i's traffic class.
-func (p *Population) Class(i int) traffic.Class { return p.class[i] }
 
 // RunContext builds the population and executes Model.Ticks ticks
 // across up to workers goroutines (the par.Workers convention); reports
@@ -445,7 +417,6 @@ func (p *Population) Tick(workers int) {
 	if p.tel != nil {
 		wall0 = time.Now()
 	}
-	p.workers = workers
 	if p.Model.Churn.Enabled {
 		p.churnStep()
 	}

@@ -34,9 +34,3 @@ func (a SectorAntenna) GainDBi(towardDeg float64) float64 {
 	}
 	return a.MaxGainDBi - atten
 }
-
-// InFoV reports whether the azimuth is within the sector's half-power
-// field of view.
-func (a SectorAntenna) InFoV(towardDeg float64) bool {
-	return geom.AngleDiff(towardDeg, a.BoresightDeg) <= a.BeamwidthDeg
-}

@@ -51,7 +51,6 @@ type Band struct {
 	BandwidthMHz float64 // channel bandwidth
 	Duplex       Duplex
 	DLShare      float64 // fraction of airtime available for downlink
-	ULShare      float64 // fraction of airtime available for uplink
 	PRBs         int     // usable physical resource blocks
 	SCSkHz       float64 // subcarrier spacing
 	Layers       int     // spatial layers the UE sustains
@@ -68,7 +67,6 @@ func BandLTE() Band {
 		BandwidthMHz: 20,
 		Duplex:       FDD,
 		DLShare:      1.0,
-		ULShare:      1.0,
 		PRBs:         100,
 		SCSkHz:       15,
 		Layers:       2,
@@ -79,8 +77,8 @@ func BandLTE() Band {
 // BandNR returns the measured 5G carrier: n78, 3.5 GHz, 100 MHz TDD with a
 // 3:1 downlink:uplink slot ratio (the paper's ISP configuration following
 // Rel-15 TS 38.306). The UE is observed with 260–264 allocated PRBs; we use
-// 264. Overhead is calibrated so the peak DL PHY rate equals the paper's
-// 1200.98 Mb/s (see PeakDLRate).
+// 264. Overhead is calibrated so the peak DL PHY rate (all PRBs at MCS 27)
+// equals the paper's 1200.98 Mb/s.
 func BandNR() Band {
 	return Band{
 		Name:         "n78",
@@ -89,7 +87,6 @@ func BandNR() Band {
 		BandwidthMHz: 100,
 		Duplex:       TDD,
 		DLShare:      0.75,
-		ULShare:      0.25,
 		PRBs:         264,
 		SCSkHz:       30,
 		Layers:       4,
@@ -97,9 +94,9 @@ func BandNR() Band {
 	}
 }
 
-// nrOverhead makes BandNR().PeakDLRate() come out at 1200.98 Mb/s. It folds
-// together PDCCH/DMRS/CSI-RS overhead and the average rank actually
-// achieved by the phone, which the paper does not decompose.
+// nrOverhead makes BandNR's peak DL PHY rate come out at 1200.98 Mb/s.
+// It folds together PDCCH/DMRS/CSI-RS overhead and the average rank
+// actually achieved by the phone, which the paper does not decompose.
 const nrOverhead = 0.390175
 
 // SymbolsPerSecond returns OFDM symbols per second per subcarrier: 14
@@ -119,20 +116,4 @@ func (b Band) REsPerSecond(nPRB int) float64 {
 // efficiency per layer (bits per resource element) and PRB allocation.
 func (b Band) Rate(sePerLayer float64, nPRB int) float64 {
 	return sePerLayer * float64(b.Layers) * b.REsPerSecond(nPRB) * (1 - b.Overhead) * b.DLShare
-}
-
-// ULRate is the uplink analogue of Rate. The UE transmits single-layer
-// (LTE) or dual-layer (NR) uplink; the measured baselines are ≈50/100 Mb/s
-// (4G day/night) and ≈130 Mb/s (5G).
-func (b Band) ULRate(sePerLayer float64, nPRB int) float64 {
-	ulLayers := 1.0
-	if b.Tech == NR {
-		ulLayers = 2
-	}
-	return sePerLayer * ulLayers * b.REsPerSecond(nPRB) * (1 - b.Overhead) * b.ULShare
-}
-
-// PeakDLRate returns the maximum downlink PHY rate: all PRBs, MCS 27.
-func (b Band) PeakDLRate() float64 {
-	return b.Rate(MaxSpectralEfficiency, b.PRBs)
 }

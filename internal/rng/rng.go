@@ -20,9 +20,6 @@ type Source struct {
 // New returns a Source rooted at seed.
 func New(seed int64) *Source { return &Source{seed: seed} }
 
-// Seed returns the root seed.
-func (s *Source) Seed() int64 { return s.seed }
-
 // Stream returns the deterministic sub-stream for name.
 func (s *Source) Stream(name string) *rand.Rand {
 	return rand.New(rand.NewSource(s.StreamSeed(name)))
@@ -101,11 +98,6 @@ func ClampedNormal(r *rand.Rand, mean, std, lo, hi float64) float64 {
 	}
 	v := Normal(r, mean, std)
 	return math.Min(hi, math.Max(lo, v))
-}
-
-// Exp draws an exponentially distributed value with the given mean.
-func Exp(r *rand.Rand, mean float64) float64 {
-	return r.ExpFloat64() * mean
 }
 
 // LogNormal draws a log-normal with the given parameters of the underlying

@@ -83,19 +83,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(11).Stream("e")
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += Exp(r, 3)
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-3) > 0.05 {
-		t.Fatalf("Exp mean = %v, want ≈3", mean)
-	}
-}
-
 func TestKeyDeterministicAndNamed(t *testing.T) {
 	a := New(42).Key("pop.ue")
 	b := New(42).Key("pop.ue")

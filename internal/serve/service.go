@@ -481,14 +481,10 @@ func (s *Service) runUnit(c *campaign, ui int) {
 	cfg := c.baseCfg
 	cfg.Seed = u.Seed
 	cfg.Trace = s.tracer
-	// Each unit runs against its own sub-registry so its manifest
-	// snapshot covers that run alone; the merge below keeps the service
-	// registry live mid-campaign.
-	var sub *obs.Registry
-	if s.reg != nil {
-		sub = obs.NewRegistry()
-		cfg.Obs = sub
-	}
+	// RunContext runs the unit against a registry of its own, so its
+	// manifest covers that run alone, and merges it into the service
+	// registry on return, which keeps /metrics live mid-campaign.
+	cfg.Obs = s.reg
 	// The unit's inner ticks (population runs) feed /progress.
 	cfg.OnEvent = func(ev fivegsim.Event) {
 		if ev.Kind == fivegsim.EventTick {
@@ -498,9 +494,6 @@ func (s *Service) runUnit(c *campaign, ui int) {
 		}
 	}
 	res, err := s.run(c.ctx, u.Experiment, cfg)
-	if err == nil && s.reg != nil {
-		s.reg.Merge(sub)
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the measurement
-// experiments need: summaries (mean ± std), quantiles, histogram
-// binning and correlation.
+// experiments need: summaries (mean ± std), quantiles and histogram
+// binning.
 package stats
 
 import (
@@ -49,9 +49,6 @@ func Summarize(xs []float64) Summary {
 
 // String formats a Summary as "mean ± std".
 func (s Summary) String() string { return fmt.Sprintf("%.2f ± %.2f", s.Mean, s.Std) }
-
-// Mean returns the arithmetic mean of xs (0 for an empty sample).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by sorting a copy
 // and interpolating linearly between the order statistics either side
@@ -115,24 +112,4 @@ func Histogram(xs []float64, edges []float64) []Bin {
 		bins[idx].Count++
 	}
 	return bins
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples, or 0 when undefined (empty input or zero variance).
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -97,38 +97,3 @@ func TestHistogramConservesMassProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if r := Pearson(xs, []float64{2, 4, 6, 8, 10}); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect positive correlation = %v", r)
-	}
-	if r := Pearson(xs, []float64{10, 8, 6, 4, 2}); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect negative correlation = %v", r)
-	}
-	if r := Pearson(xs, []float64{3, 3, 3, 3, 3}); r != 0 {
-		t.Fatalf("zero-variance correlation = %v", r)
-	}
-	if r := Pearson(xs, []float64{1, 2}); r != 0 {
-		t.Fatalf("mismatched lengths should be 0, got %v", r)
-	}
-}
-
-func TestPearsonBounds(t *testing.T) {
-	f := func(pairs []float64) bool {
-		if len(pairs) < 4 {
-			return true
-		}
-		for _, v := range pairs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true // squared terms overflow float64
-			}
-		}
-		half := len(pairs) / 2
-		r := Pearson(pairs[:half], pairs[half:2*half])
-		return r >= -1.0000001 && r <= 1.0000001
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

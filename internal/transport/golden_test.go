@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,10 +114,21 @@ func faultPath(plan *fault.Plan) netsim.PathConfig {
 // bbr on 5G under each of faultPlans. The benchmark digests cover F7–F11
 // only; this golden is what holds the other experiments that run TCP
 // (F12, F16, F17, X2, X7–X10) to the same packet-level behaviour.
+//
+// Under -short it runs a fixed subset and checks that each of its rows
+// is in the golden: the seed-42 bulk rows, the burst-loss row, and the
+// cubic ackfault and fault rows.
 func TestBulkGolden(t *testing.T) {
+	short := testing.Short()
+	if short && *updateGolden {
+		t.Fatal("-update rewrites the whole golden: run it without -short")
+	}
 	var got bytes.Buffer
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
 		for _, seed := range []int64{1, 42, 7} {
+			if short && seed != 42 {
+				continue
+			}
 			cfg := netsim.DefaultPath(tech, true)
 			cfg.Seed = seed
 			for _, name := range []string{"reno", "cubic", "vegas", "veno", "bbr"} {
@@ -127,21 +139,23 @@ func TestBulkGolden(t *testing.T) {
 		}
 	}
 
-	lte := netsim.DefaultPath(radio.LTE, true)
-	lte.Seed = 42
-	done, ok := RunTransfer(lte, "cubic", 2<<20, 10*time.Second)
-	fmt.Fprintf(&got, "transfer LTE cubic 2MiB ok=%t done=%d\n", ok, done)
+	if !short {
+		lte := netsim.DefaultPath(radio.LTE, true)
+		lte.Seed = 42
+		done, ok := RunTransfer(lte, "cubic", 2<<20, 10*time.Second)
+		fmt.Fprintf(&got, "transfer LTE cubic 2MiB ok=%t done=%d\n", ok, done)
 
-	nr := netsim.DefaultPath(radio.NR, true)
-	nr.Seed = 7
-	m := RunMPTCPBulk([]netsim.PathConfig{nr, lte}, "cubic", time.Second)
-	var mb bulkHash
-	mb.put(math.Float64bits(m.TotalBps))
-	for _, bps := range m.PerPathBps {
-		mb.put(math.Float64bits(bps))
+		nr := netsim.DefaultPath(radio.NR, true)
+		nr.Seed = 7
+		m := RunMPTCPBulk([]netsim.PathConfig{nr, lte}, "cubic", time.Second)
+		var mb bulkHash
+		mb.put(math.Float64bits(m.TotalBps))
+		for _, bps := range m.PerPathBps {
+			mb.put(math.Float64bits(bps))
+		}
+		mb.put(math.Float64bits(m.AggregationEfficiency))
+		fmt.Fprintf(&got, "mptcp NR+LTE cubic %s\n", mb.sum())
 	}
-	mb.put(math.Float64bits(m.AggregationEfficiency))
-	fmt.Fprintf(&got, "mptcp NR+LTE cubic %s\n", mb.sum())
 
 	// Half the buffer of TestSACKRecoveryUnderForcedBurstLoss: one repair
 	// is itself lost deeply enough to need the retransmission timer.
@@ -166,8 +180,12 @@ func TestBulkGolden(t *testing.T) {
 	fmt.Fprintf(&got, "burst NR cubic 4MiB retx=%d rtos=%d losses=%d done=%d %s\n",
 		conn.Retransmits, conn.RTOs, conn.LossEvents, doneAt, bb.sum())
 
+	faulted := []string{"cubic", "bbr"}
+	if short {
+		faulted = faulted[:1]
+	}
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
-		for _, name := range []string{"cubic", "bbr"} {
+		for _, name := range faulted {
 			r := RunBulk(ackFaultPath(tech), name, goldenBulkDur)
 			fmt.Fprintf(&got, "ackfault %s %s seed=42 retx=%d rtos=%d losses=%d %s\n",
 				tech, name, r.Retransmits, r.RTOs, r.LossEvents, hashBulk(r))
@@ -175,7 +193,7 @@ func TestBulkGolden(t *testing.T) {
 	}
 
 	for _, plan := range faultPlans {
-		for _, name := range []string{"cubic", "bbr"} {
+		for _, name := range faulted {
 			r := RunBulk(faultPath(plan), name, goldenBulkDur)
 			fmt.Fprintf(&got, "fault %s 5G %s seed=42 retx=%d rtos=%d losses=%d %s\n",
 				plan.Name, name, r.Retransmits, r.RTOs, r.LossEvents, hashBulk(r))
@@ -195,6 +213,18 @@ func TestBulkGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run `go test -run BulkGolden -update` to create it)", err)
 	}
+	if short {
+		rows := make(map[string]bool)
+		for _, row := range strings.SplitAfter(string(want), "\n") {
+			rows[row] = true
+		}
+		for _, row := range strings.SplitAfter(got.String(), "\n") {
+			if row != "" && !rows[row] {
+				t.Errorf("transport output drifted from %s: %q is not a golden row", path, row)
+			}
+		}
+		return
+	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("transport output drifted from %s:\ngot:\n%s\nwant:\n%s", path, got.Bytes(), want)
 	}
@@ -205,8 +235,12 @@ func TestBulkGolden(t *testing.T) {
 // ACKs whose mark is below one it has already seen (the SACK log's
 // reordered-ACK path) and the uplink drops SACK ACKs.
 func TestAckFaultsReorderAndDrop(t *testing.T) {
+	names := []string{"cubic", "bbr"}
+	if testing.Short() {
+		names = names[:1]
+	}
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
-		for _, name := range []string{"cubic", "bbr"} {
+		for _, name := range names {
 			sch := des.New()
 			path := netsim.NewPath(sch, ackFaultPath(tech))
 			conn := NewConn(sch, path, name, Bulk)
@@ -246,8 +280,12 @@ func TestFaultRowsArmEveryHook(t *testing.T) {
 	}
 	unfaulted := netsim.DefaultPath(radio.NR, true)
 	unfaulted.Seed = 42
+	names := []string{"cubic", "bbr"}
+	if testing.Short() {
+		names = names[:1]
+	}
 	base := map[string]string{}
-	for _, name := range []string{"cubic", "bbr"} {
+	for _, name := range names {
 		base[name] = hashBulk(RunBulk(unfaulted, name, goldenBulkDur))
 	}
 	for k, plan := range faultPlans {

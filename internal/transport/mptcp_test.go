@@ -14,7 +14,11 @@ func TestMPTCPAggregatesCapacity(t *testing.T) {
 		netsim.DefaultPath(radio.LTE, true),
 	}
 	cfgs[1].Seed = 2 // independent cross-traffic processes
-	res := RunMPTCPBulk(cfgs, "bbr", 10*time.Second)
+	dur := 10 * time.Second
+	if testing.Short() {
+		dur = 3 * time.Second // both subflows are past startup
+	}
+	res := RunMPTCPBulk(cfgs, "bbr", dur)
 	if len(res.PerPathBps) != 2 {
 		t.Fatalf("subflows = %d", len(res.PerPathBps))
 	}

@@ -169,7 +169,7 @@ func (c *Conn) sendSegment(seq int64, retx bool) {
 		return
 	}
 	p := c.path.Pool.Get()
-	p.FlowID, p.Seq, p.Len, p.Wire = 1, seq, int(size), int(size)+netsim.HeaderBytes
+	p.Seq, p.Len, p.Wire = seq, int(size), int(size)+netsim.HeaderBytes
 	p.SentAt, p.Retransmit = c.sch.Now(), retx
 	c.path.ServerIngress.Receive(p)
 	if retx {
@@ -289,7 +289,7 @@ func (c *Conn) onData(p *netsim.Packet) {
 			echo = 0 // Karn's rule: no RTT samples from retransmits
 		}
 		ack := c.path.Pool.Get()
-		ack.FlowID, ack.Ack, ack.AckSeq = 1, true, c.rcvNext
+		ack.Ack, ack.AckSeq = true, c.rcvNext
 		ack.Wire, ack.SentAt, ack.EchoTS = netsim.HeaderBytes, c.sch.Now(), echo
 		// Report the full out-of-order map. Real TCP fits only 3-4 SACK
 		// blocks per ACK but accumulates complete coverage across the ACK

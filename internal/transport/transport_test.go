@@ -147,13 +147,18 @@ func baseline(tech radio.Tech) float64 {
 func TestFig7UtilizationShape5G(t *testing.T) {
 	cfg := netsim.DefaultPath(radio.NR, true)
 	dur := 12 * time.Second
+	lossBased := []string{"reno", "cubic", "vegas", "veno"}
+	if testing.Short() {
+		// The headline pair, cubic against bbr, over half the run.
+		dur, lossBased = 6*time.Second, []string{"cubic"}
+	}
 	util := map[string]float64{}
-	for _, name := range []string{"reno", "cubic", "vegas", "veno", "bbr"} {
+	for _, name := range append(lossBased, "bbr") {
 		util[name] = RunBulk(cfg, name, dur).Utilization(baseline(radio.NR))
 	}
 	// The headline (§4.1): loss/delay-based TCP under 32 % utilization on
 	// 5G while BBR stays high.
-	for _, name := range []string{"reno", "cubic", "vegas", "veno"} {
+	for _, name := range lossBased {
 		if util[name] >= 0.32 {
 			t.Errorf("5G %s utilization = %.1f%%, paper reports <32%%", name, 100*util[name])
 		}
@@ -167,8 +172,8 @@ func TestFig7UtilizationShape5G(t *testing.T) {
 	if util["bbr"] < 2.2*util["cubic"] {
 		t.Errorf("bbr (%.2f) should dwarf cubic (%.2f) on 5G", util["bbr"], util["cubic"])
 	}
-	if util["cubic"] < util["vegas"] {
-		t.Errorf("cubic (%.2f) should beat vegas (%.2f)", util["cubic"], util["vegas"])
+	if vegas, ok := util["vegas"]; ok && util["cubic"] < vegas {
+		t.Errorf("cubic (%.2f) should beat vegas (%.2f)", util["cubic"], vegas)
 	}
 }
 
@@ -206,7 +211,10 @@ func TestLossBasedTCPDoesBetterOn4G(t *testing.T) {
 
 func TestFig8CwndEvolution(t *testing.T) {
 	cfg := netsim.DefaultPath(radio.NR, true)
-	dur := 15 * time.Second
+	dur, from := 15*time.Second, 8*time.Second
+	if testing.Short() {
+		dur, from = 5*time.Second, 3*time.Second // both cwnds have settled by 3 s
+	}
 	bbr := RunBulk(cfg, "bbr", dur)
 	cubic := RunBulk(cfg, "cubic", dur)
 	// Fig. 8: BBR's cwnd sits high after startup; Cubic's never reaches a
@@ -222,8 +230,8 @@ func TestFig8CwndEvolution(t *testing.T) {
 		}
 		return sum / float64(n)
 	}
-	bbrTail := tail(bbr.CwndTrace, 8*time.Second)
-	cubicTail := tail(cubic.CwndTrace, 8*time.Second)
+	bbrTail := tail(bbr.CwndTrace, from)
+	cubicTail := tail(cubic.CwndTrace, from)
 	if bbrTail < 3*cubicTail {
 		t.Fatalf("BBR steady cwnd (%.0f KB) should dwarf Cubic's (%.0f KB)", bbrTail/1e3, cubicTail/1e3)
 	}

@@ -117,15 +117,6 @@ type SessionResult struct {
 	Duration time.Duration
 }
 
-// OfferedBps returns the encoder's mean output rate over the session.
-func (s SessionResult) OfferedBps() float64 {
-	var bytes int64
-	for _, f := range s.Frames {
-		bytes += int64(f.Bytes)
-	}
-	return float64(bytes*8) / s.Duration.Seconds()
-}
-
 // ReceivedBps returns the delivered (non-dropped) throughput.
 func (s SessionResult) ReceivedBps() float64 {
 	var bytes int64

@@ -127,6 +127,15 @@ func TestSessionDeterminism(t *testing.T) {
 	}
 }
 
+// OfferedBps returns the encoder's mean output rate over the session.
+func (s SessionResult) OfferedBps() float64 {
+	var bytes int64
+	for _, f := range s.Frames {
+		bytes += int64(f.Bytes)
+	}
+	return float64(bytes*8) / s.Duration.Seconds()
+}
+
 func TestOfferedVsReceived(t *testing.T) {
 	// Overloaded 4G 5.7K must drop frames: offered > received.
 	s := Run(R57K, radio.LTE, true, 20*time.Second, 3)

@@ -53,9 +53,6 @@ type LoadResult struct {
 	Rendering   time.Duration
 }
 
-// PLT returns the total page-load time.
-func (r LoadResult) PLT() time.Duration { return r.Downloading + r.Rendering }
-
 // Load fetches one page over a fresh path built from cfg using HTTP/2 +
 // BBR and returns the download/render split. cfg.Seed also keys the
 // render-time draw.
@@ -133,9 +130,6 @@ type ImageResult struct {
 	Downloading time.Duration
 	Rendering   time.Duration
 }
-
-// PLT returns the total load time.
-func (r ImageResult) PLT() time.Duration { return r.Downloading + r.Rendering }
 
 // RunFig17 loads single-image pages of 1–16 MB over each path, in path
 // order; the m MB page loads over the path reseeded to Seed+m.

@@ -2,10 +2,10 @@
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
 # race pass over the parallel campaign engine, short fuzzes of the TCP
 # engine's interval set and SACK log, of the DES heap, of fault-plan
-# validation, of the result/v1 decode round trip and of fgserve's spec
-# decode and admission validation, the fgserve smoke (which reads a
-# saved stream back through fgobs), the benchmark module's tests, and
-# one run of every internal micro-bench.
+# validation, of the result/v1 decode round trip, of fgserve's spec
+# decode and admission validation and of the PRB scheduler, the fgserve
+# smoke (which reads a saved stream back through fgobs), the benchmark
+# module's tests, and one run of every internal micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -63,6 +63,9 @@ go test -run '^$' -fuzz '^FuzzResultJSON$' -fuzztime 10s .
 
 echo "== fuzz: fgserve spec decode and admission validation (10 s) =="
 go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 10s ./internal/serve
+
+echo "== fuzz: PRB scheduler conservation, work-conservation and starvation bound (10 s) =="
+go test -run '^$' -fuzz '^FuzzSchedule$' -fuzztime 10s ./internal/pop
 
 echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> /progress -> SIGINT) =="
 # Start the campaign service on an ephemeral port and run two campaigns

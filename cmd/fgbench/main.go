@@ -50,6 +50,10 @@ func main() {
 	population := flag.Int("population", 0, "override the population-experiment UE count (X12–X14; 0 = built-in sizing)")
 	progress := flag.Bool("progress", false, "stream live start/finish/ETA progress lines to stderr")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range fivegsim.Experiments() {
@@ -68,7 +72,7 @@ func main() {
 	collect := *metrics || *resultsPath != ""
 	var tracer *obs.Tracer
 	if *tracePath != "" {
-		tracer = obs.NewTracer(0)
+		tracer = obs.NewTracer()
 	}
 
 	var ids []string

@@ -34,6 +34,10 @@ func main() {
 	samples := flag.Int("samples", 2000, "survey samples")
 	hoMinutes := flag.Int("ho-minutes", 20, "hand-off campaign duration")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatalf("fgdataset: %v", err)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -41,6 +42,10 @@ func main() {
 	night := flag.Bool("night", false, "late-night load profile")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	tech := radio.NR
 	if strings.EqualFold(*techFlag, "4g") || strings.EqualFold(*techFlag, "lte") {

@@ -57,8 +57,12 @@ func main() {
 	life := flag.Float64("life", 300, "mean UE lifetime in ticks under -churn")
 	a3 := flag.Float64("a3", 0, "stateful A3 hand-off with this hysteresis in dB (0 = memoryless best-server)")
 	a3ttt := flag.Int("a3ttt", 3, "A3 time-to-trigger in ticks under -a3")
-	loadFb := flag.Bool("loadfb", false, "couple cell interference Load to measured PRB utilization (EWMA)")
+	loadFb := flag.Bool("loadfb", false, fmt.Sprintf("couple cell interference Load to measured PRB utilization (EWMA, α=%g; takes no value)", pop.LoadCouplingAlpha))
 	flag.Parse()
+	if flag.NArg() != 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	m := pop.DefaultModel()
 	m.N = *n
@@ -79,16 +83,14 @@ func main() {
 	if *a3 > 0 {
 		m.A3 = pop.A3Model{Enabled: true, HysteresisDB: *a3, TTTTicks: *a3ttt}
 	}
-	if *loadFb {
-		m.LoadCoupling = pop.LoadCouplingModel{Enabled: true, Alpha: 0.3}
-	}
+	m.LoadCoupling = *loadFb
 
 	var tel pop.Telemetry
 	if *metrics || *resultsPath != "" {
 		tel.Obs = obs.NewRegistry()
 	}
 	if *tracePath != "" {
-		tel.Trace = obs.NewTracer(0)
+		tel.Trace = obs.NewTracer()
 	}
 
 	campus := deploy.New(*seed)

@@ -56,7 +56,7 @@ func main() {
 
 	var tracer *obs.Tracer
 	if *trace {
-		tracer = obs.NewTracer(0)
+		tracer = obs.NewTracer()
 	}
 	svc := serve.New(serve.Options{
 		PoolWorkers: *pool, MaxActive: *maxActive, Tracer: tracer, Pprof: *pprofOn,

@@ -157,8 +157,8 @@ func runX13Fairness(cfg Config) Result {
 func x15Model(n, ticks int) pop.Model {
 	m := popModel(n, ticks)
 	m.Churn = pop.ChurnModel{Enabled: true, ArrivalPerTick: float64(n) / 300, MeanLifetimeTicks: 300}
-	m.A3 = pop.A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3, PingPongWindowTicks: 10}
-	m.LoadCoupling = pop.LoadCouplingModel{Enabled: true, Alpha: 0.3}
+	m.A3 = pop.A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3}
+	m.LoadCoupling = true
 	return m
 }
 
@@ -181,7 +181,7 @@ func runX15Dynamics(cfg Config) Result {
 		n, p.Len(), m.Churn.ArrivalPerTick, m.Churn.MeanLifetimeTicks, ticks))
 	res.Lines = append(res.Lines, line(
 		"A3: %.0f dB hysteresis, TTT %d ticks (paper: 3 dB / 324 ms); load EWMA α=%.1f",
-		m.A3.HysteresisDB, m.A3.TTTTicks, m.LoadCoupling.Alpha))
+		m.A3.HysteresisDB, m.A3.TTTTicks, pop.LoadCouplingAlpha))
 	for _, l := range p.DynamicsLines() {
 		res.Lines = append(res.Lines, "  "+l)
 	}
@@ -199,7 +199,7 @@ func runX15Dynamics(cfg Config) Result {
 	}
 	res.Lines = append(res.Lines, line(
 		"ping-pong fraction %.1f%% (A→B→A within %d ticks — the paper's cell-edge oscillation)",
-		100*ppFrac, m.A3.PingPongWindowTicks))
+		100*ppFrac, pop.PingPongWindowTicks))
 	res.Lines = append(res.Lines, line(
 		"NR util %.1f%% / LTE util %.1f%% with load-coupled interference",
 		100*p.MeanUtil(radio.NR), 100*p.MeanUtil(radio.LTE)))

@@ -70,19 +70,25 @@ func (c *Campaign) Latencies(k Kind) []float64 {
 	return out
 }
 
+// The walk and measurement model every campaign shares, after the
+// paper's methodology: 100 ms sampling at walking or cycling speed
+// (3–10 km/h).
+const (
+	sampleInterval = 100 * time.Millisecond
+	minSpeedKmh    = 3
+	maxSpeedKmh    = 10
+	// noiseStdDB is the fast-fading measurement noise on each RSRQ sample.
+	noiseStdDB = 0.8
+	// nrDropRSRP / nrAddRSRP are the hysteresis thresholds for releasing
+	// and re-adding the NR leg (vertical hand-offs).
+	nrDropRSRP = radio.ServiceThresholdDBm
+	nrAddRSRP  = radio.ServiceThresholdDBm + 20
+)
+
 // Config parametrizes a campaign.
 type Config struct {
-	Duration       time.Duration
-	SampleInterval time.Duration
-	MinSpeedKmh    float64
-	MaxSpeedKmh    float64
-	A3             A3Config
-	// NoiseStdDB is the fast-fading measurement noise on each RSRQ sample.
-	NoiseStdDB float64
-	// NRDropRSRP / NRAddRSRP are the hysteresis thresholds for releasing
-	// and re-adding the NR leg (vertical hand-offs).
-	NRDropRSRP float64
-	NRAddRSRP  float64
+	Duration time.Duration
+	A3       A3Config
 	// CellDown, when non-nil, reports cells failed at a campaign time —
 	// the fault layer's coverage-hole predicate (fault.Plan.CellDown).
 	// Downed cells vanish from the measurement set (no service, no
@@ -91,18 +97,12 @@ type Config struct {
 	CellDown func(pci int, at time.Duration) bool
 }
 
-// DefaultConfig mirrors the paper's methodology: 80 minutes at walking or
-// cycling speed (3–10 km/h), 100 ms sampling, the ISP's A3 configuration.
+// DefaultConfig mirrors the paper's methodology: an 80-minute walk under
+// the ISP's A3 configuration.
 func DefaultConfig() Config {
 	return Config{
-		Duration:       80 * time.Minute,
-		SampleInterval: 100 * time.Millisecond,
-		MinSpeedKmh:    3,
-		MaxSpeedKmh:    10,
-		A3:             DefaultA3(),
-		NoiseStdDB:     0.8,
-		NRDropRSRP:     radio.ServiceThresholdDBm,
-		NRAddRSRP:      radio.ServiceThresholdDBm + 20,
+		Duration: 80 * time.Minute,
+		A3:       DefaultA3(),
 	}
 }
 
@@ -127,7 +127,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 	// Waypoint walker state.
 	pos := geom.Point{X: 250, Y: 100}
 	target := campus.RoadPoint(walkRng.Float64() * campus.RoadLengthM())
-	speed := rng.Uniform(walkRng, cfg.MinSpeedKmh, cfg.MaxSpeedKmh) / 3.6
+	speed := rng.Uniform(walkRng, minSpeedKmh, maxSpeedKmh) / 3.6
 
 	st := ueState{ltePCI: -1, nrPCI: -1}
 	nrTracker := NewA3Tracker(cfg.A3)
@@ -136,7 +136,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 	// Previous-tick condition flags for edge-triggered event counting.
 	prevCond := map[EventType]bool{}
 
-	noise := func() float64 { return noiseRng.NormFloat64() * cfg.NoiseStdDB }
+	noise := func() float64 { return noiseRng.NormFloat64() * noiseStdDB }
 
 	// Walker-owned measurement buffers: the per-tick measurements and the
 	// rarer post-hand-off re-measurements append into these instead of
@@ -145,13 +145,13 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 	lteBuf := make([]radio.Measurement, 0, 40)
 	hoBuf := make([]radio.Measurement, 0, 40)
 
-	for now := time.Duration(0); now < cfg.Duration; now += cfg.SampleInterval {
+	for now := time.Duration(0); now < cfg.Duration; now += sampleInterval {
 		// Move.
-		step := speed * cfg.SampleInterval.Seconds()
+		step := speed * sampleInterval.Seconds()
 		if pos.Dist(target) <= step {
 			pos = target
 			target = campus.RoadPoint(walkRng.Float64() * campus.RoadLengthM())
-			speed = rng.Uniform(walkRng, cfg.MinSpeedKmh, cfg.MaxSpeedKmh) / 3.6
+			speed = rng.Uniform(walkRng, minSpeedKmh, maxSpeedKmh) / 3.6
 		} else {
 			dir := target.Sub(pos)
 			norm := math.Hypot(dir.X, dir.Y)
@@ -189,8 +189,8 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 			servRSRQ < A5Threshold1-hyst && nrBestRSRQ > A5Threshold2+hyst,
 			servRSRQ > A5Threshold1+hyst || nrBestRSRQ < A5Threshold2-hyst)
 		markEvent(out, prevCond, B1,
-			st.nrPCI < 0 && nr[0].RSRPdBm > cfg.NRAddRSRP+1,
-			st.nrPCI >= 0 || nr[0].RSRPdBm < cfg.NRAddRSRP-4)
+			st.nrPCI < 0 && nr[0].RSRPdBm > nrAddRSRP+1,
+			st.nrPCI >= 0 || nr[0].RSRPdBm < nrAddRSRP-4)
 		gap := lteBestRSRQ - lteServRSRQ
 		if st.nrPCI >= 0 {
 			gap = nrBestRSRQ - nrServRSRQ
@@ -211,7 +211,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		if st.nrPCI >= 0 {
 			// Horizontal NR hand-off via A3.
 			if nrBest.PCI != st.nrPCI &&
-				nrTracker.Observe(nrServRSRQ, nrBestRSRQ, cfg.SampleInterval) {
+				nrTracker.Observe(nrServRSRQ, nrBestRSRQ, sampleInterval) {
 				from, to := st.nrPCI, nrBest.PCI
 				executeHO(FiveToFive, from, to, nrServRSRQ, func() float64 {
 					m := campus.MeasureAllInto(radio.NR, pos, hoBuf[:0])
@@ -222,8 +222,8 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 				nrTracker.Reset()
 			}
 			// Vertical release when NR coverage collapses.
-			if nrServing.RSRPdBm < cfg.NRDropRSRP {
-				nrBelowFor += cfg.SampleInterval
+			if nrServing.RSRPdBm < nrDropRSRP {
+				nrBelowFor += sampleInterval
 			} else {
 				nrBelowFor = 0
 			}
@@ -241,8 +241,8 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		} else {
 			// Vertical addition when NR coverage returns (B1-like rule).
 			// The UE attaches to the strongest NR cell.
-			if nr[0].RSRPdBm > cfg.NRAddRSRP {
-				nrAboveFor += cfg.SampleInterval
+			if nr[0].RSRPdBm > nrAddRSRP {
+				nrAboveFor += sampleInterval
 			} else {
 				nrAboveFor = 0
 			}
@@ -260,7 +260,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 
 		// Master-eNB hand-off via A3 (counts as 4G-4G).
 		if lteBest.PCI != st.ltePCI &&
-			lteTracker.Observe(lteServRSRQ, lteBestRSRQ, cfg.SampleInterval) {
+			lteTracker.Observe(lteServRSRQ, lteBestRSRQ, sampleInterval) {
 			from, to := st.ltePCI, lteBest.PCI
 			executeHO(FourToFour, from, to, lteServRSRQ, func() float64 {
 				m := campus.MeasureAllInto(radio.LTE, pos, hoBuf[:0])
@@ -272,7 +272,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		}
 
 		if st.nrPCI < 0 {
-			out.On4G += cfg.SampleInterval
+			out.On4G += sampleInterval
 		}
 	}
 	return out

@@ -186,7 +186,7 @@ func TestRegistryReadsDuringWrites(t *testing.T) {
 }
 
 func TestTracerRingBoundsAndOrder(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	for i := 0; i < 7; i++ {
 		tr.Span("e", "cat", time.Duration(i), 1)
 	}
@@ -205,7 +205,7 @@ func TestTracerRingBoundsAndOrder(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer()
 	tr.Span("tx", "netsim", 10*time.Microsecond, 5*time.Microsecond)
 	tr.Span("outage", "netsim", 20*time.Microsecond, 7*time.Microsecond)
 	tr.WallSpan("cb", "des", 30*time.Microsecond, 2*time.Microsecond)

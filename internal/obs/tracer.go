@@ -32,14 +32,14 @@ type Tracer struct {
 	wall0 time.Time
 }
 
-// DefaultTraceCapacity bounds the ring when NewTracer is given cap ≤ 0.
+// DefaultTraceCapacity bounds the ring of every tracer NewTracer makes.
 const DefaultTraceCapacity = 1 << 16
 
-// NewTracer returns a tracer holding at most capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
+// NewTracer returns a tracer holding at most DefaultTraceCapacity events.
+func NewTracer() *Tracer { return newTracer(DefaultTraceCapacity) }
+
+// newTracer returns a tracer holding at most capacity (≥ 1) events.
+func newTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]TraceEvent, 0, capacity), wall0: time.Now()}
 }
 

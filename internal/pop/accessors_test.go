@@ -7,9 +7,10 @@ import "fivegsim/internal/geom"
 
 // Place pins UE i at pos and cancels its current waypoint (the probe
 // harness teleports its single UE along surveyed positions this way).
-// A teleport is a fresh camp: the serving-cell state and the A3
-// time-to-trigger reset, so the next tick resolves the best server at
-// the new position exactly as the survey pipeline does.
+// A teleport is a fresh camp: the serving-cell state, the A3
+// time-to-trigger and the delivered-bit count reset, so the next tick
+// resolves the best server at the new position exactly as the survey
+// pipeline does, and DeliveredBits then reads that tick's bits alone.
 func (p *Population) Place(i int, pos geom.Point) {
 	p.x[i], p.y[i] = pos.X, pos.Y
 	p.tx[i], p.ty[i] = pos.X, pos.Y
@@ -17,13 +18,22 @@ func (p *Population) Place(i int, pos geom.Point) {
 	p.cell[i] = -1
 	p.se[i] = 0
 	p.a3Hold[i] = 0
+	p.sumBits[i] = 0
 }
 
-// GrantPRB returns UE i's PRB grant from the last tick.
-func (p *Population) GrantPRB(i int) int { return int(p.grantPRB[i]) }
+// DeliveredBits returns the bits UE i has received since it was born
+// or last placed.
+func (p *Population) DeliveredBits(i int) float64 { return p.sumBits[i] }
 
-// ThroughputBps returns UE i's delivered rate over the last tick.
-func (p *Population) ThroughputBps(i int) float64 { return p.thrBps[i] }
+// ServingUtil returns the last tick's PRB utilization sample (granted
+// over budget) of UE i's serving cell, or -1 in outage.
+func (p *Population) ServingUtil(i int) float64 {
+	c := p.cell[i]
+	if c < 0 || p.tick == 0 {
+		return -1
+	}
+	return p.util[((p.tick-1)%p.utilTicks)*len(p.cells)+int(c)]
+}
 
 // CoupledLoad returns cell c's (dense index) current load EWMA.
 func (p *Population) CoupledLoad(c int) float64 { return p.loadEwma[c] }

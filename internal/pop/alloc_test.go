@@ -17,7 +17,7 @@ import (
 func allocsPerTick(t *testing.T, m Model, runs int) float64 {
 	t.Helper()
 	campus := deploy.New(42)
-	p := New(campus, m, 42)
+	p := New(campus, m, 42, Telemetry{})
 	p.Tick(1) // first tick settles any remaining lazy state
 	return testing.AllocsPerRun(runs, func() {
 		p.Tick(1)
@@ -43,16 +43,15 @@ func TestTickZeroAllocWalking(t *testing.T) {
 
 // TestTickZeroAllocWithTelemetry: attaching live telemetry must not
 // re-introduce steady-state allocations — the instruments are
-// pre-registered at Instrument time and the shard/cell accumulator
-// slots are reused across ticks, so the instrumented tick stays at
+// pre-registered in New and the shard/cell accumulator slots are reused
+// across ticks, so the tick with a registry and tracer stays at
 // 0 allocs/op too (BenchmarkPopTick100kTel measures the same path at
 // scale).
 func TestTickZeroAllocWithTelemetry(t *testing.T) {
 	m := DefaultModel()
 	m.N = 3000
 	campus := deploy.New(42)
-	p := New(campus, m, 42)
-	p.Instrument(Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer(0)})
+	p := New(campus, m, 42, Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer()})
 	p.Tick(1)
 	got := testing.AllocsPerRun(10, func() {
 		p.Tick(1)
@@ -78,7 +77,7 @@ func churnModel100k() Model {
 	m := model100k()
 	m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 333, MeanLifetimeTicks: 300}
 	m.A3 = A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3}
-	m.LoadCoupling = LoadCouplingModel{Enabled: true, Alpha: 0.3}
+	m.LoadCoupling = true
 	return m
 }
 
@@ -110,9 +109,8 @@ func TestDynamicsTickZeroAlloc100k(t *testing.T) {
 // the loop measures the steady state.
 func benchTick100k(b *testing.B, m Model, tel Telemetry) {
 	b.ReportAllocs()
-	p := New(deploy.New(1), m, 1)
+	p := New(deploy.New(1), m, 1, tel)
 	defer p.RestoreLoads()
-	p.Instrument(tel)
 	p.Tick(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,5 +128,5 @@ func BenchmarkPopTick100kChurn(b *testing.B) { benchTick100k(b, churnModel100k()
 // BenchmarkPopTick100kTel prices live telemetry (registry and tracer):
 // the sharded-counter accumulate/merge and the per-tick span.
 func BenchmarkPopTick100kTel(b *testing.B) {
-	benchTick100k(b, model100k(), Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer(0)})
+	benchTick100k(b, model100k(), Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer()})
 }

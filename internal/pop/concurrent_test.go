@@ -25,7 +25,7 @@ func TestSurveyConcurrentWithTicks(t *testing.T) {
 	campus := deploy.New(42)
 	m := DefaultModel()
 	m.N = 2000
-	p := New(campus, m, 42) // warms the field maps
+	p := New(campus, m, 42, Telemetry{}) // warms the field maps
 	p.Tick(1)
 
 	ref := coverage.NewSurveyor(campus, 1500, 7).Run(1)

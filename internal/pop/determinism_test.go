@@ -82,7 +82,7 @@ func TestPopulationTelemetryReportUnchanged(t *testing.T) {
 	campus := deploy.New(42)
 	base := reportFingerprint(runFull(campus, m, 42, 1, Telemetry{}))
 	for _, workers := range []int{1, 4} {
-		tel := Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer(0), OnTick: func(int, int) {}}
+		tel := Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer(), OnTick: func(int, int) {}}
 		got := reportFingerprint(runFull(campus, m, 42, workers, tel))
 		if got != base {
 			t.Fatalf("workers %d: telemetry changed the report:\n--- off ---\n%s--- on ---\n%s",
@@ -108,8 +108,8 @@ func TestPopulationPPPCount(t *testing.T) {
 	campus := deploy.New(7)
 	m := DefaultModel()
 	m.Ticks = 1
-	a := New(campus, m, 7)
-	b := New(campus, m, 7)
+	a := New(campus, m, 7, Telemetry{})
+	b := New(campus, m, 7, Telemetry{})
 	if a.Len() != b.Len() {
 		t.Fatalf("same-seed PPP counts differ: %d vs %d", a.Len(), b.Len())
 	}

@@ -56,24 +56,22 @@ type A3Model struct {
 	// the advantage must hold; ≤1 hands off on the first qualifying
 	// tick. At 100 ms ticks the ISP's 324 ms rounds to 3.
 	TTTTicks int
-	// PingPongWindowTicks bounds the A→B→A ping-pong detector: a
-	// hand-off back to the previous serving cell within this many ticks
-	// counts as a ping-pong (default 10 ≈ 1 s).
-	PingPongWindowTicks int
 }
 
-// LoadCouplingModel couples each cell's interference Load to the
-// scheduler's measured PRB utilization through a damped EWMA,
-// replacing the static per-cell Load constant: cells that the
-// population actually fills interfere more, which reshapes SINR and
-// therefore next tick's attachment and rates. The fixed point is
-// bounded in [0, 1] (TestLoadCouplingBounded).
-type LoadCouplingModel struct {
-	Enabled bool
-	// Alpha is the EWMA damping weight on the newest utilization sample
-	// (default 0.3). Load_{t+1} = (1−α)·Load_t + α·util_t.
-	Alpha float64
-}
+// PingPongWindowTicks bounds the A→B→A ping-pong detector: a hand-off
+// back to the previous serving cell within this many ticks counts as a
+// ping-pong (10 ≈ 1 s at 100 ms ticks).
+const PingPongWindowTicks = 10
+
+// LoadCouplingAlpha is the load-coupling EWMA's damping weight on the
+// newest utilization sample: Load_{t+1} = (1−α)·Load_t + α·util_t.
+// Model.LoadCoupling couples each cell's interference Load to the
+// scheduler's measured PRB utilization this way, replacing the static
+// per-cell Load constant: cells that the population actually fills
+// interfere more, which reshapes SINR and therefore next tick's
+// attachment and rates. The fixed point is bounded in [0, 1]
+// (TestLoadCouplingBounded).
+const LoadCouplingAlpha = 0.3
 
 // dynamicsDefaults fills the dynamic sub-models' zero fields (called
 // from Model.withDefaults).
@@ -81,16 +79,8 @@ func (m Model) dynamicsDefaults() Model {
 	if m.Churn.Enabled && m.Churn.MeanLifetimeTicks <= 0 {
 		m.Churn.MeanLifetimeTicks = 300
 	}
-	if m.A3.Enabled {
-		if m.A3.TTTTicks < 1 {
-			m.A3.TTTTicks = 1
-		}
-		if m.A3.PingPongWindowTicks <= 0 {
-			m.A3.PingPongWindowTicks = 10
-		}
-	}
-	if m.LoadCoupling.Enabled && (m.LoadCoupling.Alpha <= 0 || m.LoadCoupling.Alpha > 1) {
-		m.LoadCoupling.Alpha = 0.3
+	if m.A3.Enabled && m.A3.TTTTicks < 1 {
+		m.A3.TTTTicks = 1
 	}
 	return m
 }
@@ -174,8 +164,7 @@ func (p *Population) spawnUE(i int, r *rand.Rand) {
 	p.cell[i] = -1
 	p.se[i] = 0
 	p.demandBps[i] = 0
-	p.demandPRB[i], p.grantPRB[i] = 0, 0
-	p.thrBps[i] = 0
+	p.demandPRB[i] = 0
 	p.sumBits[i] = 0
 	p.a3Hold[i] = 0
 	p.prevCell[i] = -1
@@ -191,8 +180,7 @@ func (p *Population) killUE(i int) {
 	p.se[i] = 0
 	p.speed[i] = 0
 	p.demandBps[i] = 0
-	p.demandPRB[i], p.grantPRB[i] = 0, 0
-	p.thrBps[i] = 0
+	p.demandPRB[i] = 0
 	p.free = append(p.free, int32(i))
 }
 
@@ -270,7 +258,7 @@ func (p *Population) a3Attach(i int, d float64) {
 // hand-off and ping-pong counters (a hand-off back to the previous
 // serving cell within the ping-pong window is a ping-pong).
 func (p *Population) recordHandoff(i int, to int32) {
-	if to == p.prevCell[i] && p.tick-int(p.lastHOTick[i]) <= p.Model.A3.PingPongWindowTicks {
+	if to == p.prevCell[i] && p.tick-int(p.lastHOTick[i]) <= PingPongWindowTicks {
 		p.ppCount[i]++
 	}
 	p.prevCell[i] = p.cell[i]
@@ -283,7 +271,7 @@ func (p *Population) recordHandoff(i int, to int32) {
 // for the next tick. Serial, fixed cell order — byte-identical for every
 // worker count.
 func (p *Population) coupleLoads() {
-	a := p.Model.LoadCoupling.Alpha
+	a := LoadCouplingAlpha
 	ncells := len(p.cells)
 	row := p.util[(p.tick%p.utilTicks)*ncells : (p.tick%p.utilTicks)*ncells+ncells]
 	for c := range p.cells {

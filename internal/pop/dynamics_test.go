@@ -25,7 +25,7 @@ func dynamicsModelForTest(n, ticks int) Model {
 	m.Ticks = ticks
 	m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 8, MeanLifetimeTicks: 40}
 	m.A3 = A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3}
-	m.LoadCoupling = LoadCouplingModel{Enabled: true, Alpha: 0.3}
+	m.LoadCoupling = true
 	return m
 }
 
@@ -50,7 +50,7 @@ func TestChurnConservation(t *testing.T) {
 		m.Ticks = 25
 	}
 	campus := deploy.New(42)
-	p := New(campus, m, 42)
+	p := New(campus, m, 42, Telemetry{})
 	defer p.RestoreLoads()
 	if p.Alive() != 500 {
 		t.Fatalf("initial alive %d, want 500", p.Alive())
@@ -97,7 +97,7 @@ func TestChurnArenaFullBlocksBirths(t *testing.T) {
 	m.Ticks = 30
 	m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 20, MeanLifetimeTicks: 1000, maxN: 60}
 	campus := deploy.New(7)
-	p := New(campus, m, 7)
+	p := New(campus, m, 7, Telemetry{})
 	for k := 0; k < m.Ticks; k++ {
 		p.Tick(1)
 		if p.Alive() > p.Len() {
@@ -128,7 +128,7 @@ func TestA3NoHandoffBeforeTTT(t *testing.T) {
 	if testing.Short() {
 		m.N, m.Ticks = 300, 30
 	}
-	p := New(campus, m, 7)
+	p := New(campus, m, 7, Telemetry{})
 	prevCell := make([]int32, p.n)
 	prevHold := make([]int32, p.n)
 	handoffs, checked := 0, 0
@@ -195,8 +195,9 @@ func TestA3HysteresisBlocksAllHandoffs(t *testing.T) {
 
 // TestSingleUEProbeContractWithA3 re-pins the N=1 bit-for-bit probe
 // contract with the A3 state machine enabled: a teleported probe is a
-// fresh camp each Place, so it must attach to the survey's best server
-// and deliver exactly radio.DLBitRate — stateful attach included.
+// fresh camp each Place, so it must attach to the survey's best server,
+// take the full grid and deliver exactly radio.DLBitRate over the tick —
+// stateful attach included.
 func TestSingleUEProbeContractWithA3(t *testing.T) {
 	campus := deploy.New(42)
 	n := 200
@@ -211,7 +212,8 @@ func TestSingleUEProbeContractWithA3(t *testing.T) {
 	m.Mix = traffic.MixWeights{Web: 0, Video: 0, Bulk: 1} // saturating probe
 	m.A3 = A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 3}
 
-	p := New(campus, m, 42)
+	p := New(campus, m, 42, Telemetry{})
+	tickSec := p.Model.TickDur.Seconds()
 	for i, s := range survey.Samples {
 		p.Place(0, s.Pos)
 		p.Tick(1)
@@ -231,8 +233,11 @@ func TestSingleUEProbeContractWithA3(t *testing.T) {
 		if p.ServingPCI(0) != want.PCI {
 			t.Fatalf("sample %d: serving PCI %d, survey best server %d", i, p.ServingPCI(0), want.PCI)
 		}
-		if got, exp := p.ThroughputBps(0), radio.DLBitRate(want, band, band.PRBs); got != exp {
-			t.Fatalf("sample %d: throughput %.17g, probe pipeline %.17g (must be bit-identical)", i, got, exp)
+		if u := p.ServingUtil(0); u != 1 {
+			t.Fatalf("sample %d: serving cell utilization %v, want 1 (full grid, no contention)", i, u)
+		}
+		if got, exp := p.DeliveredBits(0), radio.DLBitRate(want, band, band.PRBs)*tickSec; got != exp {
+			t.Fatalf("sample %d: delivered %.17g bits, probe pipeline %.17g (must be bit-identical)", i, got, exp)
 		}
 	}
 }
@@ -250,7 +255,7 @@ func TestLoadCouplingBounded(t *testing.T) {
 	for _, c := range append(append([]*radio.Cell(nil), campus.NRCells...), campus.LTECells...) {
 		orig = append(orig, c.Load)
 	}
-	p := New(campus, m, 1)
+	p := New(campus, m, 1, Telemetry{})
 	moved := false
 	for k := 0; k < m.Ticks; k++ {
 		p.Tick(1)
@@ -329,7 +334,7 @@ func TestChurnCancellation(t *testing.T) {
 	}
 
 	// Reference: the same model ticked exactly cutAt times, no cancellation.
-	ref := New(campus, m, 42)
+	ref := New(campus, m, 42, Telemetry{})
 	for k := 0; k < cutAt; k++ {
 		ref.Tick(4)
 	}
@@ -353,7 +358,7 @@ func TestChurnCancellation(t *testing.T) {
 func TestDynamicsTickAllocs(t *testing.T) {
 	m := dynamicsModelForTest(2000, 50)
 	campus := deploy.New(42)
-	p := New(campus, m, 42)
+	p := New(campus, m, 42, Telemetry{})
 	defer p.RestoreLoads()
 	for k := 0; k < 5; k++ {
 		p.Tick(1) // settle into churn steady state

@@ -55,16 +55,19 @@ type Model struct {
 	// Ticks is the run length used by Run and sizes the utilization
 	// sample window (default 50).
 	Ticks int
-	// MinSpeedKmh and MaxSpeedKmh bound the random-waypoint walking
-	// speed. MaxSpeedKmh 0 keeps the population static (a PPP snapshot).
-	MinSpeedKmh, MaxSpeedKmh float64
+	// MaxSpeedKmh bounds the random-waypoint walking speed from above;
+	// minWalkSpeedKmh bounds it from below. 0 keeps the population
+	// static (a PPP snapshot).
+	MaxSpeedKmh float64
 	// Churn, A3 and LoadCoupling are the population dynamics
 	// (dynamics.go). Their zero values reproduce the pre-dynamics
 	// engine bit-for-bit: fixed population, memoryless best-server
 	// attach, static interference Load.
-	Churn        ChurnModel
-	A3           A3Model
-	LoadCoupling LoadCouplingModel
+	Churn ChurnModel
+	A3    A3Model
+	// LoadCoupling couples each cell's interference Load to its measured
+	// PRB utilization through an EWMA with weight LoadCouplingAlpha.
+	LoadCoupling bool
 }
 
 // DefaultModel returns the campus default: a PPP population at 5000
@@ -76,7 +79,6 @@ func DefaultModel() Model {
 		Mix:          traffic.DefaultMix(),
 		TickDur:      100 * time.Millisecond,
 		Ticks:        50,
-		MinSpeedKmh:  0,
 		MaxSpeedKmh:  5,
 	}
 }
@@ -90,9 +92,6 @@ func (m Model) withDefaults() Model {
 	}
 	if m.Mix == (traffic.MixWeights{}) {
 		m.Mix = traffic.DefaultMix()
-	}
-	if m.MaxSpeedKmh < m.MinSpeedKmh {
-		m.MaxSpeedKmh = m.MinSpeedKmh
 	}
 	return m.dynamicsDefaults()
 }
@@ -113,11 +112,9 @@ type Population struct {
 	class     []traffic.Class
 	demandBps []float64 // this tick's offered rate
 	se        []float64 // serving-link spectral efficiency (bits/RE/layer)
-	thrBps    []float64 // this tick's delivered rate
 	sumBits   []float64 // delivered bits accumulated over the run
-	cell      []int32   // serving cell dense index, -1 = outage
+	cell      []int32   // serving cell dense index, -1 = outage (and on every free slot)
 	demandPRB []int32   // this tick's PRB demand (≤ cell budget)
-	grantPRB  []int32   // this tick's PRB grant
 
 	// Dynamics state (dynamics.go). bornTick is -1 on free slots and
 	// otherwise anchors the lifetime; a3Hold is the A3 time-to-trigger
@@ -168,9 +165,9 @@ type Population struct {
 	attach    []int64 // per-cell total attached UE-ticks
 	tick      int
 
-	// Live telemetry; nil keeps the tick on the uninstrumented fast
-	// path (see telemetry.go).
-	tel *telemetry
+	// Live telemetry (telemetry.go); without a registry its handles
+	// are obs's nil-safe no-ops.
+	tel telemetry
 
 	// Tick-phase closures, built once so Tick allocates nothing.
 	phaseA func(par.Range)
@@ -181,7 +178,10 @@ type Population struct {
 // uniform given the count), per-UE class assignment from the mix, and
 // the full tick arena. The campus field maps are warmed up front so the
 // first tick already runs the allocation-free BestServer fast path.
-func New(c *deploy.Campus, m Model, seed int64) *Population {
+// Telemetry attaches here, once: pop.* instruments into t.Obs (which
+// may be nil), per-tick spans into t.Trace and tick progress through
+// t.OnTick.
+func New(c *deploy.Campus, m Model, seed int64, t Telemetry) *Population {
 	m = m.withDefaults()
 	src := rng.New(seed)
 	placeRng := src.Stream("pop.place")
@@ -206,11 +206,9 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	p.class = make([]traffic.Class, capN)
 	p.demandBps = make([]float64, capN)
 	p.se = make([]float64, capN)
-	p.thrBps = make([]float64, capN)
 	p.sumBits = make([]float64, capN)
 	p.cell = make([]int32, capN)
 	p.demandPRB = make([]int32, capN)
-	p.grantPRB = make([]int32, capN)
 
 	p.bornTick = make([]int32, capN)
 	p.deathTick = make([]int32, capN)
@@ -291,25 +289,17 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	for i := range p.shardRng {
 		p.shardRng[i] = src.Shard("pop.ue", i)
 	}
+	p.tel = newTelemetry(t, len(p.ueShards), len(p.cells))
 
 	p.phaseA = func(r par.Range) {
 		rr := p.shardRng[r.Index]
 		rr.Seed(p.ueKey.At(r.Index, p.tick))
-		if p.tel == nil {
-			for i := r.Lo; i < r.Hi; i++ {
-				if p.bornTick[i] < 0 {
-					continue // free churn slot
-				}
-				p.stepUE(i, rr)
-			}
-			return
-		}
-		// Instrumented shard body: the same per-UE step, bracketed by
-		// before/after reads feeding the shard's own accumulator slot.
-		// prev-cell comparison counts hand-offs (a UE unattached before
-		// the tick, as every UE is before the first, holds cell -1);
-		// position comparison counts movers; ping-pong deltas come off
-		// the per-UE counter the A3 state machine maintains.
+		// The per-UE step, bracketed by before/after reads feeding the
+		// shard's own accumulator slot. prev-cell comparison counts
+		// hand-offs (a UE unattached before the tick, as every UE is
+		// before the first, holds cell -1); position comparison counts
+		// movers; ping-pong deltas come off the per-UE counter the A3
+		// state machine maintains.
 		sc := &p.tel.ueShard[r.Index]
 		for i := r.Lo; i < r.Hi; i++ {
 			if p.bornTick[i] < 0 {
@@ -322,18 +312,12 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 			if p.x[i] != px || p.y[i] != py {
 				sc.moved++
 			}
-			if c := p.cell[i]; c >= 0 {
-				sc.attached++
-				if prev >= 0 && prev != c {
-					sc.handoffs++
-				}
-			} else {
-				sc.outage++
+			if c := p.cell[i]; c >= 0 && prev >= 0 && prev != c {
+				sc.handoffs++
 			}
 			if p.ppCount[i] != pp {
 				sc.pingpongs++
 			}
-			sc.prbDemand += int64(p.demandPRB[i])
 		}
 	}
 	p.phaseC = func(r par.Range) {
@@ -342,18 +326,14 @@ func New(c *deploy.Campus, m Model, seed int64) *Population {
 	return p
 }
 
-// drawSpeedKmh draws a waypoint speed within the model's bounds, floored
+// drawSpeedKmh draws a waypoint speed up to the model's maximum, floored
 // so walkers never stall.
 func drawSpeedKmh(r *rand.Rand, m Model) float64 {
-	lo := m.MinSpeedKmh
-	if lo < minWalkSpeedKmh {
-		lo = minWalkSpeedKmh
-	}
 	hi := m.MaxSpeedKmh
-	if hi < lo {
-		hi = lo
+	if hi < minWalkSpeedKmh {
+		hi = minWalkSpeedKmh
 	}
-	return rng.Uniform(r, lo, hi)
+	return rng.Uniform(r, minWalkSpeedKmh, hi)
 }
 
 // Len returns the arena size — the population size without churn, the
@@ -374,10 +354,8 @@ func (p *Population) ServingPCI(i int) int {
 
 // RunContext builds the population and executes Model.Ticks ticks
 // across up to workers goroutines (the par.Workers convention); reports
-// are bit-identical for every workers value. Live telemetry rides on t:
-// pop.* instruments into t.Obs, per-tick spans into t.Trace, and tick
-// progress through t.OnTick. The zero Telemetry is the uninstrumented
-// fast path, and reports are byte-identical either way.
+// are bit-identical for every workers value. Live telemetry rides on t
+// (see New); reports are byte-identical with or without it.
 //
 // The context is checked at every tick boundary, so a canceled campaign
 // stops within one tick. The returned population holds the completed
@@ -387,8 +365,7 @@ func (p *Population) ServingPCI(i int) int {
 // early-exit path. The error is the context's (wrapped verbatim) when
 // the run was cut short, nil when every tick executed.
 func RunContext(ctx context.Context, c *deploy.Campus, m Model, seed int64, workers int, t Telemetry) (*Population, error) {
-	p := New(c, m, seed)
-	p.Instrument(t)
+	p := New(c, m, seed, t)
 	defer p.RestoreLoads()
 	for i := 0; i < p.Model.Ticks; i++ {
 		if err := ctx.Err(); err != nil {
@@ -413,10 +390,7 @@ func RunContext(ctx context.Context, c *deploy.Campus, m Model, seed int64, work
 // every value. With workers 1 the phases run inline — the zero-alloc
 // batch loop PopTick100k measures.
 func (p *Population) Tick(workers int) {
-	var wall0 time.Time
-	if p.tel != nil {
-		wall0 = time.Now()
-	}
+	wall0 := time.Now()
 	if p.Model.Churn.Enabled {
 		p.churnStep()
 	}
@@ -453,7 +427,7 @@ func (p *Population) Tick(workers int) {
 	p.segs = par.Segments(p.bounds[:ncells+1], p.segs[:0])
 
 	par.Do(workers, p.segs, p.phaseC)
-	if p.Model.LoadCoupling.Enabled {
+	if p.Model.LoadCoupling {
 		p.coupleLoads()
 	}
 	if p.Model.A3.Enabled {
@@ -469,9 +443,7 @@ func (p *Population) Tick(workers int) {
 		p.hoPrev = total
 	}
 	p.tick++
-	if p.tel != nil {
-		p.mergeTick(p.tick-1, time.Since(wall0))
-	}
+	p.mergeTick(p.tick-1, time.Since(wall0))
 }
 
 // stepUE is the phase-A batch body: one UE's move/demand/attach step.
@@ -498,8 +470,6 @@ func (p *Population) stepUE(i int, r *rand.Rand) {
 	d := traffic.OfferedBps(p.class[i], r)
 	p.demandBps[i] = d
 	p.demandPRB[i] = 0
-	p.grantPRB[i] = 0
-	p.thrBps[i] = 0
 
 	if m.A3.Enabled {
 		p.a3Attach(i, d)
@@ -551,25 +521,21 @@ func (p *Population) scheduleCell(r par.Range) {
 	seg := r
 	demands := p.schedDemand[seg.Lo:seg.Hi]
 	grants := p.schedGrant[seg.Lo:seg.Hi]
-	for j := 0; j < seg.Len(); j++ {
-		demands[j] = p.demandPRB[p.order[seg.Lo+j]]
-	}
-	granted := Schedule(demands, grants, p.budget[c], p.tick)
-
 	// Telemetry writes land in the cell's own padded slot (phase C
 	// shards by cell, so slot c belongs to this call alone).
-	var cellTel *cellCounters
-	if p.tel != nil {
-		cellTel = &p.tel.cell[c]
-		cellTel.grantedPRB += int64(granted)
+	ct := &p.tel.cell[c]
+	for j := 0; j < seg.Len(); j++ {
+		demands[j] = p.demandPRB[p.order[seg.Lo+j]]
+		ct.prbDemand += int64(demands[j])
 	}
+	granted := Schedule(demands, grants, p.budget[c], p.tick)
+	ct.grantedPRB += int64(granted)
 
 	band := p.cells[c].Band
 	tickSec := p.Model.TickDur.Seconds()
 	for j := 0; j < seg.Len(); j++ {
 		ue := p.order[seg.Lo+j]
 		g := grants[j]
-		p.grantPRB[ue] = g
 		thr := 0.0
 		if g > 0 {
 			thr = band.Rate(p.se[ue], int(g))
@@ -577,11 +543,8 @@ func (p *Population) scheduleCell(r par.Range) {
 				thr = p.demandBps[ue]
 			}
 		}
-		p.thrBps[ue] = thr
 		p.sumBits[ue] += thr * tickSec
-		if cellTel != nil {
-			cellTel.bits[p.class[ue]] += thr * tickSec
-		}
+		ct.bits[p.class[ue]] += thr * tickSec
 	}
 	p.util[(p.tick%p.utilTicks)*len(p.cells)+c] = float64(granted) / float64(p.budget[c])
 	p.attach[c] += int64(seg.Len())

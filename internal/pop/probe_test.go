@@ -19,7 +19,10 @@ import (
 //     delivered rate is Band.Rate(se, prbs) — the identical call (same
 //     SE, same band, same PRB count) the probe pipeline makes through
 //     radio.DLBitRate. TestSingleUEMatchesProbePipeline pins this
-//     float-for-float at surveyed positions.
+//     float-for-float at surveyed positions: the grant as the serving
+//     cell's utilization sample of exactly 1, the rate through the
+//     tick's delivered bits, which must equal DLBitRate × tick length
+//     exactly.
 //
 //   - The experiment side: the probe experiments themselves (coverage
 //     survey, hand-off campaigns) are the N=1 special case of a
@@ -32,7 +35,9 @@ import (
 // N=1 contract: a single saturating UE teleported along surveyed
 // positions must attach to the same serving cell the survey measured and
 // deliver exactly radio.DLBitRate(m, band, band.PRBs) — the full-grid
-// grant with no contention — bit-for-bit, for every Workers value.
+// grant with no contention — bit-for-bit, for every Workers value. Each
+// Place restarts the delivered-bit count, so one tick's bits are
+// compared alone and no difference can vanish into a running sum.
 func TestSingleUEMatchesProbePipeline(t *testing.T) {
 	campus := deploy.New(42)
 	n := 400
@@ -47,7 +52,8 @@ func TestSingleUEMatchesProbePipeline(t *testing.T) {
 	m.Mix = traffic.MixWeights{Web: 0, Video: 0, Bulk: 1} // saturating probe
 
 	for _, workers := range []int{1, 8} {
-		p := New(campus, m, 42)
+		p := New(campus, m, 42, Telemetry{})
+		tickSec := p.Model.TickDur.Seconds()
 		if p.Len() != 1 {
 			t.Fatalf("population size %d, want 1", p.Len())
 		}
@@ -73,12 +79,12 @@ func TestSingleUEMatchesProbePipeline(t *testing.T) {
 				t.Fatalf("sample %d: serving PCI %d, survey best server %d",
 					i, p.ServingPCI(0), want.PCI)
 			}
-			if p.GrantPRB(0) != band.PRBs {
-				t.Fatalf("sample %d: grant %d PRBs, want full grid %d (no contention)",
-					i, p.GrantPRB(0), band.PRBs)
+			if u := p.ServingUtil(0); u != 1 {
+				t.Fatalf("sample %d: serving cell utilization %v, want 1 (full grid %d PRBs, no contention)",
+					i, u, band.PRBs)
 			}
-			if got, exp := p.ThroughputBps(0), radio.DLBitRate(want, band, band.PRBs); got != exp {
-				t.Fatalf("sample %d: throughput %.17g, probe pipeline %.17g (must be bit-identical)",
+			if got, exp := p.DeliveredBits(0), radio.DLBitRate(want, band, band.PRBs)*tickSec; got != exp {
+				t.Fatalf("sample %d: delivered %.17g bits, probe pipeline %.17g (must be bit-identical)",
 					i, got, exp)
 			}
 		}

@@ -9,13 +9,22 @@ import (
 
 // Live telemetry for the population tick engine, following the arena
 // discipline of the tick itself: every instrument handle and every
-// accumulator slot is allocated once at Instrument time, the sharded
-// tick phases write only into their own padded slots, and the serial
-// end-of-tick merge folds the slots into the pre-registered obs
-// instruments in fixed (shard, cell) order. Telemetry therefore adds
-// zero allocations to the steady-state tick and never touches the RNG
-// or any report state — reports are byte-identical with a registry
-// attached or not (determinism_test.go pins this).
+// accumulator slot is allocated once in New, the sharded tick phases
+// write only into their own padded slots, and the serial end-of-tick
+// merge folds the slots into the pre-registered obs instruments in
+// fixed (shard, cell) order. There is one tick path: without a
+// registry the handles are obs's nil-safe no-ops and the slots still
+// fill. Telemetry therefore adds zero allocations to the steady-state
+// tick and never touches the RNG or any report state — reports are
+// byte-identical with a registry attached or not (determinism_test.go
+// pins this).
+//
+// Attach outcomes and PRB demand come off work the tick already does:
+// phase B's counting sort leaves the attached count in the bucket cut
+// before the outage bucket (every free slot holds cell -1), outage is
+// the live count minus that, and phase C sums each cell's segment
+// demands as it gathers them (an outage UE demands nothing). The
+// phase-A bracket counts only moves, hand-offs and ping-pongs.
 //
 // Metric namespace (`pop.*`, the des./netsim. convention):
 //
@@ -31,8 +40,8 @@ import (
 //	pop.tick_wall_us                tick latency histogram (µs)
 
 // Telemetry bundles the optional observability attachments of a
-// population run. The zero value means telemetry off: the tick engine
-// stays on its instrumented-free fast path (0 allocs/op, PopTick100k).
+// population run. Every field may be left zero; the tick runs the same
+// path either way (0 allocs/op, PopTick100k and PopTick100kTel).
 type Telemetry struct {
 	// Obs receives the pop.* instruments described above.
 	Obs *obs.Registry
@@ -46,27 +55,22 @@ type Telemetry struct {
 	OnTick func(tick, total int)
 }
 
-// enabled reports whether any attachment is set.
-func (t Telemetry) enabled() bool {
-	return t.Obs != nil || t.Trace != nil || t.OnTick != nil
-}
-
 // ueShardCounters is one UE shard's phase-A accumulator, padded to a
 // cache line so concurrent shards never write the same line.
 type ueShardCounters struct {
-	moved, attached, outage, handoffs, pingpongs, prbDemand int64
-	_                                                       [2]int64 // pad to 64 B
+	moved, handoffs, pingpongs int64
+	_                          [5]int64 // pad to 64 B
 }
 
 // cellCounters is one cell's phase-C accumulator slot (cells are the
 // phase-C shard unit), padded to a cache line.
 type cellCounters struct {
-	grantedPRB int64
-	bits       [traffic.NumClasses]float64 // delivered bits per class
-	_          [4]int64                    // pad to 64 B
+	prbDemand, grantedPRB int64
+	bits                  [traffic.NumClasses]float64 // delivered bits per class
+	_                     [3]int64                    // pad to 64 B
 }
 
-// telemetry is the attached instrument state.
+// telemetry is the instrument state New attaches.
 type telemetry struct {
 	opts Telemetry
 
@@ -91,17 +95,12 @@ type telemetry struct {
 	byteCarry [traffic.NumClasses]float64
 }
 
-// Instrument attaches (or, with the zero Telemetry, detaches) live
-// telemetry to the population. Call it before ticking; attaching mid-run
-// is safe but counts only subsequent ticks. All instruments are
+// newTelemetry builds New's telemetry state for a population of
+// ueShards UE shards over ncells cells. All instruments are
 // pre-registered here so the tick path never takes the registry lock.
-func (p *Population) Instrument(t Telemetry) {
-	if !t.enabled() {
-		p.tel = nil
-		return
-	}
+func newTelemetry(t Telemetry, ueShards, ncells int) telemetry {
 	reg := t.Obs // nil-safe: handles no-op, merge cost stays negligible
-	tel := &telemetry{
+	tel := telemetry{
 		opts:       t,
 		ticks:      reg.Counter("pop.ticks"),
 		moved:      reg.Counter("pop.ue_moved"),
@@ -115,37 +114,36 @@ func (p *Population) Instrument(t Telemetry) {
 		prbDemand:  reg.Counter("pop.prb_demand"),
 		prbGranted: reg.Counter("pop.prb_granted"),
 		tickWall:   reg.Histogram("pop.tick_wall_us", obs.DurationBuckets),
-		ueShard:    make([]ueShardCounters, len(p.ueShards)),
-		cell:       make([]cellCounters, len(p.cells)),
+		ueShard:    make([]ueShardCounters, ueShards),
+		cell:       make([]cellCounters, ncells),
 	}
 	for c := traffic.Class(0); c < traffic.NumClasses; c++ {
 		tel.bytes[c] = reg.Counter("pop.bytes_delivered{class=" + c.String() + "}")
 	}
-	p.tel = tel
+	return tel
 }
 
 // mergeTick folds the per-shard and per-cell accumulators into the
 // registered instruments and resets them, then emits the tick span,
 // latency sample and progress callback. Serial, called once per Tick on
-// the ticking goroutine; fixed iteration order keeps counter totals
-// identical for every Workers value.
+// the ticking goroutine after phase C; fixed iteration order keeps
+// counter totals identical for every Workers value.
 func (p *Population) mergeTick(tickIdx int, wall time.Duration) {
-	t := p.tel
-	var moved, attached, outage, handoffs, pingpongs, demand int64
+	t := &p.tel
+	var moved, handoffs, pingpongs int64
 	for i := range t.ueShard {
 		sc := &t.ueShard[i]
 		moved += sc.moved
-		attached += sc.attached
-		outage += sc.outage
 		handoffs += sc.handoffs
 		pingpongs += sc.pingpongs
-		demand += sc.prbDemand
 		*sc = ueShardCounters{}
 	}
-	var granted int64
+	attached := int64(p.bounds[len(p.cells)])
+	var demand, granted int64
 	var bits [traffic.NumClasses]float64
 	for c := range t.cell {
 		cc := &t.cell[c]
+		demand += cc.prbDemand
 		granted += cc.grantedPRB
 		for k := range cc.bits {
 			bits[k] += cc.bits[k]
@@ -155,7 +153,7 @@ func (p *Population) mergeTick(tickIdx int, wall time.Duration) {
 	t.ticks.Inc()
 	t.moved.Add(moved)
 	t.attached.Add(attached)
-	t.outage.Add(outage)
+	t.outage.Add(int64(p.alive) - attached)
 	t.handoffs.Add(handoffs)
 	t.pingpongs.Add(pingpongs)
 	t.births.Add(p.tickBirths)

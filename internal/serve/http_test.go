@@ -38,7 +38,7 @@ func TestServeEndpointsAndShutdown(t *testing.T) {
 	reg.Counter("pop.ticks").Add(3)
 	reg.Counter("des.events_fired").Add(11)
 	reg.Histogram("pop.tick_wall_us", obs.DurationBuckets).Observe(250)
-	tracer := obs.NewTracer(16)
+	tracer := obs.NewTracer()
 	tracer.Span("pop.tick", "pop", 0, 100*time.Millisecond)
 	s, _ := newTestService(t, Options{PoolWorkers: 1, MaxActive: 2, Registry: reg, Tracer: tracer}, 0)
 	st, err := s.Submit(Spec{Experiments: []string{"X12"}})
@@ -160,7 +160,7 @@ func TestHandlerOptionalEndpoints(t *testing.T) {
 		}
 	}
 
-	s, _ = newTestService(t, Options{PoolWorkers: 1, Tracer: obs.NewTracer(8), Pprof: true}, 0)
+	s, _ = newTestService(t, Options{PoolWorkers: 1, Tracer: obs.NewTracer(), Pprof: true}, 0)
 	full := httptest.NewServer(s.Handler())
 	defer full.Close()
 	for _, path := range []string{"/progress", "/trace", "/debug/pprof/"} {

@@ -221,16 +221,25 @@ func (c *Conn) retransmitHoles(budget int) int {
 
 // trySend transmits new data as window and application data allow.
 func (c *Conn) trySend() {
-	for c.pipe() < c.window() && c.sp < c.limit {
-		c.sendSegment(c.sp, false)
-		c.sp += int64(netsim.MSS)
-		if c.sp > c.limit {
-			c.sp = c.limit
-		}
-		if c.sp > c.maxSent {
-			c.maxSent = c.sp
-		}
+	for c.sendNew() {
 	}
+}
+
+// sendNew transmits the next new-data segment if the window and the
+// application data allow one, and reports whether it did.
+func (c *Conn) sendNew() bool {
+	if c.pipe() >= c.window() || c.sp >= c.limit {
+		return false
+	}
+	c.sendSegment(c.sp, false)
+	c.sp += int64(netsim.MSS)
+	if c.sp > c.limit {
+		c.sp = c.limit
+	}
+	if c.sp > c.maxSent {
+		c.maxSent = c.sp
+	}
+	return true
 }
 
 // paceLoop emits one segment per pacing interval while the window allows.
@@ -245,22 +254,9 @@ func (c *Conn) paceLoop() {
 		if rate <= 0 {
 			rate = 1e6
 		}
-		sent := false
 		// Hole repairs take priority over new data and share the pacing
 		// budget, so recovery does not burst into full queues.
-		if c.inRecovery && c.retransmitHoles(1) > 0 {
-			sent = true
-		} else if c.pipe() < c.window() && c.sp < c.limit {
-			c.sendSegment(c.sp, false)
-			c.sp += int64(netsim.MSS)
-			if c.sp > c.limit {
-				c.sp = c.limit
-			}
-			if c.sp > c.maxSent {
-				c.maxSent = c.sp
-			}
-			sent = true
-		}
+		sent := c.inRecovery && c.retransmitHoles(1) > 0 || c.sendNew()
 		interval := time.Duration(float64((netsim.MSS+netsim.HeaderBytes)*8) / rate * float64(time.Second))
 		if !sent {
 			// Window-blocked: poll at a fine grain so the ACK clock

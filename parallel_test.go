@@ -178,7 +178,7 @@ func TestExperimentSeedSensitivity(t *testing.T) {
 // short mode: `go test -race -short ./...` must cover it.
 func TestRunAllParallelRace(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true, Workers: 8,
-		Obs: obs.NewRegistry(), Trace: obs.NewTracer(1 << 12)}
+		Obs: obs.NewRegistry(), Trace: obs.NewTracer()}
 	ids := []string{"F2", "F3", "F4", "F13", "F14", "F15", "F22", "F23"}
 	results, err := RunExperimentsContext(context.Background(), cfg, ids...)
 	if err != nil {

@@ -3,9 +3,10 @@
 # race pass over the parallel campaign engine, short fuzzes of the TCP
 # engine's interval set and SACK log, of the DES heap, of fault-plan
 # validation, of the result/v1 decode round trip, of fgserve's spec
-# decode and admission validation and of the PRB scheduler, the fgserve
-# smoke (which reads a saved stream back through fgobs), the benchmark
-# module's tests, and one run of every internal micro-bench.
+# decode and admission validation and of the PRB scheduler, a check that
+# fgpop refuses a positional argument, the fgserve smoke (which reads a
+# saved stream back through fgobs), the benchmark module's tests, and one
+# run of every internal micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -45,6 +46,16 @@ go test -race -short ./internal/pop/ ./internal/traffic/ ./internal/deploy/
 echo "== pop-dynamics property suite (churn conservation, A3 invariants, cancellation) =="
 go test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|ProbeContract|EstimateETA' \
 	./internal/pop/ ./internal/handoff/ ./internal/obs/
+
+echo "== fgpop refuses a positional argument (exit 2) =="
+# Go's flag package stops parsing at the first non-flag argument, so a
+# value after the bool flag -loadfb would silently drop every flag after
+# it (-churn 30 here). fgpop, like every command in cmd/, must print its
+# usage and exit 2 instead of running without them.
+go build -o /tmp/fgpop_ci ./cmd/fgpop
+STATUS=0
+/tmp/fgpop_ci -n 10 -ticks 1 -loadfb 0.3 -churn 30 >/tmp/fgpop_ci.log 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "fgpop -loadfb 0.3 -churn 30 exited $STATUS, want 2" >&2; cat /tmp/fgpop_ci.log >&2; exit 1; }
 
 echo "== fuzz: intervalSet against a bitmap model (10 s) =="
 go test -run '^$' -fuzz '^FuzzIntervalSet$' -fuzztime 10s ./internal/transport

@@ -102,10 +102,9 @@ func main() {
 		p.Alive(), campus.AreaKm2(), len(campus.NRCells), len(campus.LTECells),
 		p.Ticks(), m.TickDur, elapsed.Round(time.Millisecond))
 	for _, t := range []radio.Tech{radio.NR, radio.LTE} {
-		u := p.UtilSamples(t, nil)
+		q := stats.Quantiles(p.UtilSamples(t, nil), 0.50, 0.90, 0.99)
 		fmt.Printf("%-3s PRB utilization: mean %5.1f%%  p50 %5.1f%%  p90 %5.1f%%  p99 %5.1f%%\n",
-			t, 100*p.MeanUtil(t), 100*stats.Quantile(u, 0.50),
-			100*stats.Quantile(u, 0.90), 100*stats.Quantile(u, 0.99))
+			t, 100*p.MeanUtil(t), 100*q[0], 100*q[1], 100*q[2])
 	}
 	if *perCell {
 		for _, l := range p.CellLoadLines() {

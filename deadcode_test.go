@@ -43,34 +43,8 @@ func TestInternalFuncsHaveProductionCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	var pkgs []listedPackage
-	for _, dir := range []string{".", "benchmark"} {
-		pkgs = append(pkgs, goList(t, dir)...)
-	}
-	byPath := make(map[string]listedPackage, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-
-	fset := token.NewFileSet()
-	info := &types.Info{
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-		Types: make(map[ast.Expr]types.TypeAndValue),
-	}
-	im := &sourceImporter{
-		fset:    fset,
-		listed:  byPath,
-		checked: make(map[string]*types.Package),
-		files:   make(map[string][]*ast.File),
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info:    info,
-	}
-	for _, p := range pkgs {
-		if _, err := im.Import(p.ImportPath); err != nil {
-			t.Fatal(err)
-		}
-	}
+	im := typeCheckModule(t)
+	info := im.info
 
 	// Every function and method declared under internal/, with the extent
 	// of its declaration so that self-references can be told apart.
@@ -133,6 +107,158 @@ func TestInternalFuncsHaveProductionCallers(t *testing.T) {
 			t.Errorf("allowlisted %s is gone or has a production caller: drop it from testOnlyAllowed", name)
 		}
 	}
+}
+
+// TestProductionPathsAreClosed fails for each function in a non-test
+// file that builds a netsim path and does not close it. A path that is
+// never closed keeps its packet slabs from the paths built after it,
+// which then allocate their own; F12, X9 and X10 build paths in no
+// benchmark workload, so no allocation figure would show it. The path
+// is the variable that NewPath's result is stored in, or the slice
+// whose element it is stored in; Close must be called on that variable,
+// an element of it, or the variable of a range over it.
+func TestProductionPathsAreClosed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	im := typeCheckModule(t)
+	netsim := im.checked["fivegsim/internal/netsim"].Scope()
+	newPath := netsim.Lookup("NewPath")
+	closePath, _, _ := types.LookupFieldOrMethod(types.NewPointer(netsim.Lookup("Path").Type()), false, nil, "Close")
+	if newPath == nil || closePath == nil {
+		t.Fatal("netsim.NewPath or (*netsim.Path).Close is gone: update the guard")
+	}
+	// callee returns the function or method a call names, or nil.
+	callee := func(call *ast.CallExpr) types.Object {
+		switch fn := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			return im.info.Uses[fn]
+		case *ast.SelectorExpr:
+			return im.info.Uses[fn.Sel]
+		}
+		return nil
+	}
+	// root returns the variable x for an expression x or x[i], or nil.
+	var root func(ast.Expr) types.Object
+	root = func(e ast.Expr) types.Object {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if obj := im.info.Defs[e]; obj != nil {
+				return obj
+			}
+			return im.info.Uses[e]
+		case *ast.IndexExpr:
+			return root(e.X)
+		}
+		return nil
+	}
+
+	builds := 0
+	var found []string
+	for _, files := range im.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				built := make(map[types.Object]token.Pos) // path variables and where they are built
+				var unbound []token.Pos                   // NewPath calls whose result is kept in no variable
+				rangeOver := make(map[types.Object]types.Object)
+				var closed []types.Object
+				kept := make(map[*ast.CallExpr]bool)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, rhs := range n.Rhs {
+							if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && callee(call) == newPath && len(n.Lhs) == len(n.Rhs) {
+								if v := root(n.Lhs[i]); v != nil {
+									built[v] = call.Pos()
+									kept[call] = true
+								}
+							}
+						}
+					case *ast.RangeStmt:
+						if n.Value != nil {
+							if v, over := root(n.Value), root(n.X); v != nil && over != nil {
+								rangeOver[v] = over
+							}
+						}
+					case *ast.CallExpr:
+						if callee(n) == newPath {
+							builds++
+							if !kept[n] {
+								unbound = append(unbound, n.Pos())
+							}
+						}
+						if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && callee(n) == closePath {
+							closed = append(closed, root(sel.X))
+						}
+					}
+					return true
+				})
+				isClosed := make(map[types.Object]bool)
+				for _, v := range closed {
+					isClosed[v] = true
+					if over, ok := rangeOver[v]; ok {
+						isClosed[over] = true
+					}
+				}
+				name := fd.Name.Name
+				if fd.Recv != nil {
+					name = "method " + name
+				}
+				for _, pos := range unbound {
+					found = append(found, fmt.Sprintf("%s: %s builds a path with NewPath without keeping it in a variable, so nothing can close it", im.fset.Position(pos), name))
+				}
+				for v, pos := range built {
+					if !isClosed[v] {
+						found = append(found, fmt.Sprintf("%s: %s keeps a path from NewPath in %s and never closes it: call Close on it once its scheduler has stopped", im.fset.Position(pos), name, v.Name()))
+					}
+				}
+			}
+		}
+	}
+	if builds == 0 {
+		t.Fatal("no production code calls netsim.NewPath: the guard checks nothing")
+	}
+	sort.Strings(found)
+	for _, msg := range found {
+		t.Error(msg)
+	}
+}
+
+// typeCheckModule type-checks the module and the benchmark module from
+// their non-test files into one types.Info.
+func typeCheckModule(t *testing.T) *sourceImporter {
+	t.Helper()
+	var pkgs []listedPackage
+	for _, dir := range []string{".", "benchmark"} {
+		pkgs = append(pkgs, goList(t, dir)...)
+	}
+	byPath := make(map[string]listedPackage, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.ImportPath] = p
+	}
+	fset := token.NewFileSet()
+	im := &sourceImporter{
+		fset:    fset,
+		listed:  byPath,
+		checked: make(map[string]*types.Package),
+		files:   make(map[string][]*ast.File),
+		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info: &types.Info{
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+		},
+	}
+	for _, p := range pkgs {
+		if _, err := im.Import(p.ImportPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return im
 }
 
 // goList returns the packages of the module rooted at dir.

@@ -61,7 +61,7 @@ func runX1DSL(cfg Config) Result {
 	s := stats.Summarize(rates)
 	// A favorable placement: the household puts the CPE at its best
 	// window, so take an upper-middle quantile across candidate spots.
-	favorable := stats.Quantile(rates, 0.60)
+	favorable := stats.Quantiles(rates, 0.60)[0]
 	const houses = 50.0
 	const cells = 3.0
 	perHouse := favorable * cells / houses

@@ -75,10 +75,10 @@ func runX12CellLoad(cfg Config) Result {
 		n, campus.AreaKm2(), ticks, p.Model.TickDur))
 	for _, t := range []radio.Tech{radio.NR, radio.LTE} {
 		u := p.UtilSamples(t, nil)
+		q := stats.Quantiles(u, 0.50, 0.90, 0.99)
 		res.Lines = append(res.Lines, line(
 			"%-3s PRB utilization: mean %5.1f%%  p50 %5.1f%%  p90 %5.1f%%  p99 %5.1f%% (%d cell-tick samples)",
-			t, 100*p.MeanUtil(t), 100*stats.Quantile(u, 0.50), 100*stats.Quantile(u, 0.90),
-			100*stats.Quantile(u, 0.99), len(u)))
+			t, 100*p.MeanUtil(t), 100*q[0], 100*q[1], 100*q[2], len(u)))
 		res.Values["util"+t.String()] = p.MeanUtil(t)
 	}
 	thr := p.PerUEThroughputBps()
@@ -88,10 +88,10 @@ func runX12CellLoad(cfg Config) Result {
 			outage++
 		}
 	}
+	q := stats.Quantiles(thr, 0.10, 0.50, 0.90)
 	res.Lines = append(res.Lines, line(
 		"per-UE throughput: p10 %6.2f  p50 %6.2f  p90 %6.2f Mb/s   jain %.3f   outage %.2f%%",
-		stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6, stats.Quantile(thr, 0.90)/1e6,
-		pop.JainIndex(thr), 100*float64(outage)/float64(p.Len())))
+		q[0]/1e6, q[1]/1e6, q[2]/1e6, pop.JainIndex(thr), 100*float64(outage)/float64(p.Len())))
 	res.Values["jain"] = pop.JainIndex(thr)
 	res.Values["outageFrac"] = float64(outage) / float64(p.Len())
 	return res
@@ -135,10 +135,10 @@ func runX13Fairness(cfg Config) Result {
 		p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X13"))
 		thr := p.PerUEThroughputBps()
 		j := pop.JainIndex(thr)
+		q := stats.Quantiles(thr, 0.10, 0.50, 0.90)
 		res.Lines = append(res.Lines, line(
 			"N=%6d: jain %.3f  p10 %7.2f  p50 %7.2f  p90 %7.2f Mb/s  NR util %5.1f%%",
-			n, j, stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6,
-			stats.Quantile(thr, 0.90)/1e6, 100*p.MeanUtil(radio.NR)))
+			n, j, q[0]/1e6, q[1]/1e6, q[2]/1e6, 100*p.MeanUtil(radio.NR)))
 		res.Values[line("jainN%d", n)] = j
 	}
 	res.Lines = append(res.Lines, line(

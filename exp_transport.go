@@ -184,6 +184,7 @@ func runFig10(cfg Config) Result {
 			}
 		}
 		row += line("(max %d; paper: ≤4 on 4G, ≤2 on 5G; residual loss %d)", maxK, path.RAN.ResidualLoss)
+		path.Close()
 		res.Lines = append(res.Lines, row)
 		res.Values["max"+tech.String()] = float64(maxK)
 	}
@@ -246,6 +247,7 @@ func hoThroughputDrop(cfg Config, tech radio.Tech, kind handoff.Kind, seed int64
 	pcfg.Seed = seed
 	sch := des.New()
 	path := netsim.NewPath(sch, pcfg)
+	defer path.Close()
 	conn := transport.NewConn(sch, path, "bbr", transport.Bulk)
 	conn.Start()
 	hoAt := 6 * time.Second

@@ -22,9 +22,10 @@ type Packet struct {
 	// AckSeq is the cumulative acknowledgment (next expected byte).
 	AckSeq int64
 	// SackMark reports the receiver's whole out-of-order map by
-	// reference: a mark into the sending connection's log of the ranges
-	// its receiver added to the map (internal/transport). 0 means the ACK
-	// has no SACK option.
+	// reference: the number of bytes in the sending connection's log of
+	// the ranges its receiver added to the map (internal/transport) when
+	// the ACK was sent. An ACK carries a mark only once a byte has been
+	// logged, so 0 means the ACK has no SACK option.
 	SackMark int64
 	// Wire is the on-the-wire size in bytes including headers.
 	Wire int

@@ -131,6 +131,13 @@ type Path struct {
 	Pool *PacketPool
 }
 
+// Close hands the path's packet storage on to the next path built, on
+// any goroutine. Call it once the path's scheduler will not run again:
+// no packet of a closed path, delivered, queued or in flight, may be
+// used afterwards, and the path must carry no more traffic. A path that
+// is never closed is collected as garbage like any other value.
+func (p *Path) Close() { p.Pool.close() }
+
 // NewPath wires up the downlink chain
 //
 //	server → wired → [bottleneck+cross] → core → RAN → UE

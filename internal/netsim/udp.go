@@ -57,6 +57,7 @@ func (p *Path) StartCBR(offeredBps float64, until time.Duration) (sent *int64) {
 func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration) UDPResult {
 	sch := des.New()
 	path := NewPath(sch, cfg)
+	defer path.Close()
 
 	res := UDPResult{OfferedBps: offeredBps}
 	var receivedBytes int64

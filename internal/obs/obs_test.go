@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,6 +202,25 @@ func TestTracerRingBoundsAndOrder(t *testing.T) {
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+	}
+}
+
+var tracerSink *Tracer
+
+// TestNewTracerGrowsOnDemand: a tracer's ring grows with the events it
+// records, up to its bound, so making one costs next to nothing however
+// large the bound is. A whole quick campaign records about 150 spans of
+// the 65,536 a tracer may hold; a ring made whole up front cost 4 MiB.
+func TestNewTracerGrowsOnDemand(t *testing.T) {
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tracerSink = NewTracer()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Fatalf("NewTracer allocates %d bytes, want under 64 KiB", per)
 	}
 }
 

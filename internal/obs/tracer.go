@@ -22,11 +22,13 @@ type TraceEvent struct {
 }
 
 // Tracer records events into a bounded ring buffer. It is safe for
-// concurrent use; a nil *Tracer is a no-op. When the ring wraps, the
-// oldest events are overwritten and Dropped counts them.
+// concurrent use; a nil *Tracer is a no-op. The ring grows as events
+// arrive, up to its bound; when it wraps, the oldest events are
+// overwritten and Dropped counts them.
 type Tracer struct {
 	mu    sync.Mutex
 	buf   []TraceEvent
+	bound int // the most events buf holds
 	next  int
 	total uint64
 	wall0 time.Time
@@ -40,7 +42,7 @@ func NewTracer() *Tracer { return newTracer(DefaultTraceCapacity) }
 
 // newTracer returns a tracer holding at most capacity (≥ 1) events.
 func newTracer(capacity int) *Tracer {
-	return &Tracer{buf: make([]TraceEvent, 0, capacity), wall0: time.Now()}
+	return &Tracer{bound: capacity, wall0: time.Now()}
 }
 
 // Emit records one event. Nil-safe.
@@ -50,11 +52,11 @@ func (t *Tracer) Emit(e TraceEvent) {
 	}
 	t.mu.Lock()
 	e.Wall = time.Since(t.wall0)
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.bound {
 		t.buf = append(t.buf, e)
 	} else {
 		t.buf[t.next] = e
-		t.next = (t.next + 1) % cap(t.buf)
+		t.next = (t.next + 1) % t.bound
 	}
 	t.total++
 	t.mu.Unlock()
@@ -79,7 +81,7 @@ func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]TraceEvent, 0, len(t.buf))
-	if len(t.buf) == cap(t.buf) {
+	if len(t.buf) == t.bound {
 		out = append(out, t.buf[t.next:]...)
 		out = append(out, t.buf[:t.next]...)
 	} else {
@@ -95,10 +97,10 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= uint64(cap(t.buf)) {
+	if t.total <= uint64(t.bound) {
 		return 0
 	}
-	return t.total - uint64(cap(t.buf))
+	return t.total - uint64(t.bound)
 }
 
 // chromeEvent is the Trace Event Format record that chrome://tracing and

@@ -132,9 +132,9 @@ func (p *Population) CellLoadLines() []string {
 // for the determinism suite.
 func (p *Population) FairnessLines() []string {
 	thr := p.PerUEThroughputBps()
+	q := stats.Quantiles(thr, 0.10, 0.50, 0.90)
 	return []string{
 		fmt.Sprintf("fairness n=%d jain=%.9f", len(thr), JainIndex(thr)),
-		fmt.Sprintf("throughput_mbps p10=%.6f p50=%.6f p90=%.6f",
-			stats.Quantile(thr, 0.10)/1e6, stats.Quantile(thr, 0.50)/1e6, stats.Quantile(thr, 0.90)/1e6),
+		fmt.Sprintf("throughput_mbps p10=%.6f p50=%.6f p90=%.6f", q[0]/1e6, q[1]/1e6, q[2]/1e6),
 	}
 }

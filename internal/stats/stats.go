@@ -50,28 +50,31 @@ func Summarize(xs []float64) Summary {
 // String formats a Summary as "mean ± std".
 func (s Summary) String() string { return fmt.Sprintf("%.2f ± %.2f", s.Mean, s.Std) }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by sorting a copy
-// and interpolating linearly between the order statistics either side
-// of q·(n−1). An empty sample yields 0.
-func Quantile(xs []float64, q float64) float64 {
+// Quantiles returns the q-quantile (0 ≤ q ≤ 1) of xs for each of qs, in
+// order. It sorts one copy of xs, leaving xs as it was, and interpolates
+// linearly between the order statistics either side of q·(n−1). Every
+// quantile of an empty sample is 0.
+func Quantiles(xs []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
+	for i, q := range qs {
+		pos := q * float64(len(s)-1)
+		switch lo, hi := int(math.Floor(pos)), int(math.Ceil(pos)); {
+		case q <= 0:
+			out[i] = s[0]
+		case q >= 1:
+			out[i] = s[len(s)-1]
+		case lo == hi:
+			out[i] = s[lo]
+		default:
+			out[i] = s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+		}
 	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+	return out
 }
 
 // Bin is one histogram bucket over [Lo, Hi).

@@ -42,17 +42,28 @@ func TestQuantile(t *testing.T) {
 		{nil, 0.5, 0}, // an empty sample yields 0
 	}
 	for _, c := range cases {
-		if got := Quantile(c.xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v, %v) = %v, want %v", c.xs, c.q, got, c.want)
+		if got := Quantiles(c.xs, c.q)[0]; math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantiles(%v, %v) = %v, want %v", c.xs, c.q, got, c.want)
 		}
+	}
+	// One call answers every q, in the order asked.
+	qs := []float64{0.6, 0, 1, 0.1, 0.5}
+	got := Quantiles(xs, qs...)
+	for i, q := range qs {
+		if want := Quantiles(xs, q)[0]; got[i] != want {
+			t.Errorf("Quantiles(%v, %v)[%d] = %v, want %v as asked alone", xs, qs, i, got[i], want)
+		}
+	}
+	if got := Quantiles(nil, 0.1, 0.9); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Errorf("Quantiles(nil, 0.1, 0.9) = %v, want [0 0]", got)
 	}
 }
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	Quantiles(xs, 0.1, 0.5, 0.9)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Quantile mutated its input")
+		t.Fatal("Quantiles mutated its input")
 	}
 }
 

@@ -101,50 +101,74 @@ func (s *intervalSet) Replace(blocks []byteRange, floor int64) {
 
 // sackLog lets an ACK report the receiver's whole out-of-order map by
 // reference. The receiver logs every range it adds to the map, and an ACK
-// carries only a mark: the number of ranges logged when it was sent. The
+// carries only a mark: the number of bytes logged when it was sent. The
 // receiver adds ranges only above its cumulative point and trims the map
-// only below it, so the map an ACK reported is the union of the ranges
+// only below it, so the map an ACK reported is the union of the bytes
 // logged before its mark, cut at its cumulative ACK.
 //
+// The log keeps one run per stretch of adjacent ranges: a range that
+// starts where the newest run ends extends it, and any other range starts
+// a new run. Segments above a hole arrive in order, so one loss episode
+// logs a few runs rather than one entry per segment. A run records at,
+// the bytes logged before it started, so the part of run r that a mark m
+// covers is [r.lo, min(r.hi, r.lo+m−r.at)); runs lie back to back in the
+// log's byte order, and only the newest run grows.
+//
 // The sender keeps a replica of that union for the highest mark it has
-// seen. An ACK that arrives in order replays the entries logged since
-// into the replica; one the uplink reordered (a mark below the replica's)
-// is rebuilt into a scratch set from the retained entries; a dropped ACK
-// needs no bookkeeping at all. Entries leave the front of the log once
-// they end at or below una, so it holds the out-of-order arrivals since
-// the oldest one still above una, and its dead prefix is reused before
-// the log grows.
+// seen. An ACK that arrives in order replays the bytes logged since into
+// the replica; one the uplink reordered (a mark below the replica's) is
+// rebuilt into a scratch set from the retained runs; a dropped ACK needs
+// no bookkeeping at all. Runs leave the front of the log once they are
+// fully replayed and end at or below una, so it holds the out-of-order
+// arrivals since the oldest one still above una, and its dead prefix is
+// reused before the log grows.
 type sackLog struct {
-	entries []byteRange // entries[i] is range number base+i
-	base    int64
-	head    int // entries[:head] lie below una and are never read again
+	runs   []sackRun
+	head   int   // runs[:head] lie below una and are never read again
+	logged int64 // bytes logged so far
 
-	replica     intervalSet // union of the ranges before replicaMark, above una
+	replica     intervalSet // union of the bytes logged before replicaMark, above una
 	replicaMark int64
+	replicaRun  int // the run holding the replica's next byte; at least head
 	scratch     intervalSet
 }
 
-// add logs a range the receiver added to its out-of-order map. A full
-// log first reuses its dead prefix if that is at least half of it, and
-// otherwise doubles: a loss episode grows the log to tens of thousands
-// of entries, and append's gentler growth for large slices would copy
-// it over and over.
+// sackRun is one run of adjacent logged ranges, [lo, hi), whose first
+// byte was the log's byte number at.
+type sackRun struct{ lo, hi, at int64 }
+
+// end returns the number of bytes logged when the run stopped growing, or
+// so far if it is the newest.
+func (r sackRun) end() int64 { return r.at + r.hi - r.lo }
+
+// add logs a range the receiver added to its out-of-order map. A range
+// adjacent to the newest run extends it, unless trim has passed that run.
+// A full log first reuses its dead prefix if that is at least half of it,
+// and otherwise doubles: a long loss episode with many holes grows the
+// log to thousands of runs, and append's gentler growth for large slices
+// would copy it over and over.
 func (l *sackLog) add(lo, hi int64) {
-	if n := len(l.entries); n == cap(l.entries) {
-		if l.head > 0 && 2*l.head >= n {
-			l.entries = l.entries[:copy(l.entries, l.entries[l.head:])]
-			l.base += int64(l.head)
-			l.head = 0
-		} else {
-			l.entries = slices.Grow(l.entries, max(n, 16))
+	n := len(l.runs)
+	if l.head < n && l.runs[n-1].hi == lo {
+		l.runs[n-1].hi = hi
+	} else {
+		if n == cap(l.runs) {
+			if l.head > 0 && 2*l.head >= n {
+				l.runs = l.runs[:copy(l.runs, l.runs[l.head:])]
+				l.replicaRun -= l.head
+				l.head = 0
+			} else {
+				l.runs = slices.Grow(l.runs, max(n, 16))
+			}
 		}
+		l.runs = append(l.runs, sackRun{lo, hi, l.logged})
 	}
-	l.entries = append(l.entries, byteRange{lo, hi})
+	l.logged += hi - lo
 }
 
-// mark returns the number of ranges logged so far: the mark an ACK sent
+// mark returns the number of bytes logged so far: the mark an ACK sent
 // now carries.
-func (l *sackLog) mark() int64 { return l.base + int64(len(l.entries)) }
+func (l *sackLog) mark() int64 { return l.logged }
 
 // load replaces sb with the map the ACK carrying mark reported, clipped
 // at floor. floor must be at least the una of the last trim, below which
@@ -154,19 +178,29 @@ func (l *sackLog) mark() int64 { return l.base + int64(len(l.entries)) }
 func (l *sackLog) load(sb *intervalSet, mark, floor int64) {
 	src := &l.replica
 	if mark >= l.replicaMark {
-		for ; l.replicaMark < mark; l.replicaMark++ {
-			r := l.entries[l.replicaMark-l.base]
-			l.replica.Add(r.lo, r.hi)
+		for l.replicaMark < mark {
+			r := l.runs[l.replicaRun]
+			// Step to the next run only for bytes past this one's end:
+			// the newest run may still grow.
+			if l.replicaMark == r.end() {
+				l.replicaRun++
+				continue
+			}
+			upto := min(mark, r.end())
+			l.replica.Add(r.lo+l.replicaMark-r.at, r.lo+upto-r.at)
+			l.replicaMark = upto
 		}
 	} else {
 		src = &l.scratch
 		l.scratch.Clear()
-		// A mark at or below the first retained entry reports nothing
-		// above una: every entry before it ended below una.
-		end := max(mark-l.base, int64(l.head))
-		for _, r := range l.entries[l.head:end] {
-			if r.hi > floor {
-				l.scratch.Add(r.lo, r.hi)
+		// Runs before head ended below una; a retained run that started
+		// at or after the mark reports nothing.
+		for _, r := range l.runs[l.head:] {
+			if r.at >= mark {
+				break
+			}
+			if hi := min(r.hi, r.lo+mark-r.at); hi > floor {
+				l.scratch.Add(r.lo, hi)
 			}
 		}
 	}
@@ -174,11 +208,12 @@ func (l *sackLog) load(sb *intervalSet, mark, floor int64) {
 }
 
 // trim forgets what lies below una: the replica's coverage there, and
-// the log entries at the front that end at or below it. It never drops an
-// entry the replica has yet to replay.
+// the runs at the front of the log that end at or below it. It never
+// drops a run the replica has yet to replay in full.
 func (l *sackLog) trim(una int64) {
 	l.replica.TrimBelow(una)
-	for l.base+int64(l.head) < l.replicaMark && l.entries[l.head].hi <= una {
+	for l.head < len(l.runs) && l.runs[l.head].end() <= l.replicaMark && l.runs[l.head].hi <= una {
 		l.head++
 	}
+	l.replicaRun = max(l.replicaRun, l.head)
 }

@@ -32,6 +32,7 @@ func (r BulkResult) Utilization(baselineBps float64) float64 {
 func RunBulk(cfg netsim.PathConfig, ctrlName string, duration time.Duration) BulkResult {
 	sch := des.New()
 	path := netsim.NewPath(sch, cfg)
+	defer path.Close()
 	conn := NewConn(sch, path, ctrlName, Bulk)
 	conn.Start()
 	sch.RunUntil(duration)
@@ -53,6 +54,7 @@ func RunBulk(cfg netsim.PathConfig, ctrlName string, duration time.Duration) Bul
 func RunTransfer(cfg netsim.PathConfig, ctrlName string, size int64, maxWait time.Duration) (time.Duration, bool) {
 	sch := des.New()
 	path := netsim.NewPath(sch, cfg)
+	defer path.Close()
 	conn := NewConn(sch, path, ctrlName, size)
 	done := time.Duration(0)
 	conn.Done = func(at time.Duration) { done = at; sch.Stop() }

@@ -42,6 +42,10 @@ func RunMPTCPBulk(cfgs []netsim.PathConfig, ctrlName string, duration time.Durat
 		subflows[i].Start()
 	}
 	sch.RunUntil(duration)
+	// The solo runs below reuse the subflows' packet storage.
+	for _, p := range paths {
+		p.Close()
+	}
 
 	res := MPTCPResult{}
 	var soloSum float64

@@ -32,6 +32,7 @@ const (
 func EstimateBuffers(cfg netsim.PathConfig, duration time.Duration) BufferEstimate {
 	sch := des.New()
 	path := netsim.NewPath(sch, cfg)
+	defer path.Close()
 	path.StartCBR(cfg.RANRateBps*0.90, duration)
 
 	var ranMaxDelay, wiredMaxDelay float64 // seconds

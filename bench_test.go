@@ -90,8 +90,8 @@ func BenchmarkRunAllWorkers8(b *testing.B) { benchRunAll(b, 8) }
 // Telemetry overhead benches: the DES scheduler with observability
 // detached (the default) and attached. The no-op path is the one every
 // experiment runs on without Config.Obs, so ObsOff must stay within a
-// few percent of the pre-obs scheduler (EXPERIMENTS.md records the
-// measured ratios).
+// few percent of the pre-obs scheduler (EXPERIMENTS.md, "Telemetry
+// overhead", records the measured ratios).
 
 // benchScheduler drives a self-perpetuating event chain with a standing
 // population of pending events, approximating the scheduler load of a

@@ -9,7 +9,8 @@
 //	fgobs show run.ndjson          # render every manifest in the file
 //	fgobs show -id F7 run.ndjson   # just one experiment
 //	fgobs diff old.ndjson new.ndjson
-//	                               # compare runs (matched by experiment ID)
+//	                               # compare runs (matched by experiment ID,
+//	                               # equal seeds first)
 //	fgobs diff -id F7 old.ndjson new.ndjson
 //	fgobs tail -url http://127.0.0.1:9237
 //	                               # stream fgserve progress + counter deltas
@@ -79,28 +80,50 @@ func cmdDiff(args []string) {
 	}
 	old := load(fs.Arg(0), *id)
 	now := load(fs.Arg(1), *id)
-	byID := map[string]obs.RunManifest{}
-	for _, m := range now {
-		byID[m.ExperimentID] = m
-	}
 	matched := 0
-	for _, a := range old {
-		b, ok := byID[a.ExperimentID]
-		if !ok {
-			fmt.Printf("only in %s: %s\n", fs.Arg(0), a.ExperimentID)
-			continue
+	for _, p := range pairManifests(old, now) {
+		switch {
+		case p[1] == nil:
+			fmt.Printf("only in %s: %s (seed %d)\n", fs.Arg(0), p[0].ExperimentID, p[0].Seed)
+		case p[0] == nil:
+			fmt.Printf("only in %s: %s (seed %d)\n", fs.Arg(1), p[1].ExperimentID, p[1].Seed)
+		default:
+			fmt.Print(obs.DiffManifests(*p[0], *p[1]))
+			matched++
 		}
-		fmt.Print(obs.DiffManifests(a, b))
-		delete(byID, a.ExperimentID)
-		matched++
-	}
-	for id := range byID {
-		fmt.Printf("only in %s: %s\n", fs.Arg(1), id)
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "fgobs: no matching experiment IDs between the two files")
 		os.Exit(1)
 	}
+}
+
+// pairManifests pairs the manifests of two results files as {old, new},
+// with nil for the side a manifest has no match in. A manifest pairs
+// first with the earliest free one of equal experiment ID and seed, then
+// with the earliest free one of equal ID, so a seed ladder diffed
+// against itself pairs seed with seed while a run at one seed still
+// diffs against a run at another. The old file's manifests come in its
+// order, then the new file's unmatched ones in theirs.
+func pairManifests(old, now []obs.RunManifest) [][2]*obs.RunManifest {
+	out := make([][2]*obs.RunManifest, len(old))
+	taken := make([]bool, len(now))
+	for _, sameSeed := range []bool{true, false} {
+		for i := range old {
+			out[i][0] = &old[i]
+			for j := range now {
+				if out[i][1] == nil && !taken[j] && old[i].ExperimentID == now[j].ExperimentID && (!sameSeed || old[i].Seed == now[j].Seed) {
+					out[i][1], taken[j] = &now[j], true
+				}
+			}
+		}
+	}
+	for j := range now {
+		if !taken[j] {
+			out = append(out, [2]*obs.RunManifest{nil, &now[j]})
+		}
+	}
+	return out
 }
 
 func load(path, id string) []obs.RunManifest {

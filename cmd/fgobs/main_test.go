@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,5 +88,61 @@ func TestRecordManifestsEmptyFile(t *testing.T) {
 	got, err := recordManifests(path)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty file: %d manifests, err %v; want none", len(got), err)
+	}
+}
+
+// pairing renders pairManifests' result as "old~new" lines, with "-"
+// for a missing side and each record as ID@seed.
+func pairing(old, now []obs.RunManifest) []string {
+	name := func(m *obs.RunManifest) string {
+		if m == nil {
+			return "-"
+		}
+		return fmt.Sprintf("%s@%d", m.ExperimentID, m.Seed)
+	}
+	var out []string
+	for _, p := range pairManifests(old, now) {
+		out = append(out, name(p[0])+"~"+name(p[1]))
+	}
+	return out
+}
+
+func manifest(id string, seed int64) obs.RunManifest {
+	return obs.RunManifest{ExperimentID: id, Seed: seed}
+}
+
+// TestPairManifestsSeedLadder: a 2-seed fgserve ladder diffed against
+// itself pairs every record with its own seed and leaves none unmatched.
+func TestPairManifestsSeedLadder(t *testing.T) {
+	ladder := []obs.RunManifest{manifest("F7", 42), manifest("F7", 7), manifest("T1", 42), manifest("T1", 7)}
+	got := pairing(ladder, ladder)
+	want := []string{"F7@42~F7@42", "F7@7~F7@7", "T1@42~T1@42", "T1@7~T1@7"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+}
+
+// TestPairManifestsCrossSeed: with no equal seed, records pair by
+// experiment ID in file order, so a seed-42 run diffs against a seed-7
+// one; a leftover equal-seed pair is matched first.
+func TestPairManifestsCrossSeed(t *testing.T) {
+	old := []obs.RunManifest{manifest("F7", 42), manifest("T1", 42), manifest("T1", 1)}
+	now := []obs.RunManifest{manifest("T1", 1), manifest("F7", 7), manifest("T1", 7)}
+	got := pairing(old, now)
+	want := []string{"F7@42~F7@7", "T1@42~T1@7", "T1@1~T1@1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+}
+
+// TestPairManifestsOnlyInNew: records only in the second file come out
+// after the pairs, in that file's order, not map order.
+func TestPairManifestsOnlyInNew(t *testing.T) {
+	old := []obs.RunManifest{manifest("F7", 42), manifest("X9", 3)}
+	now := []obs.RunManifest{manifest("X12", 42), manifest("F7", 42), manifest("F10", 42), manifest("A1", 42)}
+	got := pairing(old, now)
+	want := []string{"F7@42~F7@42", "X9@3~-", "-~X12@42", "-~F10@42", "-~A1@42"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
 	}
 }

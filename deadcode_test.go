@@ -12,8 +12,10 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -105,6 +107,174 @@ func TestInternalFuncsHaveProductionCallers(t *testing.T) {
 	for name := range testOnlyAllowed {
 		if !allowed[name] {
 			t.Errorf("allowlisted %s is gone or has a production caller: drop it from testOnlyAllowed", name)
+		}
+	}
+}
+
+// fieldAllowed names the struct fields under internal/ that production
+// code keeps unread or unset on purpose, each with its reason.
+var fieldAllowed = map[string]string{
+	"netsim.queue.OnDrop":              "drop observer that tests attach: the netsim drop tests and TestAckFaultsReorderAndDrop count drops with it",
+	"netsim.PacketPool.Gets":           "pool leak detector: TestBulkSteadyStateAllocs allows one fresh packet per thousand checkouts",
+	"netsim.PacketPool.News":           "pool leak detector: TestBulkSteadyStateAllocs allows one fresh packet per thousand checkouts",
+	"transport.CwndSample.Retransmits": "bulk_v1.golden hashes it per sample: the recovery timeline, which the flow totals do not pin",
+	"energy.DRXParams.Tidle":           "Table 7's reproduction, which EXPERIMENTS.md cites through energy.ParamsFor field by field",
+	"energy.DRXParams.Ton":             "Table 7's reproduction, which EXPERIMENTS.md cites through energy.ParamsFor field by field",
+	"energy.DRXParams.T4r5r":           "Table 7's reproduction, which EXPERIMENTS.md cites through energy.ParamsFor field by field",
+	"energy.PowerSample.Tech":          "deleting it shrinks T4's power series, which the service benchmark's set-up probe reads as a regression until that probe times admission",
+	"pop.ChurnModel.maxN":              "test hook that fills the arena, so TestTelemetryGolden and the churn tests see blocked births",
+	"radio.InterferenceTerm.PCI":       "input of the scalar KPI oracle radio.MeasureCell",
+	"radio.InterferenceTerm.RSRPdBm":   "input of the scalar KPI oracle radio.MeasureCell",
+	"radio.InterferenceTerm.Load":      "input of the scalar KPI oracle radio.MeasureCell",
+}
+
+// TestInternalFieldsAreReadAndSet fails for each named field of a struct
+// type declared in a non-test file under internal/ that no non-test file
+// reads, or that none sets. A field is set as the left side of = or op=,
+// the operand of ++ or --, a key or positional element of a composite
+// literal, or the root of an index expression in one of those places;
+// every other use reads it. Taking its address, calling a pointer method
+// on it and slicing it both read and set it. Fields named _ and fields
+// with a json tag are exempt: encoding/json reads and sets them. A field
+// read only as part of its whole struct (==, a map key, %v) is not seen.
+func TestInternalFieldsAreReadAndSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	im := typeCheckModule(t)
+	info := im.info
+
+	names := make(map[*types.Var]string)
+	for path, files := range im.files {
+		if !strings.HasPrefix(path, "fivegsim/internal/") {
+			continue
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					if fl.Tag != nil && reflect.StructTag(strings.Trim(fl.Tag.Value, "`")).Get("json") != "" {
+						continue
+					}
+					for _, id := range fl.Names {
+						if id.Name != "_" {
+							names[info.Defs[id].(*types.Var)] = fmt.Sprintf("%s.%s.%s", f.Name.Name, ts.Name.Name, id.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	set := make(map[*types.Var]bool)
+	setOnly := make(map[*ast.Ident]bool) // uses that set the field and do not read it
+	// fieldSel returns the selector of the field that e names, through
+	// any index expressions around it, or nil.
+	var fieldSel func(ast.Expr) *ast.SelectorExpr
+	fieldSel = func(e ast.Expr) *ast.SelectorExpr {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[e.Sel].(*types.Var); ok && v.IsField() {
+				return e
+			}
+		case *ast.IndexExpr:
+			return fieldSel(e.X)
+		}
+		return nil
+	}
+	markSet := func(e ast.Expr, alsoRead bool) {
+		if sel := fieldSel(e); sel != nil {
+			set[info.Uses[sel.Sel].(*types.Var).Origin()] = true
+			setOnly[sel.Sel] = !alsoRead
+		}
+	}
+	for _, files := range im.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markSet(lhs, false)
+					}
+				case *ast.IncDecStmt:
+					markSet(n.X, false)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markSet(n.X, true)
+					}
+				case *ast.SliceExpr:
+					markSet(n.X, true)
+				case *ast.SelectorExpr:
+					if sel := info.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+						if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+							if _, isPtr := info.Types[n.X].Type.Underlying().(*types.Pointer); !isPtr {
+								markSet(n.X, true)
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					typ := info.Types[n].Type.Underlying()
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem().Underlying()
+					}
+					st, ok := typ.(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							v := info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()
+							set[v] = true
+							setOnly[kv.Key.(*ast.Ident)] = true
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := make(map[*types.Var]bool)
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !setOnly[id] {
+			read[v.Origin()] = true
+		}
+	}
+
+	var found []string
+	allowed := make(map[string]bool)
+	for v, name := range names {
+		var why string
+		switch {
+		case !read[v]:
+			why = "production computes it and nothing reads it: delete it"
+		case !set[v]:
+			why = "its zero value is the only production value: make it a constant or delete it"
+		default:
+			continue
+		}
+		if _, ok := fieldAllowed[name]; ok {
+			allowed[name] = true
+			continue
+		}
+		found = append(found, name+": "+why)
+	}
+	sort.Strings(found)
+	for _, msg := range found {
+		t.Error(msg)
+	}
+	for name := range fieldAllowed {
+		if !allowed[name] {
+			t.Errorf("allowlisted %s is gone or both read and set: drop it from fieldAllowed", name)
 		}
 	}
 }
@@ -228,13 +398,26 @@ func TestProductionPathsAreClosed(t *testing.T) {
 	}
 }
 
-// typeCheckModule type-checks the module and the benchmark module from
-// their non-test files into one types.Info.
+// typeCheckModule returns the module and the benchmark module
+// type-checked from their non-test files into one types.Info. The three
+// guards share one load.
 func typeCheckModule(t *testing.T) *sourceImporter {
 	t.Helper()
+	im, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+var loadModule = sync.OnceValues(func() (*sourceImporter, error) {
 	var pkgs []listedPackage
 	for _, dir := range []string{".", "benchmark"} {
-		pkgs = append(pkgs, goList(t, dir)...)
+		listed, err := goList(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, listed...)
 	}
 	byPath := make(map[string]listedPackage, len(pkgs))
 	for _, p := range pkgs {
@@ -248,36 +431,36 @@ func typeCheckModule(t *testing.T) *sourceImporter {
 		files:   make(map[string][]*ast.File),
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		info: &types.Info{
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
-			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 	}
 	for _, p := range pkgs {
 		if _, err := im.Import(p.ImportPath); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return im
-}
+	return im, nil
+})
 
 // goList returns the packages of the module rooted at dir.
-func goList(t *testing.T, dir string) []listedPackage {
-	t.Helper()
+func goList(dir string) ([]listedPackage, error) {
 	cmd := exec.Command("go", "list", "-json", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v", dir, err)
+		return nil, fmt.Errorf("go list in %s: %w", dir, err)
 	}
 	var pkgs []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			return pkgs
+			return pkgs, nil
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}

@@ -66,7 +66,7 @@ func runX1DSL(cfg Config) Result {
 	const cells = 3.0
 	perHouse := favorable * cells / houses
 	return Result{
-		ID: "X1", Title: "5G-as-DSL feasibility",
+		Title: "5G-as-DSL feasibility",
 		Lines: []string{
 			line("CPE spots sampled: %d, mean %.0f Mb/s, favorable placement (P60) %.0f Mb/s (paper ≈650)", s.N, s.Mean/1e6, favorable/1e6),
 			line("50 houses on a 3-cell residential gNB: %.1f Mb/s per house (paper ≈39)", perHouse/1e6),
@@ -95,7 +95,7 @@ func runX2MEC(cfg Config) Result {
 	edge.BottleneckBps = 10e9 // the edge link is not the legacy bottleneck
 	edge.Cross = netsim.CrossConfig{}
 
-	res := Result{ID: "X2", Title: "MEC ablation", Values: map[string]float64{}}
+	res := Result{Title: "MEC ablation", Values: map[string]float64{}}
 	for _, name := range []string{"cubic", "bbr"} {
 		r1 := transport.RunBulk(remote, name, d)
 		r2 := transport.RunBulk(edge, name, d)
@@ -113,7 +113,7 @@ func runX2MEC(cfg Config) Result {
 
 func runX3A3(cfg Config) Result {
 	sweeps := RunA3Sweep(cfg, []float64{1, 3, 6})
-	res := Result{ID: "X3", Title: "A3 hysteresis sweep", Values: map[string]float64{}}
+	res := Result{Title: "A3 hysteresis sweep", Values: map[string]float64{}}
 	for _, s := range sweeps {
 		res.Lines = append(res.Lines, line("gap %.0f dB: %.1f hand-offs/min, %.0f%% gain >3 dB",
 			s.GapDB, s.HOsPerMin, 100*s.GoodHOFrac))
@@ -127,7 +127,7 @@ func runX3A3(cfg Config) Result {
 
 func runX4DRX(cfg Config) Result {
 	tr := traffic.Web(cfg.Seed)
-	res := Result{ID: "X4", Title: "DRX timer sweep (NSA, web trace)", Values: map[string]float64{}}
+	res := Result{Title: "DRX timer sweep (NSA, web trace)", Values: map[string]float64{}}
 	base := energy.Replay(energy.ModelNSA, tr).EnergyJ
 	res.Lines = append(res.Lines, line("stock Table 7 timers: %.1f J", base))
 	res.Values["baseJ"] = base
@@ -146,7 +146,7 @@ func runX4DRX(cfg Config) Result {
 func runX5SA(cfg Config) Result {
 	ratio := ablationSAHandoff(cfg)
 	return Result{
-		ID: "X5", Title: "SA vs NSA hand-off",
+		Title: "SA vs NSA hand-off",
 		Lines: []string{
 			line("NSA 5G→5G over hypothetical SA Xn hand-off: %.1f× slower", ratio),
 			line("expected ladders: NSA %.1f ms vs SA ≈32 ms — \"this long HO latency problem can be"+
@@ -161,7 +161,7 @@ func runX6RRCI(cfg Config) Result {
 	nsa := energy.Replay(energy.ModelNSA, tr).EnergyJ
 	rrci := replayWithRRCI(tr)
 	return Result{
-		ID: "X6", Title: "RRC_INACTIVE extension",
+		Title: "RRC_INACTIVE extension",
 		Lines: []string{
 			line("NSA web energy: %.1f J; with RRC_INACTIVE parking after one long-DRX cycle: %.1f J (−%.1f%%)",
 				nsa, rrci, 100*(1-rrci/nsa)),
@@ -186,7 +186,7 @@ func replayWithRRCI(tr energy.Trace) float64 {
 
 func runX7Buffer(cfg Config) Result {
 	d := bulkDur(cfg)
-	res := Result{ID: "X7", Title: "Wired buffer sizing sweep", Values: map[string]float64{}}
+	res := Result{Title: "Wired buffer sizing sweep", Values: map[string]float64{}}
 	base := cfg.obsPath(radio.NR, true)
 	for _, scale := range []float64{0.5, 1, 2, 4} {
 		pc := base
@@ -211,7 +211,7 @@ func runX8MPTCP(cfg Config) Result {
 	cfgs[1].Seed = cfg.Seed + 1
 	res := transport.RunMPTCPBulk(cfgs, "bbr", d)
 	return Result{
-		ID: "X8", Title: "MPTCP 4G+5G aggregation",
+		Title: "MPTCP 4G+5G aggregation",
 		Lines: []string{
 			line("subflows: 5G %.0f Mb/s + 4G %.0f Mb/s = %.0f Mb/s aggregate",
 				res.PerPathBps[0]/1e6, res.PerPathBps[1]/1e6, res.TotalBps/1e6),

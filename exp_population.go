@@ -69,7 +69,7 @@ func runX12CellLoad(cfg Config) Result {
 	campus := deploy.New(cfg.Seed)
 	p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X12"))
 
-	res := Result{ID: "X12", Title: "Population-scale cell-load distributions",
+	res := Result{Title: "Population-scale cell-load distributions",
 		Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line("population: %d UEs over %.2f km², %d ticks × %s",
 		n, campus.AreaKm2(), ticks, p.Model.TickDur))
@@ -129,7 +129,7 @@ func runX13Fairness(cfg Config) Result {
 		ticks = 15
 	}
 	campus := deploy.New(cfg.Seed)
-	res := Result{ID: "X13", Title: "Throughput fairness vs population size",
+	res := Result{Title: "Throughput fairness vs population size",
 		Values: map[string]float64{}}
 	for _, n := range x13Sweep(cfg) {
 		p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X13"))
@@ -174,7 +174,7 @@ func runX15Dynamics(cfg Config) Result {
 	m := x15Model(n, ticks)
 	p, _ := pop.RunContext(context.Background(), campus, m, cfg.Seed, cfg.Workers, popTelemetry(cfg, "X15"))
 
-	res := Result{ID: "X15", Title: "Population dynamics: churn, A3 hand-off storms, load coupling",
+	res := Result{Title: "Population dynamics: churn, A3 hand-off storms, load coupling",
 		Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line(
 		"population: %d UEs (arena %d), churn %.1f arrivals/tick × %g-tick mean lifetime, %d ticks",
@@ -215,7 +215,7 @@ func runX15Dynamics(cfg Config) Result {
 
 func runX14Probe(cfg Config) Result {
 	campus := deploy.New(cfg.Seed)
-	res := Result{ID: "X14", Title: "Paper probe as the N=1 population special case",
+	res := Result{Title: "Paper probe as the N=1 population special case",
 		Values: map[string]float64{}}
 
 	// Coverage side: the N=1 probe survey is the seed T1/T2 pipeline —

@@ -307,17 +307,18 @@ type Experiment struct {
 var registry []Experiment
 
 func register(id, title string, run func(cfg Config) Result) {
-	// Every registered run is wrapped so its Result carries a
-	// RunManifest regardless of which entry point invoked it, and so a
-	// panicking experiment yields an error result (Result.Err) instead
-	// of tearing down the campaign.
+	// Every registered run is wrapped so its Result carries the
+	// registered ID and a RunManifest regardless of which entry point
+	// invoked it, and so a panicking experiment yields an error result
+	// (Result.Err) instead of tearing down the campaign.
 	wrapped := func(cfg Config) (res Result) {
 		started := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
-				res = Result{ID: id, Title: title,
+				res = Result{Title: title,
 					Err: &ExperimentPanicError{ID: id, Value: r, Stack: debug.Stack()}}
 			}
+			res.ID = id
 			res.Manifest = obs.NewManifest(id, title, cfg.Seed, cfg.Quick, started, time.Since(started), cfg.Obs)
 		}()
 		return run(cfg)

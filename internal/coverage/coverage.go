@@ -141,12 +141,10 @@ func (s *Survey) HoleFraction(t radio.Tech, coSitedOnly bool) float64 {
 	return float64(holes) / float64(len(vals))
 }
 
-// GridCell is one map pixel of the Fig. 2 style RSRP/bit-rate maps.
+// GridCell is one map pixel of the Fig. 2 style RSRP maps.
 type GridCell struct {
-	Center     geom.Point
-	RSRPdBm    float64
-	BitRateBps float64
-	Indoor     bool
+	RSRPdBm float64
+	Indoor  bool
 }
 
 // gridShardRows is the number of raster rows per shard. Fixed row tiles
@@ -157,15 +155,10 @@ const gridShardRows = 4
 
 // GridMap rasterizes best-server coverage over the campus at the given
 // resolution (meters per pixel), with the raster rows tiled across up to
-// workers goroutines (0 = GOMAXPROCS). Bit-rate assumes a full PRB
-// grant, like the paper's locked single-UE measurements. Every pixel is
-// a pure function of its coordinates and each shard writes only its own
-// rows, so the map is identical for every worker count.
+// workers goroutines (0 = GOMAXPROCS). Every pixel is a pure function
+// of its coordinates and each shard writes only its own rows, so the map
+// is identical for every worker count.
 func GridMap(c *deploy.Campus, t radio.Tech, resolution float64, workers int) [][]GridCell {
-	band := radio.BandNR()
-	if t == radio.LTE {
-		band = radio.BandLTE()
-	}
 	nx := int(c.Bounds.Width()/resolution) + 1
 	ny := int(c.Bounds.Height()/resolution) + 1
 	grid := make([][]GridCell, ny)
@@ -174,12 +167,9 @@ func GridMap(c *deploy.Campus, t radio.Tech, resolution float64, workers int) []
 			row := make([]GridCell, nx)
 			for i := 0; i < nx; i++ {
 				p := geom.Point{X: (float64(i) + 0.5) * resolution, Y: (float64(j) + 0.5) * resolution}
-				gc := GridCell{Center: p, RSRPdBm: math.Inf(-1), Indoor: c.Indoor(p)}
+				gc := GridCell{RSRPdBm: math.Inf(-1), Indoor: c.Indoor(p)}
 				if m, ok := c.BestServer(t, p); ok {
 					gc.RSRPdBm = m.RSRPdBm
-					if m.Usable() {
-						gc.BitRateBps = radio.DLBitRate(m, band, band.PRBs)
-					}
 				}
 				row[i] = gc
 			}

@@ -44,7 +44,7 @@ func scalarCellLocked(c *deploy.Campus, cell *radio.Cell, p geom.Point) radio.Me
 		}
 		terms = append(terms, radio.InterferenceTerm{PCI: other.PCI, RSRPdBm: v, Load: other.Load})
 	}
-	return radio.MeasureCell(cell, p, servingRSRP, terms)
+	return radio.MeasureCell(cell, servingRSRP, terms)
 }
 
 // scalarUsableRadius is UsableRadius over radio.RSRPAt in the open field.
@@ -89,8 +89,7 @@ func sameBits(a, b radio.Measurement) bool {
 		math.Float64bits(a.RSRPdBm) == math.Float64bits(b.RSRPdBm) &&
 		math.Float64bits(a.RSRQdB) == math.Float64bits(b.RSRQdB) &&
 		math.Float64bits(a.SINRdB) == math.Float64bits(b.SINRdB) &&
-		math.Float64bits(a.SE) == math.Float64bits(b.SE) &&
-		math.Float64bits(a.DistanceM) == math.Float64bits(b.DistanceM)
+		math.Float64bits(a.SE) == math.Float64bits(b.SE)
 }
 
 func TestCellLockedMeasureMatchesScalar(t *testing.T) {

@@ -164,7 +164,7 @@ func (c *Campus) measureIdxInto(b *radio.CellBatch, idx []int32, p geom.Point, d
 	rsrp, termMw := s.eval(c, b, idx, p)
 	base := len(dst)
 	for k := range idx {
-		dst = append(dst, b.MeasureOne(idx, rsrp, termMw, k, p))
+		dst = append(dst, b.MeasureOne(idx, rsrp, termMw, k))
 	}
 	ms := dst[base:]
 	for i := 1; i < len(ms); i++ {

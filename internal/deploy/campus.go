@@ -25,13 +25,11 @@ const (
 
 // Site is one base-station location carrying one technology's sectors.
 type Site struct {
-	ID    int
-	Tech  radio.Tech
-	Pos   geom.Point
 	Cells []*radio.Cell
-	// CoSitedWith is the ID of the companion site of the other technology
-	// at the same pole (−1 if none). Every gNB is co-sited with an eNB
-	// under NSA, but not every eNB has a 5G companion (§3.1).
+	// CoSitedWith is the index of the companion site in the other
+	// technology's site slice, at the same pole (−1 if none). Every gNB is
+	// co-sited with an eNB under NSA, but not every eNB has a 5G companion
+	// (§3.1).
 	CoSitedWith int
 }
 
@@ -152,8 +150,8 @@ func New(seed int64) *Campus {
 	build := func(specs []siteSpec, tech radio.Tech, band radio.Band, load float64) ([]Site, []*radio.Cell) {
 		sites := make([]Site, 0, len(specs))
 		var cells []*radio.Cell
-		for i, sp := range specs {
-			s := Site{ID: i, Tech: tech, Pos: sp.pos, CoSitedWith: -1}
+		for _, sp := range specs {
+			s := Site{CoSitedWith: -1}
 			for j, az := range sp.azimuths {
 				cell := &radio.Cell{
 					PCI:          sp.pcis[j],

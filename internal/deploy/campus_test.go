@@ -48,7 +48,7 @@ func TestCoSiting(t *testing.T) {
 		if s.CoSitedWith != i {
 			t.Fatalf("gNB %d not co-sited", i)
 		}
-		if c.LTESites[i].Pos != s.Pos {
+		if c.LTESites[i].Cells[0].Pos != s.Cells[0].Pos {
 			t.Fatalf("gNB %d and eNB %d not at the same pole", i, i)
 		}
 	}
@@ -86,11 +86,12 @@ func TestUniquePCIs(t *testing.T) {
 func TestSitesInsideBounds(t *testing.T) {
 	c := New(1)
 	for _, s := range append(append([]Site{}, c.NRSites...), c.LTESites...) {
-		if !c.Bounds.Contains(s.Pos) {
-			t.Fatalf("site %v outside campus", s.Pos)
+		pos := s.Cells[0].Pos
+		if !c.Bounds.Contains(pos) {
+			t.Fatalf("site %v outside campus", pos)
 		}
-		if c.Indoor(s.Pos) {
-			t.Fatalf("site at %v is inside a building", s.Pos)
+		if c.Indoor(pos) {
+			t.Fatalf("site at %v is inside a building", pos)
 		}
 	}
 }
@@ -165,7 +166,7 @@ func TestBestServerNearSite(t *testing.T) {
 	// Right under the PCI-72 site, the best 5G server should be one of
 	// that site's sectors, and service must be available.
 	site := c.NRSites[3]
-	m, ok := c.BestServer(radio.NR, site.Pos.Add(geom.Point{X: 20, Y: 5}))
+	m, ok := c.BestServer(radio.NR, site.Cells[0].Pos.Add(geom.Point{X: 20, Y: 5}))
 	if !ok {
 		t.Fatal("no best server")
 	}

@@ -183,7 +183,7 @@ func (c *Campus) BestServer(t radio.Tech, p geom.Point) (radio.Measurement, bool
 			bestK = k
 		}
 	}
-	return b.MeasureOne(cand, rsrp, termMw, bestK, p), true
+	return b.MeasureOne(cand, rsrp, termMw, bestK), true
 }
 
 // MeasureServing measures one specific cell (by PCI) at p against the
@@ -200,7 +200,7 @@ func (c *Campus) MeasureServing(t radio.Tech, p geom.Point, pci int) (radio.Meas
 		if b.PCI(int(ci)) == pci {
 			var s evalScratch
 			rsrp, termMw := s.eval(c, b, cand, p)
-			return b.MeasureOne(cand, rsrp, termMw, k, p), true
+			return b.MeasureOne(cand, rsrp, termMw, k), true
 		}
 	}
 	return radio.Measurement{}, false

@@ -79,7 +79,7 @@ func (c *Campus) measureScalar(cells []*radio.Cell, p geom.Point) []radio.Measur
 	}
 	ms := make([]radio.Measurement, len(cells))
 	for i, cell := range cells {
-		ms[i] = radio.MeasureCell(cell, p, rsrps[i], terms)
+		ms[i] = radio.MeasureCell(cell, rsrps[i], terms)
 	}
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].RSRPdBm != ms[j].RSRPdBm {
@@ -97,6 +97,5 @@ func sameBits(a, b radio.Measurement) bool {
 		math.Float64bits(a.RSRPdBm) == math.Float64bits(b.RSRPdBm) &&
 		math.Float64bits(a.RSRQdB) == math.Float64bits(b.RSRQdB) &&
 		math.Float64bits(a.SINRdB) == math.Float64bits(b.SINRdB) &&
-		math.Float64bits(a.SE) == math.Float64bits(b.SE) &&
-		math.Float64bits(a.DistanceM) == math.Float64bits(b.DistanceM)
+		math.Float64bits(a.SE) == math.Float64bits(b.SE)
 }

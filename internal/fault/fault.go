@@ -33,10 +33,10 @@ const (
 	// of a hand-off or a short radio-link failure). The uplink radio hop
 	// keeps serving, so ACKs still flow.
 	LinkOutage Kind = iota
-	// LossBurst drops arriving packets i.i.d. with LossRate on a wired
-	// hop for the window (transient congestion upstream).
+	// LossBurst drops packets arriving at the bottleneck i.i.d. with
+	// LossRate for the window (transient congestion upstream).
 	LossBurst
-	// LatencyBurst adds Extra one-way delay on a wired hop for the
+	// LatencyBurst adds Extra one-way delay at the bottleneck for the
 	// window (routing change, queueing upstream of the model).
 	LatencyBurst
 	// WiredDegrade scales the bottleneck's serving rate by Scale for the
@@ -46,10 +46,10 @@ const (
 	// (edge-of-coverage MCS collapse).
 	RadioDegrade
 	// CellFailure kills the serving cell: a radio-link-failure
-	// re-establishment outage, then the 4G fallback rate until the cell
-	// returns at the end of the window (with a re-addition outage). On
-	// the campaign side the same fault carves PCI out of the coverage
-	// map for the window (Plan.CellDown).
+	// re-establishment outage, then the calibrated daytime 4G rate until
+	// the cell returns at the end of the window (with a re-addition
+	// outage). On the campaign side the same fault carves PCI out of the
+	// coverage map for the window (Plan.CellDown).
 	CellFailure
 )
 
@@ -66,14 +66,6 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Hop names accepted by Fault.Hop for the wired-hop fault kinds.
-const (
-	// HopBottleneck targets the legacy-Internet bottleneck (the default).
-	HopBottleneck = "bottleneck"
-	// HopUplink targets the uplink RAN serializer (ACK path).
-	HopUplink = "ul-ran"
-)
-
 // Fault is one timed adversity. Only the fields relevant to Kind are
 // consulted; see the Kind constants for which.
 type Fault struct {
@@ -81,18 +73,12 @@ type Fault struct {
 	// At is the window start in simulated time; Dur its length.
 	At  time.Duration
 	Dur time.Duration
-	// Hop targets a wired hop for LossBurst/LatencyBurst: HopBottleneck
-	// (the default when empty) or HopUplink.
-	Hop string
 	// LossRate is the i.i.d. drop probability of a LossBurst, in (0, 1].
 	LossRate float64
 	// Extra is the added one-way delay of a LatencyBurst.
 	Extra time.Duration
 	// Scale is the rate multiplier of WiredDegrade/RadioDegrade, in (0, 1).
 	Scale float64
-	// FallbackBps is the finite post-failover radio rate of a
-	// CellFailure, ≥ 0; 0 means the calibrated daytime 4G rate.
-	FallbackBps float64
 	// PCI is the failed cell of a CellFailure (campaign-side hole).
 	PCI int
 }
@@ -132,11 +118,8 @@ func (p *Plan) Validate() error {
 		if f.At > math.MaxInt64-f.Dur {
 			return bad("window end overflows")
 		}
-		if f.Hop != "" && f.Hop != HopBottleneck && f.Hop != HopUplink {
-			return bad("unknown hop " + f.Hop)
-		}
 		switch f.Kind {
-		case LinkOutage:
+		case LinkOutage, CellFailure:
 			// At/Dur suffice.
 		case LossBurst:
 			if !(f.LossRate > 0 && f.LossRate <= 1) {
@@ -149,10 +132,6 @@ func (p *Plan) Validate() error {
 		case WiredDegrade, RadioDegrade:
 			if !(f.Scale > 0 && f.Scale < 1) {
 				return bad("scale outside (0, 1)")
-			}
-		case CellFailure:
-			if !(f.FallbackBps >= 0 && f.FallbackBps <= math.MaxFloat64) {
-				return bad("fallback rate not finite and non-negative")
 			}
 		default:
 			return bad("unknown kind")

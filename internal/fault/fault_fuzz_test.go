@@ -11,29 +11,24 @@ import (
 )
 
 // faultRecord is the byte length of one fuzz-decoded fault: a kind byte,
-// a hop byte, then At, Dur and Extra as int64 and the raw float64 bits
-// of LossRate, Scale and FallbackBps, all little-endian. Raw bits let
-// the fuzzer reach NaN, ±Inf and overflowing windows.
-const faultRecord = 2 + 6*8
-
-// fuzzHops covers every accepted hop name and one the plan must reject.
-var fuzzHops = [...]string{"", fault.HopBottleneck, fault.HopUplink, "core"}
+// then At, Dur and Extra as int64 and the raw float64 bits of LossRate
+// and Scale, all little-endian. Raw bits let the fuzzer reach NaN, ±Inf
+// and overflowing windows.
+const faultRecord = 1 + 5*8
 
 // decodePlan builds a plan of up to four faults from fuzz bytes; kind
 // bytes reach two values past the last valid Kind.
 func decodePlan(data []byte) *fault.Plan {
 	p := &fault.Plan{Name: "fuzz"}
 	for len(data) >= faultRecord && len(p.Faults) < 4 {
-		word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[2+8*i:]) }
+		word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[1+8*i:]) }
 		p.Faults = append(p.Faults, fault.Fault{
-			Kind:        fault.Kind(data[0] % 8),
-			Hop:         fuzzHops[data[1]%byte(len(fuzzHops))],
-			At:          time.Duration(word(0)),
-			Dur:         time.Duration(word(1)),
-			Extra:       time.Duration(word(2)),
-			LossRate:    math.Float64frombits(word(3)),
-			Scale:       math.Float64frombits(word(4)),
-			FallbackBps: math.Float64frombits(word(5)),
+			Kind:     fault.Kind(data[0] % 8),
+			At:       time.Duration(word(0)),
+			Dur:      time.Duration(word(1)),
+			Extra:    time.Duration(word(2)),
+			LossRate: math.Float64frombits(word(3)),
+			Scale:    math.Float64frombits(word(4)),
 		})
 		data = data[faultRecord:]
 	}
@@ -57,8 +52,8 @@ func FuzzPlanValidate(f *testing.F) {
 	})
 }
 
-// checkAccepted fails unless p has a fault, every fault has a known kind
-// and hop, a window that starts at or after 0, has positive length and
+// checkAccepted fails unless p has a fault, every fault has a known
+// kind, a window that starts at or after 0, has positive length and
 // ends without overflow inside Duration(), and per-kind fields that are
 // finite and inside their documented ranges.
 func checkAccepted(t *testing.T, p *fault.Plan) {
@@ -71,9 +66,6 @@ func checkAccepted(t *testing.T, p *fault.Plan) {
 		end := f.At + f.Dur
 		if f.Kind < fault.LinkOutage || f.Kind > fault.CellFailure {
 			t.Fatalf("fault %d: accepted unknown kind %d", i, int(f.Kind))
-		}
-		if f.Hop != "" && f.Hop != fault.HopBottleneck && f.Hop != fault.HopUplink {
-			t.Fatalf("fault %d: accepted unknown hop %q", i, f.Hop)
 		}
 		if f.At < 0 || f.Dur <= 0 || end < f.At {
 			t.Fatalf("fault %d: accepted window at %d for %d", i, int64(f.At), int64(f.Dur))
@@ -89,8 +81,6 @@ func checkAccepted(t *testing.T, p *fault.Plan) {
 			ok = f.Extra > 0
 		case fault.WiredDegrade, fault.RadioDegrade:
 			ok = finite(f.Scale) && f.Scale > 0 && f.Scale < 1
-		case fault.CellFailure:
-			ok = finite(f.FallbackBps) && f.FallbackBps >= 0
 		}
 		if !ok {
 			t.Fatalf("fault %d (%s): accepted out-of-range fields %+v", i, f.Kind, f)

@@ -30,26 +30,16 @@ func TestPlanValidate(t *testing.T) {
 			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: 1.5}}}, false},
 		{"loss rate ok", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: 0.05}}}, true},
-		{"bad hop", &fault.Plan{Name: "p", Faults: []fault.Fault{
-			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: 0.05, Hop: "core"}}}, false},
-		{"uplink hop ok", &fault.Plan{Name: "p", Faults: []fault.Fault{
-			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: 0.05, Hop: fault.HopUplink}}}, true},
 		{"latency without extra", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.LatencyBurst, At: 0, Dur: time.Second}}}, false},
 		{"degrade scale 1", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.WiredDegrade, At: 0, Dur: time.Second, Scale: 1}}}, false},
 		{"degrade ok", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.RadioDegrade, At: 0, Dur: time.Second, Scale: 0.3}}}, true},
-		{"cell failure negative fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
-			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: -1}}}, false},
 		{"loss rate NaN", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.LossBurst, At: 0, Dur: time.Second, LossRate: math.NaN()}}}, false},
 		{"degrade scale NaN", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.RadioDegrade, At: 0, Dur: time.Second, Scale: math.NaN()}}}, false},
-		{"cell failure NaN fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
-			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: math.NaN()}}}, false},
-		{"cell failure infinite fallback", &fault.Plan{Name: "p", Faults: []fault.Fault{
-			{Kind: fault.CellFailure, At: 0, Dur: time.Second, FallbackBps: math.Inf(1)}}}, false},
 		{"window end overflows", &fault.Plan{Name: "p", Faults: []fault.Fault{
 			{Kind: fault.LinkOutage, At: math.MaxInt64 - time.Second, Dur: 2 * time.Second}}}, false},
 		{"window ends at the last instant", &fault.Plan{Name: "p", Faults: []fault.Fault{

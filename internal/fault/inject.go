@@ -18,7 +18,7 @@ import (
 const ReestablishLatency = 200 * time.Millisecond
 
 // fallbackRateBps is the calibrated daytime 4G downlink rate, the
-// post-failover goodput when a CellFailure leaves FallbackBps zero.
+// post-failover radio rate of a CellFailure.
 var fallbackRateBps = netsim.DefaultPath(radio.LTE, true).RANRateBps
 
 // Hook adapts a plan to the netsim.PathConfig.Inject attachment point:
@@ -52,20 +52,18 @@ func arm(p *Plan, sch *des.Scheduler, path *netsim.Path) {
 				path.Outage(f.Dur)
 			})
 		case LossBurst:
-			h := hopOf(path, f.Hop)
 			r := src.Stream("fault." + strconv.Itoa(i) + ".loss")
 			sch.At(f.At, func() {
 				cWin.Inc()
-				h.SetInjectLoss(f.LossRate, r)
+				path.Bottleneck.SetInjectLoss(f.LossRate, r)
 			})
-			sch.At(f.At+f.Dur, func() { h.SetInjectLoss(0, nil) })
+			sch.At(f.At+f.Dur, func() { path.Bottleneck.SetInjectLoss(0, nil) })
 		case LatencyBurst:
-			h := hopOf(path, f.Hop)
 			sch.At(f.At, func() {
 				cWin.Inc()
-				h.SetExtraProp(f.Extra)
+				path.Bottleneck.SetExtraProp(f.Extra)
 			})
-			sch.At(f.At+f.Dur, func() { h.SetExtraProp(0) })
+			sch.At(f.At+f.Dur, func() { path.Bottleneck.SetExtraProp(0) })
 		case WiredDegrade:
 			sch.At(f.At, func() {
 				cWin.Inc()
@@ -84,12 +82,8 @@ func arm(p *Plan, sch *des.Scheduler, path *netsim.Path) {
 				// Capture the pre-failure rate at failure time so a
 				// preceding fault's rate change is restored correctly.
 				prev := path.Cfg.RANRateBps
-				fb := f.FallbackBps
-				if fb == 0 {
-					fb = fallbackRateBps
-				}
 				path.Outage(ReestablishLatency)
-				path.SetRANRate(fb)
+				path.SetRANRate(fallbackRateBps)
 				sch.At(f.At+f.Dur, func() {
 					// The cell returns: an SgNB re-addition interruption,
 					// then the original rate.
@@ -99,12 +93,4 @@ func arm(p *Plan, sch *des.Scheduler, path *netsim.Path) {
 			})
 		}
 	}
-}
-
-// hopOf resolves a Fault.Hop name against the path's wired hops.
-func hopOf(path *netsim.Path, name string) *netsim.Hop {
-	if name == HopUplink {
-		return path.UplinkRAN
-	}
-	return path.Bottleneck
 }

@@ -29,7 +29,6 @@ func (e Event) Gain() float64 { return e.RSRQAfter - e.RSRQBefore }
 // Campaign is the result of a walking measurement run, the analogue of the
 // paper's 80-minute, 407-event dataset.
 type Campaign struct {
-	Duration   time.Duration
 	Events     []Event
 	MeasEvents map[EventType]int
 	// On4G is the total time the UE spent without an NR secondary
@@ -122,7 +121,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 	noiseRng := src.Stream("handoff.noise")
 	sigRng := src.Stream("handoff.signaling")
 
-	out := &Campaign{Duration: cfg.Duration, MeasEvents: map[EventType]int{}}
+	out := &Campaign{MeasEvents: map[EventType]int{}}
 
 	// Waypoint walker state.
 	pos := geom.Point{X: 250, Y: 100}
@@ -304,7 +303,7 @@ func RunCampaigns(campus *deploy.Campus, cfg Config, seed int64, n, workers int)
 	camps := par.Map(workers, n, func(i int) *Campaign {
 		return RunCampaign(campus, cfg, seed+1+int64(i))
 	})
-	all := &Campaign{Duration: time.Duration(n) * cfg.Duration, MeasEvents: map[EventType]int{}}
+	all := &Campaign{MeasEvents: map[EventType]int{}}
 	for _, c := range camps {
 		all.Events = append(all.Events, c.Events...)
 		all.On4G += c.On4G

@@ -63,6 +63,7 @@ func TestDropPathSteadyStateAllocFree(t *testing.T) {
 	sink := ReceiverFunc(func(p *Packet) { pool.Release(p) })
 	hop := NewHop(sch, "tight", 1e3, time.Second, 4*(MSS+HeaderBytes), sink)
 	hop.SetPool(pool)
+	drops := countDrops(&hop.queue)
 
 	send := func(n int) {
 		for i := 0; i < n; i++ {
@@ -76,7 +77,7 @@ func TestDropPathSteadyStateAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { send(16) }); avg != 0 {
 		t.Fatalf("drop path allocates: %.2f allocs/run", avg)
 	}
-	if hop.Dropped == 0 {
+	if *drops == 0 {
 		t.Fatal("test never exercised the drop path")
 	}
 }

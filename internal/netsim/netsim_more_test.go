@@ -50,6 +50,7 @@ func TestUplinkCarriesAckLoad(t *testing.T) {
 	path := NewPath(sch, cfg)
 	var acked int64
 	path.ToServer = ReceiverFunc(func(p *Packet) { acked++ })
+	drops := countDrops(&path.UplinkRAN.queue)
 	for i := 0; i < 10000; i++ {
 		path.UEIngress.Receive(&Packet{Ack: true, Wire: HeaderBytes})
 	}
@@ -57,8 +58,8 @@ func TestUplinkCarriesAckLoad(t *testing.T) {
 	if acked != 10000 {
 		t.Fatalf("uplink dropped ACKs: %d/10000", acked)
 	}
-	if path.UplinkRAN.Dropped != 0 {
-		t.Fatalf("uplink drops: %d", path.UplinkRAN.Dropped)
+	if *drops != 0 {
+		t.Fatalf("uplink drops: %d", *drops)
 	}
 }
 
@@ -66,19 +67,20 @@ func TestLockoutRecoversAfterDrain(t *testing.T) {
 	sch := des.New()
 	sink := ReceiverFunc(func(*Packet) {})
 	hop := NewHop(sch, "h", 8e6, 0, 10_000, sink) // 1 kB/ms drain
+	drops := countDrops(&hop.queue)
 	// Overflow the queue.
 	for i := 0; i < 20; i++ {
 		hop.Receive(&Packet{Wire: 1000})
 	}
-	if hop.Dropped == 0 {
+	if *drops == 0 {
 		t.Fatal("no overflow")
 	}
-	droppedAtPeak := hop.Dropped
+	droppedAtPeak := *drops
 	// Let it drain fully, then offer again: must accept.
 	sch.RunUntil(time.Second)
 	hop.Receive(&Packet{Wire: 1000})
 	sch.Run()
-	if hop.Dropped != droppedAtPeak {
+	if *drops != droppedAtPeak {
 		t.Fatal("lockout did not clear after drain")
 	}
 }
@@ -108,7 +110,8 @@ func TestOverflowPolicyPerHop(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sch := des.New()
 			q := c.build(sch)
-			for q.Dropped == 0 {
+			drops := countDrops(q)
+			for *drops == 0 {
 				q.Receive(&Packet{Wire: wire})
 			}
 			if q.QueuedBytes() != limit {
@@ -122,8 +125,8 @@ func TestOverflowPolicyPerHop(t *testing.T) {
 				t.Fatalf("backlog %d after one departure, want %d", q.QueuedBytes(), limit-wire)
 			}
 			q.Receive(&Packet{Wire: wire})
-			if q.Dropped != c.dropped {
-				t.Fatalf("%d drops after the final offer, want %d", q.Dropped, c.dropped)
+			if *drops != c.dropped {
+				t.Fatalf("%d drops after the final offer, want %d", *drops, c.dropped)
 			}
 		})
 	}

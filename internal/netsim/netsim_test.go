@@ -36,10 +36,11 @@ func TestHopDropTail(t *testing.T) {
 	sch := des.New()
 	sink := ReceiverFunc(func(*Packet) {})
 	hop := NewHop(sch, "h", 1e3, 0, 2500, sink)
+	drops := countDrops(&hop.queue)
 	for i := 0; i < 10; i++ {
 		hop.Receive(&Packet{Seq: int64(i), Wire: 1000})
 	}
-	if hop.Dropped == 0 {
+	if *drops == 0 {
 		t.Fatal("expected drop-tail losses")
 	}
 	if hop.QueuedBytes() > 2500 {
@@ -279,4 +280,12 @@ func TestPathOutageStallsDelivery(t *testing.T) {
 	if lastDelivery <= 1108*time.Millisecond {
 		t.Fatal("deliveries did not resume after outage")
 	}
+}
+
+// countDrops counts the packets q drops from now on, through its OnDrop
+// hook.
+func countDrops(q *queue) *int64 {
+	n := new(int64)
+	q.OnDrop = func(*Packet) { *n++ }
+	return n
 }

@@ -70,11 +70,10 @@ type queue struct {
 	rateScale   float64 // 0 means no scaling
 	outageUntil time.Duration
 
-	// Dropped counts overflows and injected losses. OnDrop, if set,
-	// observes every dropped packet (before any pool release — the
-	// packet is still intact inside the callback).
-	Dropped int64
-	OnDrop  func(p *Packet)
+	// OnDrop, if set, observes every dropped packet, overflows and
+	// injected losses alike (before any pool release — the packet is
+	// still intact inside the callback).
+	OnDrop func(p *Packet)
 
 	// Telemetry handles (nil = off), resolved once by SetObs.
 	cEnq   *obs.Counter
@@ -204,10 +203,9 @@ func (q *queue) Receive(p *Packet) {
 	}
 }
 
-// drop records one dropped packet in the stats and telemetry, then
-// recycles it if pool-owned.
+// drop records one dropped packet in the telemetry, then recycles it if
+// pool-owned.
 func (q *queue) drop(p *Packet) {
-	q.Dropped++
 	q.cDrop.Inc()
 	if q.OnDrop != nil {
 		q.OnDrop(p)

@@ -120,7 +120,7 @@ func promLabels(body string) string {
 			b.WriteByte(',')
 		}
 		k, v, _ := strings.Cut(kv, "=")
-		b.WriteString(sanitizeProm(k))
+		b.WriteString(strings.ReplaceAll(sanitizeProm(k), ":", "_")) // no ':' in label names
 		b.WriteString(`="`)
 		b.WriteString(escapeLabelValue(v))
 		b.WriteByte('"')
@@ -157,9 +157,13 @@ func escapeLabelValue(v string) string {
 }
 
 // sanitizeProm maps an instrument name fragment onto the Prometheus
-// metric/label charset [a-zA-Z0-9_:]; everything else becomes '_'
-// (dots included, so `des.events_fired` → `des_events_fired`).
+// metric-name charset [a-zA-Z0-9_:]; everything else becomes '_' (dots
+// included, so `des.events_fired` → `des_events_fired`), a leading digit
+// gains a '_' before it, and an empty fragment becomes "_".
 func sanitizeProm(s string) string {
+	if s == "" {
+		return "_"
+	}
 	var b strings.Builder
 	for i, r := range s {
 		switch {

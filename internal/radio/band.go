@@ -33,44 +33,24 @@ func (t Tech) String() string {
 	}
 }
 
-// Duplex is the duplexing scheme of a band.
-type Duplex int
-
-const (
-	// FDD uses paired spectrum (LTE b3).
-	FDD Duplex = iota
-	// TDD time-shares one carrier (NR n78, 3:1 DL:UL in the measured ISP).
-	TDD
-)
-
 // Band describes one carrier configuration.
 type Band struct {
-	Name         string  // 3GPP band name
-	Tech         Tech    // LTE or NR
-	CarrierMHz   float64 // center frequency
-	BandwidthMHz float64 // channel bandwidth
-	Duplex       Duplex
-	DLShare      float64 // fraction of airtime available for downlink
-	PRBs         int     // usable physical resource blocks
-	SCSkHz       float64 // subcarrier spacing
-	Layers       int     // spatial layers the UE sustains
-	Overhead     float64 // effective L1 overhead (control, RS, imperfect rank)
+	DLShare  float64 // fraction of airtime available for downlink
+	PRBs     int     // usable physical resource blocks
+	SCSkHz   float64 // subcarrier spacing
+	Layers   int     // spatial layers the UE sustains
+	Overhead float64 // effective L1 overhead (control, RS, imperfect rank)
 }
 
 // BandLTE returns the measured 4G carrier: b3, 1.8 GHz band, 20 MHz FDD.
 // The paper's campus eNBs run 1840–1860 MHz.
 func BandLTE() Band {
 	return Band{
-		Name:         "b3",
-		Tech:         LTE,
-		CarrierMHz:   1850,
-		BandwidthMHz: 20,
-		Duplex:       FDD,
-		DLShare:      1.0,
-		PRBs:         100,
-		SCSkHz:       15,
-		Layers:       2,
-		Overhead:     0.14,
+		DLShare:  1.0,
+		PRBs:     100,
+		SCSkHz:   15,
+		Layers:   2,
+		Overhead: 0.14,
 	}
 }
 
@@ -81,16 +61,11 @@ func BandLTE() Band {
 // equals the paper's 1200.98 Mb/s.
 func BandNR() Band {
 	return Band{
-		Name:         "n78",
-		Tech:         NR,
-		CarrierMHz:   3500,
-		BandwidthMHz: 100,
-		Duplex:       TDD,
-		DLShare:      0.75,
-		PRBs:         264,
-		SCSkHz:       30,
-		Layers:       4,
-		Overhead:     nrOverhead,
+		DLShare:  0.75,
+		PRBs:     264,
+		SCSkHz:   30,
+		Layers:   4,
+		Overhead: nrOverhead,
 	}
 }
 

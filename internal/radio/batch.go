@@ -171,13 +171,13 @@ func (b *CellBatch) TermsMwInto(dst []float64, idx []int32, rsrp []float64) {
 	}
 }
 
-// MeasureOne computes the full KPI sample for shortlist entry k serving
-// at p, with interference summed over the other shortlist entries. rsrp
-// and termMw are the RSRPInto / TermsMwInto outputs for idx.
+// MeasureOne computes the full KPI sample for shortlist entry k, with
+// interference summed over the other shortlist entries. rsrp and termMw
+// are the RSRPInto / TermsMwInto outputs for idx.
 // Bit-identical to MeasureCell over the equivalent InterferenceTerm
 // list: the interference sum skips serving-PCI terms and accumulates in
 // shortlist order, and the KPI chain is the shared measureFrom core.
-func (b *CellBatch) MeasureOne(idx []int32, rsrp, termMw []float64, k int, p geom.Point) Measurement {
+func (b *CellBatch) MeasureOne(idx []int32, rsrp, termMw []float64, k int) Measurement {
 	i := int(idx[k])
 	serving := b.cells[i]
 	sig := dbmToMw(rsrp[k])
@@ -188,5 +188,5 @@ func (b *CellBatch) MeasureOne(idx []int32, rsrp, termMw []float64, k int, p geo
 		}
 		interf += termMw[j]
 	}
-	return measureFrom(serving, p, rsrp[k], sig, interf, b.noiseMw[i])
+	return measureFrom(serving, rsrp[k], sig, interf, b.noiseMw[i])
 }

@@ -119,8 +119,8 @@ func TestBatchMeasureMatchesScalar(t *testing.T) {
 				terms[i] = InterferenceTerm{PCI: c.PCI, RSRPdBm: rsrp[i], Load: c.Load}
 			}
 			for k := range cells {
-				got := b.MeasureOne(idx, rsrp, termMw, k, p)
-				want := MeasureCell(cells[k], p, rsrp[k], terms)
+				got := b.MeasureOne(idx, rsrp, termMw, k)
+				want := MeasureCell(cells[k], rsrp[k], terms)
 				if got != want {
 					t.Fatalf("seed %d serving %d at %+v:\n batch  %+v\n scalar %+v", seed, k, p, got, want)
 				}

@@ -64,8 +64,6 @@ type Measurement struct {
 	MCS     int
 	// SE is the spectral efficiency per layer in bits per RE.
 	SE float64
-	// DistanceM is the UE–cell distance (diagnostic).
-	DistanceM float64
 }
 
 // RSRPAt returns the reference signal received power from cell c at point
@@ -81,13 +79,13 @@ func RSRPAt(c *Cell, p geom.Point, obs Obstruction, shadowDB float64) float64 {
 	return c.EIRPPerREdBm + c.Antenna.GainDBi(az) - pl + shadowDB
 }
 
-// MeasureCell computes the full KPI sample for a serving cell at point p,
-// given the RSRP of every co-channel cell (serving included) so that
-// inter-cell interference can be accounted. interferers maps PCI → RSRP
-// (dBm) of other same-tech cells at p; their Load scales their
-// contribution. Like RSRPAt it is the scalar reference, here for
-// CellBatch.MeasureOne.
-func MeasureCell(serving *Cell, p geom.Point, servingRSRP float64, interference []InterferenceTerm) Measurement {
+// MeasureCell computes the full KPI sample for a serving cell received
+// at servingRSRP, given the RSRP of every co-channel cell (serving
+// included) at the same point so that inter-cell interference can be
+// accounted. interference lists the RSRP (dBm) of the same-tech cells by
+// PCI; their Load scales their contribution. Like RSRPAt it is the
+// scalar reference, here for CellBatch.MeasureOne.
+func MeasureCell(serving *Cell, servingRSRP float64, interference []InterferenceTerm) Measurement {
 	noise := dbmToMw(noisePerREdBm(serving.Band))
 	sig := dbmToMw(servingRSRP)
 	var interf float64
@@ -97,7 +95,7 @@ func MeasureCell(serving *Cell, p geom.Point, servingRSRP float64, interference 
 		}
 		interf += dbmToMw(it.RSRPdBm) * clamp01(it.Load)
 	}
-	return measureFrom(serving, p, servingRSRP, sig, interf, noise)
+	return measureFrom(serving, servingRSRP, sig, interf, noise)
 }
 
 // measureFrom finishes a measurement from linear-domain powers (mW per
@@ -106,7 +104,7 @@ func MeasureCell(serving *Cell, p geom.Point, servingRSRP float64, interference 
 // CellBatch.MeasureOne funnel through this one KPI chain, which is what
 // makes their bit-for-bit equivalence a structural property rather than
 // a duplicated formula.
-func measureFrom(serving *Cell, p geom.Point, servingRSRP, sig, interf, noise float64) Measurement {
+func measureFrom(serving *Cell, servingRSRP, sig, interf, noise float64) Measurement {
 	sinr := 10 * math.Log10(sig/(interf+noise))
 	// RSRQ is reported against the wideband RSSI, which includes the
 	// serving cell's own fully-loaded data REs (the −10.8 dB floor of an
@@ -124,15 +122,14 @@ func measureFrom(serving *Cell, p geom.Point, servingRSRP, sig, interf, noise fl
 	}
 	cqi := CQIFromSINR(sinr)
 	return Measurement{
-		PCI:       serving.PCI,
-		Tech:      serving.Tech,
-		RSRPdBm:   servingRSRP,
-		RSRQdB:    rsrq,
-		SINRdB:    sinr,
-		CQI:       cqi,
-		MCS:       MCSFromCQI(cqi),
-		SE:        SpectralEfficiency(sinr),
-		DistanceM: serving.Pos.Dist(p),
+		PCI:     serving.PCI,
+		Tech:    serving.Tech,
+		RSRPdBm: servingRSRP,
+		RSRQdB:  rsrq,
+		SINRdB:  sinr,
+		CQI:     cqi,
+		MCS:     MCSFromCQI(cqi),
+		SE:      SpectralEfficiency(sinr),
 	}
 }
 

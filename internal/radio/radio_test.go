@@ -147,8 +147,8 @@ func TestAntennaPattern(t *testing.T) {
 
 func TestMeasureCellSINRDropsWithInterference(t *testing.T) {
 	c := &Cell{PCI: 1, Tech: NR, Band: BandNR()}
-	clean := MeasureCell(c, geom.Point{}, -80, nil)
-	dirty := MeasureCell(c, geom.Point{}, -80, []InterferenceTerm{{PCI: 2, RSRPdBm: -85, Load: 1}})
+	clean := MeasureCell(c, -80, nil)
+	dirty := MeasureCell(c, -80, []InterferenceTerm{{PCI: 2, RSRPdBm: -85, Load: 1}})
 	if dirty.SINRdB >= clean.SINRdB {
 		t.Fatal("interference must reduce SINR")
 	}
@@ -162,10 +162,10 @@ func TestMeasureCellSINRDropsWithInterference(t *testing.T) {
 
 func TestMeasurementUsable(t *testing.T) {
 	c := &Cell{PCI: 1, Tech: NR, Band: BandNR()}
-	if m := MeasureCell(c, geom.Point{}, -104.9, nil); !m.Usable() {
+	if m := MeasureCell(c, -104.9, nil); !m.Usable() {
 		t.Fatal("−104.9 dBm should be usable")
 	}
-	if m := MeasureCell(c, geom.Point{}, -105.1, nil); m.Usable() {
+	if m := MeasureCell(c, -105.1, nil); m.Usable() {
 		t.Fatal("−105.1 dBm should be unusable")
 	}
 }

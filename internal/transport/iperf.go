@@ -9,7 +9,6 @@ import (
 
 // BulkResult summarizes an iperf3-style bulk TCP run (Fig. 7/8).
 type BulkResult struct {
-	Controller    string
 	ThroughputBps float64 // receiver goodput over the run
 	Retransmits   int64
 	RTOs          int64
@@ -37,7 +36,6 @@ func RunBulk(cfg netsim.PathConfig, ctrlName string, duration time.Duration) Bul
 	conn.Start()
 	sch.RunUntil(duration)
 	res := BulkResult{
-		Controller:    ctrlName,
 		ThroughputBps: float64(conn.DeliveredBytes*8) / duration.Seconds(),
 		Retransmits:   conn.Retransmits,
 		RTOs:          conn.RTOs,

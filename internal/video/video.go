@@ -100,7 +100,6 @@ func ulCapacity(t radio.Tech) float64 {
 
 // Frame is one transmitted video frame.
 type Frame struct {
-	Index   int
 	Bytes   int
 	SentAt  time.Duration // capture timestamp
 	Delay   time.Duration // end-to-end stopwatch delay
@@ -109,9 +108,6 @@ type Frame struct {
 
 // SessionResult summarizes one 360TEL call.
 type SessionResult struct {
-	Res      Resolution
-	Tech     radio.Tech
-	Dynamic  bool
 	Frames   []Frame
 	Freezes  int
 	Duration time.Duration
@@ -176,7 +172,7 @@ func Run(res Resolution, tech radio.Tech, dynamic bool, duration time.Duration, 
 	cap := ulCapacity(tech)
 	frameInterval := time.Second / FPS
 
-	out := SessionResult{Res: res, Tech: tech, Dynamic: dynamic, Duration: duration}
+	out := SessionResult{Duration: duration}
 
 	// Uplink queue state: the time at which the link frees up.
 	var linkFreeAt time.Duration
@@ -207,7 +203,7 @@ func Run(res Resolution, tech radio.Tech, dynamic bool, duration time.Duration, 
 			}
 		}
 		frameBits := rng.ClampedNormal(r, gopRate/FPS, gopRate/FPS/6, gopRate/FPS/2, gopRate/FPS*2)
-		f := Frame{Index: idx, Bytes: int(frameBits / 8), SentAt: now}
+		f := Frame{Bytes: int(frameBits / 8), SentAt: now}
 
 		// Encoder output becomes available after capture+splice+encode.
 		ready := now + CaptureSpliceRender + EncodeLatency

@@ -47,8 +47,6 @@ func Corpus() []Page {
 // LoadResult is one measured page load (the Chrome-devtools split the
 // paper uses: content downloading vs page rendering).
 type LoadResult struct {
-	Page        Page
-	Tech        radio.Tech
 	Downloading time.Duration
 	Rendering   time.Duration
 }
@@ -75,8 +73,6 @@ func Load(page Page, cfg netsim.PathConfig) LoadResult {
 		// phone-class device; F16 and F17 are calibrated with it).
 		time.Duration(float64(page.Bytes)/float64(1<<20)*140*float64(time.Millisecond))
 	return LoadResult{
-		Page:        page,
-		Tech:        cfg.Tech,
 		Downloading: setup + chain + transfer,
 		Rendering:   render,
 	}

@@ -12,12 +12,12 @@ func TestMeasureServerDeterministic(t *testing.T) {
 	a := MeasureServer(radio.NR, Servers[3], 10, 7)
 	b := MeasureServer(radio.NR, Servers[3], 10, 7)
 	for i := range a {
-		if a[i].RTT != b[i].RTT {
+		if a[i] != b[i] {
 			t.Fatal("probes not deterministic")
 		}
 	}
 	c := MeasureServer(radio.NR, Servers[3], 10, 8)
-	if a[0].RTT == c[0].RTT && a[1].RTT == c[1].RTT {
+	if a[0] == c[0] && a[1] == c[1] {
 		t.Fatal("different seeds should differ")
 	}
 }
@@ -25,12 +25,12 @@ func TestMeasureServerDeterministic(t *testing.T) {
 func TestProbeJitterAlwaysPositive(t *testing.T) {
 	for _, s := range Servers {
 		base := BaseRTT(radio.NR, s.DistanceKm)
-		for _, p := range MeasureServer(radio.NR, s, 30, 3) {
-			if p.RTT <= base {
-				t.Fatalf("probe RTT %v at or below base %v (queueing jitter must add)", p.RTT, base)
+		for _, rtt := range MeasureServer(radio.NR, s, 30, 3) {
+			if rtt <= base {
+				t.Fatalf("probe RTT %v at or below base %v (queueing jitter must add)", rtt, base)
 			}
-			if p.RTT > base+200*time.Millisecond {
-				t.Fatalf("probe RTT %v implausibly far above base %v", p.RTT, base)
+			if rtt > base+200*time.Millisecond {
+				t.Fatalf("probe RTT %v implausibly far above base %v", rtt, base)
 			}
 		}
 	}

@@ -52,16 +52,9 @@ func BaseRTT(t radio.Tech, distanceKm float64) time.Duration {
 	return rtt
 }
 
-// Probe is one traceroute-style RTT sample.
-type Probe struct {
-	Server Server
-	Tech   radio.Tech
-	RTT    time.Duration
-}
-
-// MeasureServer draws n RTT probes to one server (queueing jitter is
-// log-normal around the base).
-func MeasureServer(t radio.Tech, s Server, n int, seed int64) []Probe {
+// MeasureServer draws n traceroute-style RTT probes to one server
+// (queueing jitter is log-normal around the base).
+func MeasureServer(t radio.Tech, s Server, n int, seed int64) []time.Duration {
 	return MeasureServerDegraded(t, s, n, seed, Degradation{})
 }
 
@@ -79,18 +72,17 @@ type Degradation struct {
 // The probe stream and draw sequence are identical to the clean
 // measurement, so a zero Degradation reproduces MeasureServer byte for
 // byte and a (seed, Degradation) pair is deterministic.
-func MeasureServerDegraded(t radio.Tech, s Server, n int, seed int64, deg Degradation) []Probe {
+func MeasureServerDegraded(t radio.Tech, s Server, n int, seed int64, deg Degradation) []time.Duration {
 	r := rng.New(seed).Stream("wire." + s.Name + t.String())
 	base := BaseRTT(t, s.DistanceKm) + deg.ExtraRTT
 	scale := deg.JitterScale
 	if scale == 0 {
 		scale = 1
 	}
-	out := make([]Probe, n)
+	out := make([]time.Duration, n)
 	for i := range out {
 		jitter := rng.LogNormal(r, math.Log(1.5), 0.8) * scale // ms of queueing
-		rtt := base + time.Duration(jitter*float64(time.Millisecond))
-		out[i] = Probe{Server: s, Tech: t, RTT: rtt}
+		out[i] = base + time.Duration(jitter*float64(time.Millisecond))
 	}
 	return out
 }
@@ -122,12 +114,12 @@ func RTTScatter(seed int64, workers int) []Fig13Pair {
 }
 
 // MeanRTT returns the mean round-trip time of a probe series.
-func MeanRTT(ps []Probe) time.Duration {
+func MeanRTT(rtts []time.Duration) time.Duration {
 	var sum time.Duration
-	for _, p := range ps {
-		sum += p.RTT
+	for _, rtt := range rtts {
+		sum += rtt
 	}
-	return sum / time.Duration(len(ps))
+	return sum / time.Duration(len(rtts))
 }
 
 // ScatterSummary aggregates the Fig. 13 headline numbers.
@@ -201,15 +193,15 @@ func RTTvsDistance(seed int64, workers int) []DistanceBin {
 		bins[i] = DistanceBin{LoKm: edges[i], HiKm: edges[i+1]}
 	}
 	collect := func(t radio.Tech) map[int][]float64 {
-		probes := par.Map(workers, len(Servers), func(k int) []Probe {
+		probes := par.Map(workers, len(Servers), func(k int) []time.Duration {
 			return MeasureServer(t, Servers[k], 30, seed+int64(Servers[k].ID))
 		})
 		m := map[int][]float64{}
 		for k, s := range Servers {
-			for _, p := range probes[k] {
+			for _, rtt := range probes[k] {
 				for i := range bins {
 					if s.DistanceKm >= bins[i].LoKm && s.DistanceKm < bins[i].HiKm {
-						m[i] = append(m[i], float64(p.RTT)/float64(time.Millisecond))
+						m[i] = append(m[i], float64(rtt)/float64(time.Millisecond))
 					}
 				}
 			}

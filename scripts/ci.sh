@@ -3,7 +3,8 @@
 # race pass over the parallel campaign engine, short fuzzes of the TCP
 # engine's interval set and SACK log, of the DES heap, of fault-plan
 # validation, of the result/v1 decode round trip, of fgserve's spec
-# decode and admission validation and of the PRB scheduler, a check that
+# decode and admission validation, of the PRB scheduler and of the
+# Prometheus exposition of fuzzed instrument names, a check that
 # fgpop refuses a positional argument, the fgserve smoke (which reads a
 # saved stream back through fgobs), the benchmark module's tests, and one
 # run of every internal micro-bench.
@@ -77,6 +78,9 @@ go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 10s ./internal/serve
 
 echo "== fuzz: PRB scheduler conservation, work-conservation and starvation bound (10 s) =="
 go test -run '^$' -fuzz '^FuzzSchedule$' -fuzztime 10s ./internal/pop
+
+echo "== fuzz: Prometheus exposition of fuzzed metric and label names and values (10 s) =="
+go test -run '^$' -fuzz '^FuzzPromExposition$' -fuzztime 10s ./internal/obs
 
 echo "== campaign service smoke (fgserve: submit -> stream -> /metrics -> /progress -> SIGINT) =="
 # Start the campaign service on an ephemeral port and run two campaigns

@@ -38,34 +38,50 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := run(*out, *seed, *samples, *hoMinutes); err != nil {
 		log.Fatalf("fgdataset: %v", err)
+	}
+}
+
+// run writes the bundle into the directory out: survey samples KPI
+// points, a hand-off campaign of hoMinutes minutes, and the traces and
+// tables listed in the package doc, all from seed.
+func run(out string, seed int64, samples, hoMinutes int) error {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
 	manifest := map[string]interface{}{
 		"paper": "Understanding Operational 5G (SIGCOMM 2020), simulated reproduction",
-		"seed":  *seed,
+		"seed":  seed,
 		"files": []string{},
 	}
 	files := []string{}
+	// write keeps the first error; later writes do nothing.
+	var err error
 	write := func(name string, header []string, rows [][]string) {
-		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
 		if err != nil {
-			log.Fatalf("fgdataset: %v", err)
+			return
 		}
-		defer f.Close()
-		if err := dataset.WriteCSV(f, header, rows); err != nil {
-			log.Fatalf("fgdataset: %s: %v", name, err)
+		var f *os.File
+		if f, err = os.Create(filepath.Join(out, name)); err != nil {
+			return
+		}
+		if err = dataset.WriteCSV(f, header, rows); err != nil {
+			f.Close()
+			err = fmt.Errorf("%s: %w", name, err)
+			return
+		}
+		if err = f.Close(); err != nil {
+			return
 		}
 		files = append(files, name)
 		fmt.Printf("wrote %-28s %6d rows\n", name, len(rows))
 	}
 
-	campus := deploy.New(*seed)
+	campus := deploy.New(seed)
 
 	// 1. Blanket-survey KPI log (XCAL format).
-	survey := coverage.NewSurveyor(campus, *samples, *seed).Run(1)
+	survey := coverage.NewSurveyor(campus, samples, seed).Run(1)
 	kpi := xcal.New()
 	for i, sm := range survey.Samples {
 		at := time.Duration(i) * 100 * time.Millisecond
@@ -76,8 +92,8 @@ func main() {
 
 	// 2. Hand-off campaign: events plus the signaling ladders.
 	hcfg := handoff.DefaultConfig()
-	hcfg.Duration = time.Duration(*hoMinutes) * time.Minute
-	camp := handoff.RunCampaign(campus, hcfg, *seed)
+	hcfg.Duration = time.Duration(hoMinutes) * time.Minute
+	camp := handoff.RunCampaign(campus, hcfg, seed)
 	var hoRows [][]string
 	sig := xcal.New()
 	for _, e := range camp.Events {
@@ -113,14 +129,13 @@ func main() {
 
 	// 3. A 5G UDP loss trace near capacity (the Fig. 11 raw data).
 	pcfg := netsim.DefaultPath(radio.NR, true)
-	pcfg.Seed = *seed
-	udp := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, 10*time.Second)
+	pcfg.Seed = seed
 	var lossRows [][]string
-	for _, run := range udp.LossRuns {
+	netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, 10*time.Second, func(run netsim.LossRun) {
 		lossRows = append(lossRows, []string{
 			fmt.Sprintf("%d", run.First), fmt.Sprintf("%d", run.First+int64(run.Len)-1), fmt.Sprintf("%d", run.Len),
 		})
-	}
+	})
 	write("udp_loss_runs.csv", []string{"first_lost_seq", "last_lost_seq", "run_len"}, lossRows)
 
 	// 4. pwrStrip battery traces of the NSA replays, one per workload.
@@ -128,7 +143,7 @@ func main() {
 		name  string
 		trace func(int64) energy.Trace
 	}{{"web", traffic.Web}, {"video", traffic.Video}, {"file", traffic.File}} {
-		replay := energy.Replay(energy.ModelNSA, w.trace(*seed))
+		replay := energy.Replay(energy.ModelNSA, w.trace(seed))
 		recs := pwrstrip.Capture(replay.Series, energy.SystemPowerW)
 		write("pwrstrip_"+w.name+"_nsa.csv", pwrstrip.Header(), pwrstrip.Rows(recs))
 	}
@@ -144,14 +159,21 @@ func main() {
 	}
 	write("servers.csv", []string{"id", "name", "ip", "city", "lat", "lon", "distance_km"}, srvRows)
 
-	manifest["files"] = files
-	mf, err := os.Create(filepath.Join(*out, "manifest.json"))
 	if err != nil {
-		log.Fatalf("fgdataset: %v", err)
+		return err
 	}
-	defer mf.Close()
+	manifest["files"] = files
+	mf, err := os.Create(filepath.Join(out, "manifest.json"))
+	if err != nil {
+		return err
+	}
 	if err := dataset.WriteJSON(mf, manifest); err != nil {
-		log.Fatalf("fgdataset: %v", err)
+		mf.Close()
+		return err
 	}
-	fmt.Printf("dataset bundle written to %s\n", *out)
+	if err := mf.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("dataset bundle written to %s\n", out)
+	return nil
 }

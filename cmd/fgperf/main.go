@@ -60,7 +60,7 @@ func main() {
 		fmt.Printf("%v UDP baseline: %.1f Mb/s (loss %.2f%%, offered %.1f Mb/s)\n",
 			tech, r.DeliveredBps/1e6, 100*r.LossRate, r.OfferedBps/1e6)
 	case *udp:
-		r := netsim.RunUDP(cfg, bps, duration)
+		r := netsim.RunUDP(cfg, bps, duration, nil)
 		fmt.Printf("%v UDP at %.1f Mb/s for %v: delivered %.1f Mb/s, loss %.2f%%\n",
 			tech, bps/1e6, duration, r.DeliveredBps/1e6, 100*r.LossRate)
 	default:

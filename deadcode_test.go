@@ -111,6 +111,67 @@ func TestInternalFuncsHaveProductionCallers(t *testing.T) {
 	}
 }
 
+// nameAllowed names the package-level constants and variables under
+// internal/ that keep no production use on purpose, each with its reason.
+var nameAllowed = map[string]string{}
+
+// TestInternalNamesHaveProductionUses fails for each package-level
+// constant or variable declared in a non-test file under internal/ that
+// nothing outside test files refers to. A constant that no code reads
+// shows a value the model does not use.
+func TestInternalNamesHaveProductionUses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	im := typeCheckModule(t)
+	names := make(map[types.Object]string)
+	for path, files := range im.files {
+		if !strings.HasPrefix(path, "fivegsim/internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.CONST && gd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if id.Name != "_" {
+							names[im.info.Defs[id]] = f.Name.Name + "." + id.Name
+						}
+					}
+				}
+			}
+		}
+	}
+	used := make(map[types.Object]bool)
+	for _, obj := range im.info.Uses {
+		used[obj] = true
+	}
+	var found []string
+	allowed := make(map[string]bool)
+	for obj, name := range names {
+		if used[obj] {
+			continue
+		}
+		if _, ok := nameAllowed[name]; ok {
+			allowed[name] = true
+			continue
+		}
+		found = append(found, name)
+	}
+	sort.Strings(found)
+	for _, name := range found {
+		t.Errorf("%s is used by no file outside tests: delete it, or move it into a _test.go file", name)
+	}
+	for name := range nameAllowed {
+		if !allowed[name] {
+			t.Errorf("allowlisted %s is gone or has a production use: drop it from nameAllowed", name)
+		}
+	}
+}
+
 // fieldAllowed names the struct fields under internal/ that production
 // code keeps unread or unset on purpose, each with its reason.
 var fieldAllowed = map[string]string{
@@ -399,7 +460,7 @@ func TestProductionPathsAreClosed(t *testing.T) {
 }
 
 // typeCheckModule returns the module and the benchmark module
-// type-checked from their non-test files into one types.Info. The three
+// type-checked from their non-test files into one types.Info. The four
 // guards share one load.
 func typeCheckModule(t *testing.T) *sourceImporter {
 	t.Helper()

@@ -192,7 +192,7 @@ func runX7Buffer(cfg Config) Result {
 		pc := base
 		pc.BottleneckBufferBytes = int(float64(base.BottleneckBufferBytes) * scale)
 		r := transport.RunBulk(pc, "cubic", d)
-		udp := netsim.RunUDP(pc, pc.RANRateBps*0.5, udpDur(cfg)/2)
+		udp := netsim.RunUDP(pc, pc.RANRateBps*0.5, udpDur(cfg)/2, nil)
 		res.Lines = append(res.Lines, line("buffer ×%.1f (%4.1f MB): cubic %6.1f Mb/s, UDP loss at 1/2 load %.2f%%",
 			scale, float64(pc.BottleneckBufferBytes)/1e6, r.ThroughputBps/1e6, 100*udp.LossRate))
 		res.Values[line("cubic@%.1f", scale)] = r.ThroughputBps

@@ -147,7 +147,7 @@ func runFig9(cfg Config) Result {
 	// assembled from the ordered results afterwards.
 	losses := sweep(cfg, len(techs)*len(loads), func(c Config, k int) float64 {
 		pcfg := c.obsPath(techs[k/len(loads)], true)
-		return netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg)).LossRate
+		return netsim.RunUDP(pcfg, pcfg.RANRateBps*loads[k%len(loads)].frac, udpDur(cfg), nil).LossRate
 	})
 	for ti, tech := range techs {
 		row := tech.String() + ": "
@@ -193,24 +193,22 @@ func runFig10(cfg Config) Result {
 
 func runFig11(cfg Config) Result {
 	pcfg := cfg.obsPath(radio.NR, true)
-	r := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, udpDur(cfg))
-	runs := r.LossRuns
-	long := 0
-	maxRun := 0
-	for _, run := range runs {
+	runs, long, maxRun := 0, 0, 0
+	r := netsim.RunUDP(pcfg, pcfg.RANRateBps*0.9, udpDur(cfg), func(run netsim.LossRun) {
+		runs++
 		if run.Len >= 5 {
 			long++
 		}
 		maxRun = max(maxRun, run.Len)
-	}
+	})
 	return Result{
 		Title: "Bursty loss pattern",
 		Lines: []string{
 			line("5G at 0.9× baseline: loss %.2f%%, %d loss runs, %.1f%% are bursts ≥5 pkts, longest run %d",
-				100*r.LossRate, len(runs), 100*float64(long)/float64(max(1, len(runs))), maxRun),
+				100*r.LossRate, runs, 100*float64(long)/float64(max(1, runs)), maxRun),
 			"paper: \"the packet loss in 5G exhibits a clear bursty pattern ... caused by the intermittent buffer overflow\"",
 		},
-		Values: map[string]float64{"burstFrac": float64(long) / float64(max(1, len(runs)))},
+		Values: map[string]float64{"burstFrac": float64(long) / float64(max(1, runs))},
 	}
 }
 

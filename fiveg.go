@@ -333,14 +333,18 @@ func Experiments() []Experiment {
 	return out
 }
 
-// orderKey sorts T1..T4, then F2..F23, then the X extensions. Malformed
-// IDs (empty or single-character) sort after everything well-formed.
+// orderKey sorts T1..T4, then F2..F23, then the X extensions, by the
+// digits that follow the letter. Malformed IDs (empty or
+// single-character) sort after everything well-formed. The registry sort
+// calls it in every comparison, so it parses the digits itself.
 func orderKey(id string) int {
 	if len(id) < 2 {
 		return 1 << 30
 	}
-	var n int
-	fmt.Sscanf(id[1:], "%d", &n)
+	n := 0
+	for i := 1; i < len(id) && '0' <= id[i] && id[i] <= '9'; i++ {
+		n = 10*n + int(id[i]-'0')
+	}
 	switch id[0] {
 	case 'T':
 		return n

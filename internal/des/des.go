@@ -18,6 +18,12 @@
 // then holds one entry per such queue, not one per queued event, and
 // the firing order is the one the events would have had in the heap.
 //
+// A scheduler that will not run again hands its heap on with Release:
+// the next New, on any goroutine, starts from that heap instead of
+// growing its own. The heap comes back cleared, and since any min-heap
+// pops the same sequence, a scheduler that starts with spare capacity
+// fires exactly what a fresh one would.
+//
 // Events cannot be canceled. A client whose deadline moves keeps the
 // deadline itself and lets a check event that finds it moved return
 // without acting (TCP's retransmission timer does this).
@@ -29,6 +35,7 @@
 package des
 
 import (
+	"sync"
 	"time"
 
 	"fivegsim/internal/obs"
@@ -71,8 +78,35 @@ type Scheduler struct {
 	o schedObs
 }
 
-// New returns a scheduler with the clock at zero.
-func New() *Scheduler { return &Scheduler{} }
+// heaps holds the heaps of released schedulers, each cleared to its
+// capacity, for New to start from.
+var heaps sync.Pool
+
+// New returns a scheduler with the clock at zero. Its heap is one a
+// released scheduler handed on, when one is cached.
+func New() *Scheduler {
+	s := &Scheduler{}
+	if q, _ := heaps.Get().(*[]event); q != nil {
+		s.queue = *q
+	}
+	return s
+}
+
+// Release hands the scheduler's heap to the next New, on any goroutine.
+// Call it once the scheduler will not run again: it drops every pending
+// event. Every slot up to the heap's capacity is cleared first, so a
+// cached heap pins no callback or payload of the released run.
+// Releasing again, or releasing a scheduler that holds no heap, does
+// nothing.
+func (s *Scheduler) Release() {
+	if cap(s.queue) == 0 {
+		return
+	}
+	q := s.queue[:0]
+	clear(q[:cap(q)])
+	s.queue = nil
+	heaps.Put(&q)
+}
 
 // SetObs attaches telemetry under the `des.*` namespace. A nil registry
 // detaches it. Call before the run.

@@ -138,64 +138,87 @@ func (m *schedModel) checkPending() {
 // ahead of every other pending event in (at, scheduling order); Pending
 // must equal the live count after every op and fire; RunUntil(d) must
 // leave no event due at or before d; and a drained heap must hold no
-// fired callback in any slot.
+// fired callback in any slot. Each input runs twice: on a new scheduler,
+// and on one that starts from the heap of a released scheduler that
+// still had events pending.
 func FuzzScheduler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New()
-		m := &schedModel{t: t, s: s}
-		for ops := 0; len(data) >= 3 && ops < maxSchedOps; ops++ {
-			op, a, b := data[0]%6, data[1], data[2]
-			data = data[3:]
-			us := func(x byte) time.Duration { return time.Duration(x) * time.Microsecond }
-			switch op {
-			case 0:
-				m.schedule(us(a), false, b)
-			case 1:
-				m.schedule(s.Now()+us(a)-16*time.Microsecond, true, b)
-			case 2:
-				for k := 0; k < fuzzBatch; k++ {
-					m.schedule(s.Now()+us(a)+time.Duration(k*int(b|1)%97)*time.Microsecond, true, 0)
-				}
-			case 3:
-				deadline := s.Now() + us(a)
-				s.RunUntil(deadline)
-				if s.Now() != deadline {
-					t.Fatalf("Now() = %v after RunUntil(%v)", s.Now(), deadline)
-				}
-				for _, e := range m.events {
-					if e.pending && e.at <= deadline {
-						t.Fatalf("event %d due at %v still pending after RunUntil(%v)", e.id, e.at, deadline)
-					}
-				}
-			case 4:
-				m.reserve(s.Now()+us(a)-16*time.Microsecond, b)
-			case 5:
-				switch e := m.take(); {
-				case e == nil:
-				case a%2 == 0:
-					m.push(e)
-				default:
-					m.schedule(s.Now()+us(b), true, 0).push = e
-				}
-			}
-			m.checkPending()
-		}
-		for e := m.take(); e != nil; e = m.take() {
-			m.push(e)
-		}
-		s.Run()
-		for _, e := range m.events {
-			if e.pending {
-				t.Fatalf("event %d (at %v) never fired", e.id, e.at)
-			}
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("drained scheduler: Pending() = %d", s.Pending())
-		}
-		for i, ev := range s.queue[:cap(s.queue)] {
-			if ev.fn != nil || ev.arg != nil {
-				t.Fatalf("drained heap slot %d still holds a callback", i)
-			}
-		}
+		fuzzSchedule(t, New(), data)
+		fuzzSchedule(t, fromReleased(1+len(data)%97), data)
 	})
+}
+
+// fromReleased returns a scheduler whose heap is one a released
+// scheduler with pending events handed on.
+func fromReleased(pending int) *Scheduler {
+	old := New()
+	for k := 0; k < pending; k++ {
+		old.After(time.Duration(k%7)*time.Microsecond, func() {})
+	}
+	q := old.queue
+	old.Release()
+	s := New()
+	if cap(s.queue) == 0 { // the race detector's sync.Pool drops a share of what it is given
+		s.queue = q[:0]
+	}
+	return s
+}
+
+func fuzzSchedule(t *testing.T, s *Scheduler, data []byte) {
+	t.Helper()
+	m := &schedModel{t: t, s: s}
+	for ops := 0; len(data) >= 3 && ops < maxSchedOps; ops++ {
+		op, a, b := data[0]%6, data[1], data[2]
+		data = data[3:]
+		us := func(x byte) time.Duration { return time.Duration(x) * time.Microsecond }
+		switch op {
+		case 0:
+			m.schedule(us(a), false, b)
+		case 1:
+			m.schedule(s.Now()+us(a)-16*time.Microsecond, true, b)
+		case 2:
+			for k := 0; k < fuzzBatch; k++ {
+				m.schedule(s.Now()+us(a)+time.Duration(k*int(b|1)%97)*time.Microsecond, true, 0)
+			}
+		case 3:
+			deadline := s.Now() + us(a)
+			s.RunUntil(deadline)
+			if s.Now() != deadline {
+				t.Fatalf("Now() = %v after RunUntil(%v)", s.Now(), deadline)
+			}
+			for _, e := range m.events {
+				if e.pending && e.at <= deadline {
+					t.Fatalf("event %d due at %v still pending after RunUntil(%v)", e.id, e.at, deadline)
+				}
+			}
+		case 4:
+			m.reserve(s.Now()+us(a)-16*time.Microsecond, b)
+		case 5:
+			switch e := m.take(); {
+			case e == nil:
+			case a%2 == 0:
+				m.push(e)
+			default:
+				m.schedule(s.Now()+us(b), true, 0).push = e
+			}
+		}
+		m.checkPending()
+	}
+	for e := m.take(); e != nil; e = m.take() {
+		m.push(e)
+	}
+	s.Run()
+	for _, e := range m.events {
+		if e.pending {
+			t.Fatalf("event %d (at %v) never fired", e.id, e.at)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("drained scheduler: Pending() = %d", s.Pending())
+	}
+	for i, ev := range s.queue[:cap(s.queue)] {
+		if ev.fn != nil || ev.arg != nil {
+			t.Fatalf("drained heap slot %d still holds a callback", i)
+		}
+	}
 }

@@ -63,9 +63,10 @@ func TestFiringOrderMatchesReferenceHeap(t *testing.T) {
 }
 
 // TestHeapCapacityBounded: a steady schedule/fire loop must stabilize on
-// a tiny heap slice instead of growing it.
+// a tiny heap slice instead of growing it. The scheduler starts from an
+// empty heap: New may hand out one that another test released.
 func TestHeapCapacityBounded(t *testing.T) {
-	s := New()
+	s := &Scheduler{}
 	n := 0
 	var tick func()
 	tick = func() {
@@ -81,5 +82,42 @@ func TestHeapCapacityBounded(t *testing.T) {
 	}
 	if n != 10_000 {
 		t.Fatalf("ran %d events", n)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector instruments
+// the build.
+var raceEnabled bool
+
+// TestReleaseClearsHeap: a released scheduler's heap is cleared to its
+// capacity before it is cached, so it pins no callback or payload of the
+// released run, even of events still pending; New starts from it; and a
+// second Release does nothing.
+func TestReleaseClearsHeap(t *testing.T) {
+	old := New()
+	payload := new(int)
+	for i := 0; i < 100; i++ {
+		old.AfterArg(time.Duration(i)*time.Microsecond, func(any) {}, payload)
+	}
+	old.RunUntil(40 * time.Microsecond) // leaves 59 events pending
+	q := old.queue[:cap(old.queue)]
+	old.Release()
+	for i, ev := range q {
+		if ev.at != 0 || ev.seq != 0 || ev.fn != nil || ev.arg != nil {
+			t.Fatalf("released heap slot %d of %d holds an event at %v, want a zero event", i, len(q), ev.at)
+		}
+	}
+	if old.queue != nil || old.Pending() != 0 {
+		t.Fatalf("released scheduler keeps %d events", old.Pending())
+	}
+	old.Release()
+
+	if raceEnabled {
+		return // the race detector's sync.Pool drops a share of what it is given
+	}
+	s := New()
+	if len(s.queue) != 0 || cap(s.queue) != len(q) || &s.queue[:1][0] != &q[0] {
+		t.Fatalf("New started from a heap of length %d and capacity %d, want the released one (capacity %d)",
+			len(s.queue), cap(s.queue), len(q))
 	}
 }

@@ -72,15 +72,16 @@ func DefaultA3() A3Config {
 }
 
 // A1ThresholdDB / A2ThresholdDB are the serving-quality RSRQ thresholds
-// used for the A1/A2 bookkeeping events, and A5/B1 thresholds complete the
-// Table 5 set. Only A3 triggers hand-offs in the measured network ("the
-// gNB only responds to the A3 event due to the ISP's configuration").
+// used for the A1/A2 bookkeeping events, and the A5 thresholds complete
+// the Table 5 set. B1 has no Table 5 threshold here: it fires when the
+// best NR cell's RSRP clears the NR-add level, nrAddRSRP (campaign.go).
+// Only A3 triggers hand-offs in the measured network ("the gNB only
+// responds to the A3 event due to the ISP's configuration").
 const (
 	A1ThresholdDB = -10.4
 	A2ThresholdDB = -23.5
 	A5Threshold1  = -12.8
 	A5Threshold2  = -13.2
-	B1ThresholdDB = -13
 )
 
 // A3Tracker applies Eq. (1) with time-to-trigger over a sampled RSRQ

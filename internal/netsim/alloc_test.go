@@ -1,9 +1,8 @@
 package netsim
 
 import (
-	"reflect"
+	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -82,6 +81,31 @@ func TestDropPathSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestPathClosesOnce: a second Close hands nothing on, so no generator
+// or connection storage of a closed path reaches two later paths. Had
+// the second Close released the path's generators again, the next
+// Stream calls would hand each of them out twice.
+func TestPathClosesOnce(t *testing.T) {
+	sch := des.New()
+	path := NewPath(sch, DefaultPath(radio.NR, true))
+	closes := 0
+	path.OnClose(func() { closes++ })
+	path.Close()
+	path.Close()
+	if closes != 1 {
+		t.Fatalf("OnClose functions ran %d times over two Closes, want once", closes)
+	}
+	src := rng.New(1)
+	seen := map[*rand.Rand]bool{}
+	for i := 0; i < 4; i++ {
+		r := src.Stream("s")
+		if seen[r] {
+			t.Fatalf("Stream handed out one generator twice after a path was closed twice")
+		}
+		seen[r] = true
+	}
+}
+
 // TestClosedPathSlabsComeBackZeroed: a closed path hands its packet
 // slabs on to the next pool, whose Get must still hand out zeroed
 // packets however the slabs were left. The test fills the slabs of a
@@ -120,35 +144,5 @@ func TestClosedPathSlabsComeBackZeroed(t *testing.T) {
 	t.Logf("the new pool carved %d packets from %d slabs, %d of them the closed path's", pool.News, len(pool.slabs), reused)
 	if reused == 0 {
 		t.Fatalf("none of the new pool's %d slabs came from the %d the closed path handed on", len(pool.slabs), len(closed))
-	}
-}
-
-// TestSlabCacheSharedAcrossGoroutines: closed paths hand their slabs to
-// paths on other goroutines, as par's workers and fgserve's pool do.
-// Runs that reuse one another's slabs, concurrently, report exactly what
-// a run on its own reports; under -race this also checks that a slab
-// moves between goroutines only through the cache.
-func TestSlabCacheSharedAcrossGoroutines(t *testing.T) {
-	const workers, runs = 4, 3
-	cfg := DefaultPath(radio.NR, true)
-	want := RunUDP(cfg, 1.2e9, 50*time.Millisecond)
-	var wg sync.WaitGroup
-	got := make([][]UDPResult, workers)
-	for w := range got {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < runs; i++ {
-				got[w] = append(got[w], RunUDP(cfg, 1.2e9, 50*time.Millisecond))
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, rs := range got {
-		for i, r := range rs {
-			if !reflect.DeepEqual(r, want) {
-				t.Errorf("worker %d run %d: %+v, want %+v", w, i, r, want)
-			}
-		}
 	}
 }

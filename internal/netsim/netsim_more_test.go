@@ -162,7 +162,7 @@ func TestULRatesMatchPaper(t *testing.T) {
 func TestCrossDisabled(t *testing.T) {
 	cfg := DefaultPath(radio.NR, true)
 	cfg.Cross = CrossConfig{}
-	r := RunUDP(cfg, cfg.RANRateBps*0.8, 3*time.Second)
+	r := RunUDP(cfg, cfg.RANRateBps*0.8, 3*time.Second, nil)
 	if r.LossRate != 0 {
 		t.Fatalf("loss without cross traffic: %.3f%%", 100*r.LossRate)
 	}

@@ -130,8 +130,8 @@ func TestFig9LossVsLoad(t *testing.T) {
 	fractions := []float64{0.2, 1.0 / 3, 0.5, 1}
 	var nrLoss, lteLoss []float64
 	for _, f := range fractions {
-		nrLoss = append(nrLoss, RunUDP(nr, nr.RANRateBps*f, 10*time.Second).LossRate)
-		lteLoss = append(lteLoss, RunUDP(lte, lte.RANRateBps*f, 10*time.Second).LossRate)
+		nrLoss = append(nrLoss, RunUDP(nr, nr.RANRateBps*f, 10*time.Second, nil).LossRate)
+		lteLoss = append(lteLoss, RunUDP(lte, lte.RANRateBps*f, 10*time.Second, nil).LossRate)
 	}
 	// Monotone in load for 5G.
 	for i := 1; i < len(nrLoss); i++ {
@@ -154,8 +154,8 @@ func TestFig9LossVsLoad(t *testing.T) {
 
 func TestFig11BurstyLossPattern(t *testing.T) {
 	cfg := DefaultPath(radio.NR, true)
-	r := RunUDP(cfg, cfg.RANRateBps*0.9, 8*time.Second)
-	runs := r.LossRuns
+	var runs []LossRun
+	r := RunUDP(cfg, cfg.RANRateBps*0.9, 8*time.Second, func(run LossRun) { runs = append(runs, run) })
 	if len(runs) == 0 {
 		t.Fatal("no losses at 0.9× baseline")
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"time"
 
 	"fivegsim/internal/des"
@@ -129,14 +130,38 @@ type Path struct {
 	// ACKs, UDP load and cross traffic); see PacketPool for the
 	// ownership rule.
 	Pool *PacketPool
+
+	harq, cross *rand.Rand // the RAN's HARQ draws and the cross-traffic pump's
+	onClose     []func()
 }
 
-// Close hands the path's packet storage on to the next path built, on
-// any goroutine. Call it once the path's scheduler will not run again:
-// no packet of a closed path, delivered, queued or in flight, may be
-// used afterwards, and the path must carry no more traffic. A path that
-// is never closed is collected as garbage like any other value.
-func (p *Path) Close() { p.Pool.close() }
+// Close hands on everything the path grew that no result keeps, to the
+// next path built on any goroutine: it runs the functions registered
+// with OnClose, then releases the path's two generators, its
+// scheduler's heap and its packet slabs. Call it once the path's
+// scheduler will not run again: no packet of a closed path, delivered,
+// queued or in flight, may be used afterwards, and the path must carry
+// no more traffic. Closing again does nothing: what the path grew is
+// handed on once. Paths that share a scheduler release its heap with
+// the first Close. A path that is never closed is collected as garbage
+// like any other value.
+func (p *Path) Close() {
+	if p.harq == nil {
+		return // closed already
+	}
+	for _, f := range p.onClose {
+		f()
+	}
+	rng.Release(p.harq)
+	rng.Release(p.cross)
+	p.harq, p.cross, p.onClose = nil, nil, nil
+	p.Sch.Release()
+	p.Pool.close()
+}
+
+// OnClose registers f to run when the path is closed, before its
+// storage is handed on: an endpoint hands on its own storage there.
+func (p *Path) OnClose(f func()) { p.onClose = append(p.onClose, f) }
 
 // NewPath wires up the downlink chain
 //
@@ -144,8 +169,9 @@ func (p *Path) Close() { p.Pool.close() }
 //
 // and the uplink chain UE → UL-RAN → core+wired → server.
 func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
-	p := &Path{Sch: sch, Cfg: cfg, Pool: NewPacketPool()}
 	src := rng.New(cfg.Seed)
+	p := &Path{Sch: sch, Cfg: cfg, Pool: NewPacketPool(),
+		harq: src.Stream("ran.harq"), cross: src.Stream("cross")}
 
 	if cfg.Obs != nil {
 		sch.SetObs(cfg.Obs)
@@ -166,7 +192,7 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 		p.Pool.Release(pkt)
 	})
 	p.RAN = NewRANHop(sch, cfg.Tech, cfg.RANRateBps,
-		cfg.RANOneWay, cfg.RANBufferBytes, src.Stream("ran.harq"), ueDeliver)
+		cfg.RANOneWay, cfg.RANBufferBytes, p.harq, ueDeliver)
 
 	core := NewHop(sch, "core", 10e9, cfg.CoreOneWay, 64_000_000, p.RAN)
 
@@ -183,7 +209,7 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	serverWired := NewHop(sch, "server-wired", 10e9, cfg.ServerOneWay, 64_000_000, p.Bottleneck)
 	p.ServerIngress = serverWired
 
-	StartCross(sch, cfg.Cross, src.Stream("cross"), p.Pool, p.Bottleneck)
+	StartCross(sch, cfg.Cross, p.cross, p.Pool, p.Bottleneck)
 
 	// Uplink.
 	serverDeliver := ReceiverFunc(func(pkt *Packet) {

@@ -13,15 +13,10 @@ type UDPResult struct {
 	Sent         int64
 	Received     int64
 	LossRate     float64
-	// LossRuns lists the runs of consecutive lost datagrams in arrival
-	// order — the burstiness measure behind Fig. 11. A run is recorded
-	// when a datagram arrives more than one sequence number after the
-	// previous arrival.
-	LossRuns []LossRun
 }
 
 // LossRun is a run of consecutive lost datagrams: Len sequence numbers
-// from First.
+// from First. Runs are the burstiness measure behind Fig. 11.
 type LossRun struct {
 	First int64
 	Len   int
@@ -53,8 +48,11 @@ func (p *Path) StartCBR(offeredBps float64, until time.Duration) (sent *int64) {
 }
 
 // RunUDP sends CBR traffic at offeredBps over a fresh path for the given
-// duration and reports delivery statistics and the loss runs.
-func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration) UDPResult {
+// duration and reports delivery statistics. Unless lost is nil, it calls
+// lost once per run of consecutive lost datagrams, in arrival order, as
+// the datagram that ends the run arrives: one more than one sequence
+// number after the previous arrival.
+func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration, lost func(LossRun)) UDPResult {
 	sch := des.New()
 	path := NewPath(sch, cfg)
 	defer path.Close()
@@ -65,8 +63,8 @@ func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration) UDPResul
 	path.ToUE = ReceiverFunc(func(p *Packet) {
 		res.Received++
 		receivedBytes += int64(p.Len)
-		if prev >= 0 && p.Seq > prev+1 {
-			res.LossRuns = append(res.LossRuns, LossRun{First: prev + 1, Len: int(p.Seq - prev - 1)})
+		if lost != nil && prev >= 0 && p.Seq > prev+1 {
+			lost(LossRun{First: prev + 1, Len: int(p.Seq - prev - 1)})
 		}
 		prev = p.Seq
 	})
@@ -87,5 +85,5 @@ func RunUDP(cfg PathConfig, offeredBps float64, duration time.Duration) UDPResul
 // offering slightly more than the radio can carry, mirroring the paper's
 // "gradually increase the UDP sending rate" methodology (§4.1).
 func UDPBaseline(cfg PathConfig, duration time.Duration) UDPResult {
-	return RunUDP(cfg, cfg.RANRateBps*1.08, duration)
+	return RunUDP(cfg, cfg.RANRateBps*1.08, duration, nil)
 }

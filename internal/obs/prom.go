@@ -15,7 +15,9 @@ import (
 // dots become underscores in the metric family name, the label block is
 // re-rendered with quoted, escaped values, and histograms expand into the
 // conventional `_bucket`/`_sum`/`_count` series with a cumulative
-// `le="+Inf"` terminator. Output ordering is fully deterministic —
+// `le="+Inf"` terminator. A histogram's own label named `le` is renamed
+// `exported_le`, the name Prometheus gives a scraped label that collides
+// with one it sets, so no bucket line carries `le` twice. Output ordering is fully deterministic —
 // families sort by name, series within a family by label string — so the
 // wire format is golden-file testable (prom_test.go pins it).
 
@@ -49,7 +51,7 @@ func WriteProm(w io.Writer, r *Registry) error {
 		f.series = append(f.series, promSeries{labels: labels, lines: lines})
 	}
 	for _, in := range r.instruments() {
-		fam, labels := promName(in.name)
+		fam, labels := promName(in.name, in.kind == "histogram")
 		switch in.kind {
 		case "counter":
 			add(fam, "counter", labels, fam+labels+" "+strconv.FormatInt(in.v, 10))
@@ -96,12 +98,12 @@ func WriteProm(w io.Writer, r *Registry) error {
 
 // promName splits a `pkg.metric{label=value,…}` instrument name into a
 // sanitized Prometheus family name and a rendered, escaped label block
-// (empty when the instrument has no labels).
-func promName(raw string) (fam, labels string) {
+// (empty when the instrument has no labels). hist renames a label `le`.
+func promName(raw string, hist bool) (fam, labels string) {
 	name := raw
 	if i := strings.IndexByte(raw, '{'); i >= 0 {
 		name = raw[:i]
-		labels = promLabels(strings.TrimSuffix(raw[i+1:], "}"))
+		labels = promLabels(strings.TrimSuffix(raw[i+1:], "}"), hist)
 	}
 	return sanitizeProm(name), labels
 }
@@ -109,7 +111,9 @@ func promName(raw string) (fam, labels string) {
 // promLabels renders `k=v,k2=v2` as `{k="v",k2="v2"}` with Prometheus
 // label-value escaping (backslash, double quote, newline). Label order is
 // preserved from the instrument name, which registration keeps stable.
-func promLabels(body string) string {
+// hist renames a label `le` to `exported_le`: a histogram's buckets set
+// `le` themselves.
+func promLabels(body string, hist bool) string {
 	if body == "" {
 		return ""
 	}
@@ -120,7 +124,11 @@ func promLabels(body string) string {
 			b.WriteByte(',')
 		}
 		k, v, _ := strings.Cut(kv, "=")
-		b.WriteString(strings.ReplaceAll(sanitizeProm(k), ":", "_")) // no ':' in label names
+		k = strings.ReplaceAll(sanitizeProm(k), ":", "_") // no ':' in label names
+		if hist && k == "le" {
+			k = "exported_le"
+		}
+		b.WriteString(k)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabelValue(v))
 		b.WriteByte('"')

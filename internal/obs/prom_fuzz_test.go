@@ -18,8 +18,9 @@ var (
 // base{key=value} from fuzzed strings and checks that the exposition is
 // valid text format 0.0.4: every line is a TYPE line or a sample line,
 // metric and label names are in their charsets, the label value
-// unescapes to the raw value, and each family has exactly one TYPE line
-// that precedes its samples. Names the registry syntax cannot carry are
+// unescapes to the raw value, no sample line repeats a label name (a
+// histogram's own `le` label must not collide with its buckets'), and
+// each family has exactly one TYPE line that precedes its samples. Names the registry syntax cannot carry are
 // skipped: '{', '}', ',' or '=' in base or key, ',' or '}' in value, and
 // invalid UTF-8.
 func FuzzPromExposition(f *testing.F) {
@@ -65,11 +66,17 @@ func FuzzPromExposition(f *testing.F) {
 				(suffix != "" && !(famKind == "histogram" && (suffix == "_bucket" || suffix == "_sum" || suffix == "_count"))) {
 				t.Fatalf("sample %q is not in the family %q of the TYPE line before it in\n%s", metric, fam, out)
 			}
+			seen := map[string]bool{}
 			for _, l := range labels {
 				if !promLabelRe.MatchString(l[0]) {
 					t.Fatalf("label name %q outside [a-zA-Z_][a-zA-Z0-9_]* in\n%s", l[0], out)
 				}
-				if l[0] != "le" && l[1] != value {
+				if seen[l[0]] {
+					t.Fatalf("sample %q repeats the label %s in\n%s", line, l[0], out)
+				}
+				seen[l[0]] = true
+				bucketLE := famKind == "histogram" && metric == fam+"_bucket" && l[0] == "le"
+				if !bucketLE && l[1] != value {
 					t.Fatalf("label %s unescapes to %q, want %q in\n%s", l[0], l[1], value, out)
 				}
 			}

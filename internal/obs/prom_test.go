@@ -79,19 +79,32 @@ func TestWritePromNilRegistry(t *testing.T) {
 
 func TestPromNameSanitization(t *testing.T) {
 	cases := []struct {
-		raw, fam, labels string
+		raw         string
+		hist        bool
+		fam, labels string
 	}{
-		{"des.events_fired", "des_events_fired", ""},
-		{"netsim.pkt_dropped{hop=bottleneck}", "netsim_pkt_dropped", `{hop="bottleneck"}`},
-		{"a.b{x=1,y=2}", "a_b", `{x="1",y="2"}`},
-		{"9lives", "_9lives", ""},
-		{"odd-name{k-1=v 1}", "odd_name", `{k_1="v 1"}`},
+		{"des.events_fired", false, "des_events_fired", ""},
+		{"netsim.pkt_dropped{hop=bottleneck}", false, "netsim_pkt_dropped", `{hop="bottleneck"}`},
+		{"a.b{x=1,y=2}", false, "a_b", `{x="1",y="2"}`},
+		{"9lives", false, "_9lives", ""},
+		{"odd-name{k-1=v 1}", false, "odd_name", `{k_1="v 1"}`},
+		{"lat.us{le=x}", false, "lat_us", `{le="x"}`},
+		{"lat.us{le=x}", true, "lat_us", `{exported_le="x"}`},
 	}
 	for _, tc := range cases {
-		fam, labels := promName(tc.raw)
+		fam, labels := promName(tc.raw, tc.hist)
 		if fam != tc.fam || labels != tc.labels {
-			t.Errorf("promName(%q) = %q, %q; want %q, %q", tc.raw, fam, labels, tc.fam, tc.labels)
+			t.Errorf("promName(%q, %v) = %q, %q; want %q, %q", tc.raw, tc.hist, fam, labels, tc.fam, tc.labels)
 		}
+	}
+	r := NewRegistry()
+	r.Histogram("lat.us{le=x}", []float64{1}).Observe(0.5)
+	var b strings.Builder
+	if err := WriteProm(&b, r); err != nil {
+		t.Fatal(err)
+	}
+	if want := `lat_us_bucket{exported_le="x",le="1"} 1`; !strings.Contains(b.String(), want+"\n") {
+		t.Errorf("a histogram with its own le label renders\n%s, want the line %s", b.String(), want)
 	}
 }
 

@@ -395,6 +395,7 @@ func (p *Population) Tick(workers int) {
 		p.churnStep()
 	}
 	par.Do(workers, p.ueShards, p.phaseA)
+	wallA := time.Now()
 
 	// Phase B: counting sort by serving cell. Bucket ncells collects the
 	// outage UEs; they sort after every cell and are not scheduled.
@@ -425,8 +426,10 @@ func (p *Population) Tick(workers int) {
 		p.cnt[b]++
 	}
 	p.segs = par.Segments(p.bounds[:ncells+1], p.segs[:0])
+	wallB := time.Now()
 
 	par.Do(workers, p.segs, p.phaseC)
+	wallC := time.Now()
 	if p.Model.LoadCoupling {
 		p.coupleLoads()
 	}
@@ -443,7 +446,8 @@ func (p *Population) Tick(workers int) {
 		p.hoPrev = total
 	}
 	p.tick++
-	p.mergeTick(p.tick-1, time.Since(wall0))
+	p.mergeTick(p.tick-1, time.Since(wall0),
+		[len(tickPhases)]time.Duration{wallA.Sub(wall0), wallB.Sub(wallA), wallC.Sub(wallB)})
 }
 
 // stepUE is the phase-A batch body: one UE's move/demand/attach step.

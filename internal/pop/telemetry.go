@@ -38,6 +38,9 @@ import (
 //	pop.prb_demand / pop.prb_granted  PRB-ticks demanded vs granted
 //	pop.bytes_delivered{class=…}    delivered bytes per traffic class
 //	pop.tick_wall_us                tick latency histogram (µs)
+//	pop.phase_wall_us{phase=…}      per-phase latency histograms (µs):
+//	                                move (churn step and phase A), sort
+//	                                (phase B) and schedule (phase C)
 
 // Telemetry bundles the optional observability attachments of a
 // population run. Every field may be left zero; the tick runs the same
@@ -87,6 +90,7 @@ type telemetry struct {
 	prbGranted *obs.Counter
 	bytes      [traffic.NumClasses]*obs.Counter
 	tickWall   *obs.Histogram
+	phaseWall  [len(tickPhases)]*obs.Histogram
 
 	ueShard []ueShardCounters
 	cell    []cellCounters
@@ -94,6 +98,10 @@ type telemetry struct {
 	// byte counters stay exact over long runs.
 	byteCarry [traffic.NumClasses]float64
 }
+
+// tickPhases names the timed spans of a tick, in order: the
+// pop.phase_wall_us series.
+var tickPhases = [...]string{"move", "sort", "schedule"}
 
 // newTelemetry builds New's telemetry state for a population of
 // ueShards UE shards over ncells cells. All instruments are
@@ -120,15 +128,18 @@ func newTelemetry(t Telemetry, ueShards, ncells int) telemetry {
 	for c := traffic.Class(0); c < traffic.NumClasses; c++ {
 		tel.bytes[c] = reg.Counter("pop.bytes_delivered{class=" + c.String() + "}")
 	}
+	for i, ph := range tickPhases {
+		tel.phaseWall[i] = reg.Histogram("pop.phase_wall_us{phase="+ph+"}", obs.DurationBuckets)
+	}
 	return tel
 }
 
 // mergeTick folds the per-shard and per-cell accumulators into the
-// registered instruments and resets them, then emits the tick span,
-// latency sample and progress callback. Serial, called once per Tick on
+// registered instruments and resets them, then emits the tick span, the
+// tick and per-phase latency samples and the progress callback. Serial, called once per Tick on
 // the ticking goroutine after phase C; fixed iteration order keeps
 // counter totals identical for every Workers value.
-func (p *Population) mergeTick(tickIdx int, wall time.Duration) {
+func (p *Population) mergeTick(tickIdx int, wall time.Duration, phases [len(tickPhases)]time.Duration) {
 	t := &p.tel
 	var moved, handoffs, pingpongs int64
 	for i := range t.ueShard {
@@ -168,6 +179,9 @@ func (p *Population) mergeTick(tickIdx int, wall time.Duration) {
 		t.bytes[k].Add(whole)
 	}
 	t.tickWall.Observe(float64(wall) / float64(time.Microsecond))
+	for i, d := range phases {
+		t.phaseWall[i].Observe(float64(d) / float64(time.Microsecond))
+	}
 	t.opts.Trace.WallSpan("pop.tick", "pop", time.Duration(tickIdx)*p.Model.TickDur, wall)
 	if t.opts.OnTick != nil {
 		t.opts.OnTick(p.tick, p.Model.Ticks)

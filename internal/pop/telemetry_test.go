@@ -79,6 +79,38 @@ func TestTelemetryCounterInvariants(t *testing.T) {
 	t.Fatal("registry has no pop.tick_wall_us histogram")
 }
 
+// TestPhaseWallHistograms: each of the three per-phase latency
+// histograms takes one sample per tick, and since the phases are
+// disjoint spans inside the tick, no phase's total exceeds the ticks'.
+func TestPhaseWallHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := dynamicsModelForTest(500, 10)
+	runFull(deploy.New(42), m, 42, 2, Telemetry{Obs: reg})
+	hists := map[string]obs.Metric{}
+	for _, h := range reg.Snapshot() {
+		if h.Kind == "histogram" {
+			hists[h.Name] = h
+		}
+	}
+	tick, ok := hists["pop.tick_wall_us"]
+	if !ok || tick.Count != int64(m.Ticks) {
+		t.Fatalf("pop.tick_wall_us: %+v, want %d samples", tick, m.Ticks)
+	}
+	for _, ph := range tickPhases {
+		name := "pop.phase_wall_us{phase=" + ph + "}"
+		h, ok := hists[name]
+		if !ok {
+			t.Fatalf("registry has no %s histogram", name)
+		}
+		if h.Count != int64(m.Ticks) {
+			t.Errorf("%s count %d, want %d", name, h.Count, m.Ticks)
+		}
+		if h.Sum > tick.Sum {
+			t.Errorf("%s sum %.1f µs exceeds the ticks' %.1f µs", name, h.Sum, tick.Sum)
+		}
+	}
+}
+
 // TestTelemetryWorkerEquivalence: counter totals are part of the
 // determinism contract — identical for every Workers value.
 func TestTelemetryWorkerEquivalence(t *testing.T) {
@@ -166,7 +198,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/telemetry_v1.gol
 // testdata/telemetry_v1.golden line for line. Brisk walkers, a 1-tick
 // A3 trigger and an arena with no spare slot make every counter move
 // within ten ticks: seed 42 has UEs in outage, seed 3 ping-pongs.
-// pop.tick_wall_us is wall time and stays out. Regenerate only for an
+// pop.tick_wall_us and pop.phase_wall_us are wall time and stay out. Regenerate only for an
 // intended change of the counters, with
 //
 //	go test ./internal/pop -run TestTelemetryGolden -update

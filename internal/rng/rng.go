@@ -1,6 +1,12 @@
 // Package rng provides named, seeded random streams so that every fivegsim
 // experiment is reproducible and adding a new random consumer does not
 // perturb the draws seen by existing ones.
+//
+// A generator is 4.9 KB of state. One that is done goes back with
+// Release, and the next Stream or Shard call, on any goroutine, re-seeds
+// it instead of building a new one. Re-seeding puts it in the state a
+// fresh generator for that seed starts in, so a stream draws the same
+// values whichever generator carries it.
 package rng
 
 import (
@@ -8,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 )
 
 // Source derives independent sub-streams from a root seed. Each named
@@ -20,10 +27,24 @@ type Source struct {
 // New returns a Source rooted at seed.
 func New(seed int64) *Source { return &Source{seed: seed} }
 
-// Stream returns the deterministic sub-stream for name.
+// released holds the generators handed back with Release.
+var released sync.Pool
+
+// Stream returns the deterministic sub-stream for name. It re-seeds a
+// released generator when one is cached.
 func (s *Source) Stream(name string) *rand.Rand {
-	return rand.New(rand.NewSource(s.StreamSeed(name)))
+	seed := s.StreamSeed(name)
+	if r, _ := released.Get().(*rand.Rand); r != nil {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
 }
+
+// Release hands r, a generator that Stream or Shard returned, to the
+// next Stream call on any goroutine. The caller must not use r
+// afterwards.
+func Release(r *rand.Rand) { released.Put(r) }
 
 // StreamSeed returns the seed Stream(name) plants in its generator.
 // Callers that keep long-lived *rand.Rand values and reseed them per run

@@ -1,10 +1,17 @@
 package rng
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// raceEnabled is set by race_test.go when the race detector instruments
+// the build.
+var raceEnabled bool
 
 func TestStreamDeterminism(t *testing.T) {
 	a := New(42).Stream("coverage")
@@ -114,5 +121,36 @@ func TestKeyAtDistinctSeeds(t *testing.T) {
 	}
 	if k.At(0, 0) == int64(k) {
 		t.Fatal("At(0,0) collapsed onto the bare key")
+	}
+}
+
+// TestReleasedStreamReplaysFresh: a generator that drew a mix of values
+// and was released carries the next stream exactly as a fresh generator
+// would: Seed resets the source and the Rand's read position, and
+// nothing else of a Rand carries over.
+func TestReleasedStreamReplaysFresh(t *testing.T) {
+	src := New(7)
+	used := src.Stream("used")
+	for i := 0; i < 1000; i++ {
+		used.Int63()
+		used.NormFloat64()
+		used.Perm(5)
+	}
+	used.Read(make([]byte, 3)) // leaves buffered bytes in the Rand
+	Release(used)
+	got := src.Stream("next")
+	if got != used && !raceEnabled {
+		t.Fatal("Stream built a new generator while a released one was cached")
+	}
+	want := rand.New(rand.NewSource(src.StreamSeed("next")))
+	gb, wb := make([]byte, 7), make([]byte, 7)
+	for i := 0; i < 5000; i++ {
+		got.Read(gb)
+		want.Read(wb)
+		g := []float64{float64(got.Int63()), got.Float64(), got.NormFloat64(), got.ExpFloat64(), float64(got.Intn(1000))}
+		w := []float64{float64(want.Int63()), want.Float64(), want.NormFloat64(), want.ExpFloat64(), float64(want.Intn(1000))}
+		if !slices.Equal(g, w) || !slices.Equal(got.Perm(6), want.Perm(6)) || !bytes.Equal(gb, wb) {
+			t.Fatalf("draw %d of the re-seeded generator differs from a fresh one: %v, want %v", i, g, w)
+		}
 	}
 }

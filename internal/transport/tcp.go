@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"sync"
 	"time"
 
 	"fivegsim/internal/cc"
@@ -97,9 +98,26 @@ const ackEvery = 2
 // Bulk marks an unbounded transfer.
 const Bulk = int64(1) << 62
 
+// storage is what a connection grows that no result keeps: the SACK
+// log's runs and the ranges of its four interval sets. A closed path's
+// connection hands it to the next NewConn through storageCache, each
+// slice at length 0 with the capacity it grew to. Nothing reads a slice
+// past its length, and a SACK log that starts with spare capacity only
+// compacts its dead prefix at other moments, which moves runs without
+// changing runs[head:], all that load and trim read. So a connection
+// behaves the same on recycled storage as on fresh.
+type storage struct {
+	runs                          []sackRun
+	sacked, ooo, replica, scratch []byteRange
+}
+
+var storageCache sync.Pool
+
 // NewConn creates a connection on the path using the named congestion
 // controller. limit is the transfer size in bytes (use Bulk for an
-// unbounded iperf-style flow).
+// unbounded iperf-style flow). The connection starts from the storage a
+// connection of a closed path handed on, when one is cached, and hands
+// its own on when path is closed.
 func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64) *Conn {
 	c := &Conn{
 		sch: sch, path: path, ctrl: cc.New(ctrlName), limit: limit,
@@ -108,12 +126,31 @@ func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64
 	if c.ctrl == nil {
 		panic("transport: unknown congestion controller " + ctrlName)
 	}
+	if s, _ := storageCache.Get().(*storage); s != nil {
+		c.adopt(s)
+	}
+	path.OnClose(c.release)
 	c.ctrl = cc.Instrument(c.ctrl, path.Cfg.Obs)
 	c.checkRTOFn = c.checkRTO
 	c.pacing = c.ctrl.PacingRate() > 0
 	path.ToUE = netsim.ReceiverFunc(c.onData)
 	path.ToServer = netsim.ReceiverFunc(c.onAck)
 	return c
+}
+
+// adopt takes s as the connection's storage.
+func (c *Conn) adopt(s *storage) {
+	c.sack.runs, c.sacked.ranges, c.ooo.ranges = s.runs, s.sacked, s.ooo
+	c.sack.replica.ranges, c.sack.scratch.ranges = s.replica, s.scratch
+}
+
+// release hands the connection's storage to the next NewConn, on any
+// goroutine. The connection must not run again.
+func (c *Conn) release() {
+	storageCache.Put(&storage{
+		runs: c.sack.runs[:0], sacked: c.sacked.ranges[:0], ooo: c.ooo.ranges[:0],
+		replica: c.sack.replica.ranges[:0], scratch: c.sack.scratch.ranges[:0],
+	})
 }
 
 // Start begins transmission and installs periodic bookkeeping (cwnd trace

@@ -47,7 +47,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON of the campaign to this file")
 	resultsPath := flag.String("results", "", "stream results to this file as NDJSON (one fivegsim.result/v1 object per line — the same encoding fgserve serves), with telemetry on")
 	faults := flag.String("faults", "", "arm a fault-scenario preset on every run ('list' to enumerate)")
-	population := flag.Int("population", 0, "override the population-experiment UE count (X12–X14; 0 = built-in sizing)")
+	population := flag.Int("population", 0, "override the population-experiment UE count (X12, X13 and X15; 0 = built-in sizing)")
 	progress := flag.Bool("progress", false, "stream live start/finish/ETA progress lines to stderr")
 	flag.Parse()
 	if flag.NArg() != 0 {

@@ -71,11 +71,12 @@ type Config struct {
 	Faults *fault.Plan
 
 	// Population overrides the UE population size of the
-	// population-scale experiments (X12–X14): the number of UEs placed
-	// on the campus, or for the sweep experiments the largest sweep
-	// point. 0 (the default) keeps each experiment's built-in
-	// Quick/full sizing. The probe experiments (T/F series) always run
-	// one UE regardless — they are the paper's methodology.
+	// population-scale experiments (X12, X13 and X15): the number of UEs
+	// placed on the campus, or for the sweep experiment the largest
+	// sweep point. 0 (the default) keeps each experiment's built-in
+	// Quick/full sizing; Validate rejects more than 1 000 000. The probe
+	// experiments (T/F series) always run one UE regardless — they are
+	// the paper's methodology.
 	Population int
 
 	// OnEvent, when non-nil, receives the campaign's event stream: an
@@ -174,13 +175,20 @@ func DefaultConfig() Config { return Config{Seed: 42} }
 // QuickConfig returns the reduced-duration configuration.
 func QuickConfig() Config { return Config{Seed: 42, Quick: true} }
 
+// maxPopulation caps Config.Population: ten times the largest
+// population any test or bench builds. A population's tick arena grows
+// linearly with it (≈ 100 B per UE), so an unbounded override would let
+// one spec ask for an arena no process can hold.
+const maxPopulation = 1_000_000
+
 // Validate checks the config at the API boundary and returns a typed
 // *InvalidConfigError — matchable with errors.Is(err, ErrInvalidConfig)
-// — on the first problem found: a negative worker count, a negative
-// population override, or a fault plan that fails fault.Plan.Validate
-// (the underlying fault.ErrInvalidPlan stays on the error chain). Every
-// Run* entry point calls Validate, and so does the fgserve admission
-// path, so a bad spec fails fast with the same error shape everywhere.
+// — on the first problem found: a negative worker count, a population
+// override outside [0, 1 000 000], or a fault plan that fails
+// fault.Plan.Validate (the underlying fault.ErrInvalidPlan stays on the
+// error chain). Every Run* entry point calls Validate, and so does the
+// fgserve admission path, so a bad spec fails fast with the same error
+// shape everywhere.
 func (cfg Config) Validate() error {
 	if cfg.Workers < 0 {
 		return &InvalidConfigError{Field: "Workers",
@@ -189,6 +197,10 @@ func (cfg Config) Validate() error {
 	if cfg.Population < 0 {
 		return &InvalidConfigError{Field: "Population",
 			Reason: fmt.Sprintf("negative population override %d", cfg.Population)}
+	}
+	if cfg.Population > maxPopulation {
+		return &InvalidConfigError{Field: "Population",
+			Reason: fmt.Sprintf("population override %d exceeds %d", cfg.Population, maxPopulation)}
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {

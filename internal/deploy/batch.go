@@ -19,12 +19,14 @@ import (
 // hold every public entry point to it across seeds.
 
 // batchMax bounds the fixed stack scratch of the batched paths. The
-// campus tops out at 34 LTE cells; New asserts both cell lists fit.
+// campus tops out at 34 LTE cells; New asserts both cell lists fit, and
+// a field-map bucket word (fieldmap.go) holds at most 63.
 const batchMax = 40
 
-// evalScratch is the fixed stack scratch of one shortlist evaluation.
+// evalScratch is the fixed stack scratch of one shortlist evaluation:
+// idx holds a field-map shortlist expanded from its bucket word.
 type evalScratch struct {
-	walls                [batchMax]int32
+	idx, walls           [batchMax]int32
 	shadow, rsrp, termMw [batchMax]float64
 }
 

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"fivegsim/internal/geom"
@@ -14,9 +15,13 @@ import (
 // cells that can plausibly win best-server anywhere inside it. BestServer
 // then evaluates a handful of candidates instead of every cell.
 //
-// Shortlists are stored as batch indices (int32 into the technology's
-// radio.CellBatch), so a bucket feeds the batched kernels directly: one
-// lookup yields the exact slice RSRPInto/TermsMwInto iterate.
+// A bucket is one word: bit i set means batch index i (into the
+// technology's radio.CellBatch) is on the shortlist, and bit fmBuilt
+// marks the word built, so 0 is an unbuilt bucket. shortlist expands the
+// bits in ascending order into the caller's buffer, which feeds the
+// batched kernels directly: one lookup yields the exact index slice
+// RSRPInto/TermsMwInto iterate. The whole map is one flat word array, so
+// building it allocates nothing per bucket.
 //
 // A bucket's shortlist is every cell that comes within fmMarginDB of the
 // strongest cell at any of a 5×5 grid of probe points over the bucket.
@@ -29,13 +34,13 @@ import (
 // Buckets are built lazily on first lookup, so campuses whose experiments
 // never query a region pay nothing for it. Builds are deterministic pure
 // functions of (seed, geometry), so concurrent builders racing on the same
-// bucket store identical shortlists; the atomic pointer makes the publish
-// safe under a sharded survey's worker pool.
+// bucket store identical words; the atomic word makes the publish safe
+// under a sharded survey's worker pool.
 type fieldMap struct {
 	campus *Campus
 	tech   radio.Tech
 	nx, ny int
-	bucket []atomic.Pointer[[]int32]
+	bucket []atomic.Uint64
 }
 
 const (
@@ -45,7 +50,14 @@ const (
 	// maximum. Chosen empirically with slack: mismatches against the
 	// exhaustive scan appear only below ≈8 dB.
 	fmMarginDB = 14.0
+	// fmBuilt is the built flag of a bucket word; the bits below it are
+	// the shortlist.
+	fmBuilt = uint64(1) << 63
 )
+
+// A bucket word holds one bit per batch index below its built flag, so
+// batchMax must stay at most 63; this constant stops compiling otherwise.
+const _ = uint(63 - batchMax)
 
 func newFieldMap(c *Campus, tech radio.Tech) *fieldMap {
 	f := &fieldMap{
@@ -54,39 +66,39 @@ func newFieldMap(c *Campus, tech radio.Tech) *fieldMap {
 		nx:     int(c.Bounds.Width()/fmBucketM) + 1,
 		ny:     int(c.Bounds.Height()/fmBucketM) + 1,
 	}
-	f.bucket = make([]atomic.Pointer[[]int32], f.nx*f.ny)
+	f.bucket = make([]atomic.Uint64, f.nx*f.ny)
 	return f
 }
 
-// candidates returns the shortlist covering p as batch indices, or nil
-// when p lies outside the bucketed area (callers then evaluate every
-// cell).
-func (f *fieldMap) candidates(p geom.Point) []int32 {
+// word returns the built bucket word covering p, or 0 when p lies
+// outside the bucketed area.
+func (f *fieldMap) word(p geom.Point) uint64 {
 	bx := int(p.X / fmBucketM)
 	by := int(p.Y / fmBucketM)
 	if p.X < 0 || p.Y < 0 || bx >= f.nx || by >= f.ny {
-		return nil
+		return 0
 	}
-	idx := by*f.nx + bx
-	if sl := f.bucket[idx].Load(); sl != nil {
-		return *sl
+	b := &f.bucket[by*f.nx+bx]
+	w := b.Load()
+	if w == 0 {
+		w = f.build(bx, by)
+		b.Store(w)
 	}
-	sl := f.build(bx, by)
-	f.bucket[idx].Store(&sl)
-	return sl
+	return w
 }
 
 // build probes a 5×5 grid over bucket (bx, by) — edges and corners
 // included, since queries land there too — and admits every cell within
 // fmMarginDB of the strongest at any probe. The per-probe RSRP column
 // comes from the batched kernel (bit-identical to the scalar chain, so
-// shortlists are unchanged by the batch rewrite).
-func (f *fieldMap) build(bx, by int) []int32 {
+// shortlists are unchanged by the batch rewrite). It returns the built
+// bucket word.
+func (f *fieldMap) build(bx, by int) uint64 {
 	c := f.campus
 	b := c.batchFor(f.tech)
 	all := c.allIdx(f.tech)
 	n := len(all)
-	var keep [batchMax]bool
+	keep := fmBuilt
 	var s evalScratch
 	rsrp := s.rsrp[:n]
 	offsets := [5]float64{0, 0.25, 0.5, 0.75, 1}
@@ -105,29 +117,22 @@ func (f *fieldMap) build(bx, by int) []int32 {
 			}
 			for i := 0; i < n; i++ {
 				if rsrp[i] >= best-fmMarginDB {
-					keep[i] = true
+					keep |= 1 << i
 				}
 			}
 		}
 	}
-	out := make([]int32, 0, 4)
-	for i, k := range keep[:n] {
-		if k {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+	return keep
 }
 
 // WarmFieldMaps builds every field-map bucket of both technologies up
 // front, sharded over bucket rows across up to workers goroutines (the
 // par.Workers convention: 0 = GOMAXPROCS). Population ticks query
 // BestServer for every UE, so pre-warming turns the lazy per-bucket
-// builds into a one-time cost and leaves the steady-state tick
-// allocation-free (the PopTick benches and the internal/pop alloc guards
-// rely on this). Builds are pure functions of (seed, geometry) published
-// through atomic pointers, so any interleaving yields the same
-// shortlists; workers is a pure throughput knob.
+// builds into a one-time cost (the PopTick benches rely on this).
+// Builds are pure functions of (seed, geometry) published as atomic
+// words, so any interleaving yields the same shortlists; workers is a
+// pure throughput knob.
 func (c *Campus) WarmFieldMaps(workers int) {
 	for _, f := range []*fieldMap{c.nrField, c.lteField} {
 		f := f
@@ -135,7 +140,7 @@ func (c *Campus) WarmFieldMaps(workers int) {
 			for by := sh.Lo; by < sh.Hi; by++ {
 				y := (float64(by) + 0.5) * fmBucketM
 				for bx := 0; bx < f.nx; bx++ {
-					f.candidates(geom.Point{X: (float64(bx) + 0.5) * fmBucketM, Y: y})
+					f.word(geom.Point{X: (float64(bx) + 0.5) * fmBucketM, Y: y})
 				}
 			}
 		})
@@ -143,17 +148,21 @@ func (c *Campus) WarmFieldMaps(workers int) {
 }
 
 // shortlist returns the candidate batch indices covering p: the cached
-// field-map shortlist, or every cell of the technology outside the
-// bucketed area.
-func (c *Campus) shortlist(t radio.Tech, p geom.Point) []int32 {
+// field-map shortlist, its bits appended to dst in ascending order, or
+// every cell of the technology outside the bucketed area.
+func (c *Campus) shortlist(t radio.Tech, p geom.Point, dst []int32) []int32 {
 	f := c.lteField
 	if t == radio.NR {
 		f = c.nrField
 	}
-	if cand := f.candidates(p); cand != nil {
-		return cand
+	w := f.word(p)
+	if w == 0 {
+		return c.allIdx(t)
 	}
-	return c.allIdx(t)
+	for m := w &^ fmBuilt; m != 0; m &= m - 1 {
+		dst = append(dst, int32(bits.TrailingZeros64(m)))
+	}
+	return dst
 }
 
 // BestServer returns the strongest cell's measurement at p, or ok=false if
@@ -166,12 +175,12 @@ func (c *Campus) shortlist(t radio.Tech, p geom.Point) []int32 {
 // every cell, which is the exhaustive scan. The fixed stack scratch keeps
 // every query allocation-free.
 func (c *Campus) BestServer(t radio.Tech, p geom.Point) (radio.Measurement, bool) {
-	cand := c.shortlist(t, p)
+	var s evalScratch
+	cand := c.shortlist(t, p, s.idx[:0])
 	if len(cand) == 0 {
 		return radio.Measurement{}, false
 	}
 	b := c.batchFor(t)
-	var s evalScratch
 	rsrp, termMw := s.eval(c, b, cand, p)
 	bestK := 0
 	for k := 1; k < len(cand); k++ {
@@ -194,11 +203,11 @@ func (c *Campus) BestServer(t radio.Tech, p geom.Point) (radio.Measurement, bool
 // field-map shortlist (≥14 dB below the local best — radio-link failure
 // territory for any serving relation).
 func (c *Campus) MeasureServing(t radio.Tech, p geom.Point, pci int) (radio.Measurement, bool) {
-	cand := c.shortlist(t, p)
+	var s evalScratch
+	cand := c.shortlist(t, p, s.idx[:0])
 	b := c.batchFor(t)
 	for k, ci := range cand {
 		if b.PCI(int(ci)) == pci {
-			var s evalScratch
 			rsrp, termMw := s.eval(c, b, cand, p)
 			return b.MeasureOne(cand, rsrp, termMw, k), true
 		}

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestOutsideFieldMapMatchesScalar(t *testing.T) {
 				geom.Point{X: r.Float64() * WidthM, Y: HeightM + 10 + 300*r.Float64()})
 		}
 		for _, p := range pts {
-			if c.nrField.candidates(p) != nil || c.lteField.candidates(p) != nil {
+			if c.nrField.word(p) != 0 || c.lteField.word(p) != 0 {
 				t.Fatalf("%+v lies inside the field map", p)
 			}
 			for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
@@ -157,5 +158,27 @@ func TestBestServerAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("BestServer allocates on warm buckets: %.2f allocs/run", avg)
+	}
+}
+
+// TestFieldMapsWarmWithoutAllocating: a field map is two flat word
+// arrays allocated with the campus, so building every bucket of a fresh
+// campus allocates only WarmFieldMaps' own shard plumbing, not one
+// shortlist per bucket — and afterwards every bucket word is built.
+func TestFieldMapsWarmWithoutAllocating(t *testing.T) {
+	c := New(42)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.WarmFieldMaps(1)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 8 {
+		t.Fatalf("first WarmFieldMaps(1) made %d allocations, want at most 8", n)
+	}
+	for _, f := range []*fieldMap{c.nrField, c.lteField} {
+		for i := range f.bucket {
+			if f.bucket[i].Load()&fmBuilt == 0 {
+				t.Fatalf("%v bucket %d unbuilt after WarmFieldMaps", f.tech, i)
+			}
+		}
 	}
 }

@@ -58,6 +58,31 @@ func TestProcedureLadder(t *testing.T) {
 	}
 }
 
+// TestProcedureSharedLadders: every kind's ladder is a package slice
+// built once, so Procedure allocates nothing, and the 5G→5G ladder is
+// release + LTE hand-off from the decision onward + NR re-addition,
+// element by element.
+func TestProcedureSharedLadders(t *testing.T) {
+	for _, k := range []Kind{FourToFour, FiveToFive, FiveToFour, FourToFive} {
+		if got := testing.AllocsPerRun(10, func() { Procedure(k) }); got != 0 {
+			t.Fatalf("Procedure(%v) allocates %.1f times, want 0", k, got)
+		}
+	}
+	var want []Step
+	want = append(want, nrReleaseSteps...)
+	want = append(want, lteHOSteps[1:]...)
+	want = append(want, nsa55AdditionSteps...)
+	got := Procedure(FiveToFive)
+	if len(got) != len(want) {
+		t.Fatalf("5G-5G ladder has %d steps, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("5G-5G step %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestExecuteDrawsPositiveLatencies(t *testing.T) {
 	r := rng.New(1).Stream("sig")
 	for _, k := range []Kind{FourToFour, FiveToFive, FiveToFour, FourToFive} {

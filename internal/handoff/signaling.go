@@ -87,11 +87,23 @@ var nsa55AdditionSteps = []Step{
 	{"T-gNB RRC Reconfiguration Complete", 8.0, 2.0},
 }
 
+// nsa55Steps is the whole NSA 5G→5G ladder, built once: release + LTE
+// hand-off (decision onward, without a second measurement report) + NR
+// re-addition. Its capacity is clipped to its length, like the literal
+// ladders', so an append never writes into the shared array.
+var nsa55Steps = func() []Step {
+	steps := append([]Step(nil), nrReleaseSteps...)
+	steps = append(steps, lteHOSteps[1:]...)
+	steps = append(steps, nsa55AdditionSteps...)
+	return steps[:len(steps):len(steps)]
+}()
+
 // Procedure returns the signaling ladder for a hand-off kind. A 5G→5G NSA
 // hand-off is release + LTE hand-off (without a second measurement
 // report) + NR re-addition: the UE "cannot directly switch to any 5G
 // neighboring cells, but has to release its current 5G NR resource and
-// roll back to the current 4G eNB" (§3.4).
+// roll back to the current 4G eNB" (§3.4). Every ladder is a shared
+// package slice, built once: callers must not modify it.
 func Procedure(k Kind) []Step {
 	switch k {
 	case FourToFour:
@@ -101,10 +113,7 @@ func Procedure(k Kind) []Step {
 	case FiveToFour:
 		return nrReleaseSteps
 	case FiveToFive:
-		steps := append([]Step(nil), nrReleaseSteps...)
-		steps = append(steps, lteHOSteps[1:]...) // decision onward
-		steps = append(steps, nsa55AdditionSteps...)
-		return steps
+		return nsa55Steps
 	}
 	return nil
 }

@@ -17,7 +17,9 @@ func (p *Population) Place(i int, pos geom.Point) {
 	p.speed[i] = 0
 	p.cell[i] = -1
 	p.se[i] = 0
-	p.a3Hold[i] = 0
+	if p.Model.A3.Enabled {
+		p.a3Hold[i] = 0
+	}
 	p.sumBits[i] = 0
 }
 

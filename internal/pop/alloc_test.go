@@ -1,10 +1,13 @@
 package pop
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/obs"
+	"fivegsim/internal/radio"
 )
 
 // Allocation guards for the tick hot path: after New (which pre-warms
@@ -129,4 +132,48 @@ func BenchmarkPopTick100kChurn(b *testing.B) { benchTick100k(b, churnModel100k()
 // the sharded-counter accumulate/merge and the per-tick span.
 func BenchmarkPopTick100kTel(b *testing.B) {
 	benchTick100k(b, model100k(), Telemetry{Obs: obs.NewRegistry(), Trace: obs.NewTracer()})
+}
+
+// TestStaticArenaBytes: without churn or A3 the arena holds no dynamics
+// state, so a 20 000-UE DefaultModel population on a warmed campus
+// costs at most 100 B per UE (about 95: eleven per-UE columns, the
+// scheduler scratch and one RNG generator per 1024-UE shard).
+func TestStaticArenaBytes(t *testing.T) {
+	const n = 20_000
+	campus := deploy.New(42)
+	campus.WarmFieldMaps(1)
+	m := DefaultModel()
+	m.N = n
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := New(campus, m, 42, Telemetry{})
+	runtime.ReadMemStats(&after)
+	if perUE := float64(after.TotalAlloc-before.TotalAlloc) / n; perUE > 100 {
+		t.Fatalf("New allocated %.1f B per UE for a static model, want at most 100", perUE)
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestMeanUtilAllocFree: MeanUtil sums the sample window in place — no
+// allocation — and in UtilSamples' order, so it equals the mean over
+// UtilSamples bit for bit.
+func TestMeanUtilAllocFree(t *testing.T) {
+	m := DefaultModel()
+	m.N = 2000
+	m.Ticks = 12
+	p := runFull(deploy.New(42), m, 42, 1, Telemetry{})
+	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
+		if got := testing.AllocsPerRun(10, func() { p.MeanUtil(tech) }); got != 0 {
+			t.Fatalf("%v: MeanUtil allocates %.1f times, want 0", tech, got)
+		}
+		var sum float64
+		samples := p.UtilSamples(tech, nil)
+		for _, u := range samples {
+			sum += u
+		}
+		want := sum / float64(len(samples))
+		if got := p.MeanUtil(tech); math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+			t.Fatalf("%v: MeanUtil %v, mean over UtilSamples %v", tech, got, want)
+		}
+	}
 }

@@ -166,10 +166,12 @@ func (p *Population) spawnUE(i int, r *rand.Rand) {
 	p.demandBps[i] = 0
 	p.demandPRB[i] = 0
 	p.sumBits[i] = 0
-	p.a3Hold[i] = 0
-	p.prevCell[i] = -1
-	p.lastHOTick[i] = 0
-	p.hoCount[i], p.ppCount[i] = 0, 0
+	if m.A3.Enabled {
+		p.a3Hold[i] = 0
+		p.prevCell[i] = -1
+		p.lastHOTick[i] = 0
+		p.hoCount[i], p.ppCount[i] = 0, 0
+	}
 }
 
 // killUE returns slot i to the free list and clears its service state so
@@ -303,9 +305,10 @@ func (p *Population) Deaths() int64 { return p.deathsTotal }
 
 // Handoffs returns the cumulative hand-off and ping-pong counts over
 // the live arena (counters of dead UEs leave the totals when their slot
-// is reused; the telemetry counters keep the monotone totals).
+// is reused; the telemetry counters keep the monotone totals). Without
+// A3 there are no counters and both totals are 0.
 func (p *Population) Handoffs() (handoffs, pingpongs int64) {
-	for i := 0; i < p.n; i++ {
+	for i := range p.hoCount {
 		handoffs += int64(p.hoCount[i])
 		pingpongs += int64(p.ppCount[i])
 	}

@@ -3,6 +3,7 @@ package pop
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fivegsim/internal/coverage"
@@ -376,5 +377,51 @@ func TestChurnSeedSensitivity(t *testing.T) {
 	b := runFull(deploy.New(2), m, 2, 1, Telemetry{})
 	if dynamicsFingerprint(a) == dynamicsFingerprint(b) {
 		t.Fatal("seeds 1 and 2 produced identical dynamics reports")
+	}
+}
+
+// TestDynamicsStateFollowsModel runs all four combinations of churn and
+// A3: the arena holds the churn arrays exactly when churn is on and the
+// A3 arrays exactly when A3 is on, a model without A3 reports no
+// hand-offs, the free-list partition holds, and each combination's
+// dynamics report is byte-identical for Workers 1 and 4.
+func TestDynamicsStateFollowsModel(t *testing.T) {
+	campus := deploy.New(42)
+	for _, churn := range []bool{false, true} {
+		for _, a3 := range []bool{false, true} {
+			m := popModelForTest(300, 8)
+			m.MaxSpeedKmh = 60 // brisk, so A3 has serving changes to book
+			if churn {
+				m.Churn = ChurnModel{Enabled: true, ArrivalPerTick: 8, MeanLifetimeTicks: 4}
+			}
+			if a3 {
+				m.A3 = A3Model{Enabled: true, HysteresisDB: 3, TTTTicks: 2}
+			}
+			p := runFull(campus, m, 42, 1, Telemetry{})
+			name := fmt.Sprintf("churn=%v a3=%v", churn, a3)
+			if got := p.bornTick != nil && p.deathTick != nil; got != churn {
+				t.Errorf("%s: churn arrays allocated = %v", name, got)
+			}
+			for _, a := range [][]int32{p.a3Hold, p.prevCell, p.lastHOTick, p.hoCount, p.ppCount} {
+				if got := a != nil; got != a3 {
+					t.Errorf("%s: A3 array allocated = %v", name, got)
+				}
+			}
+			if ho, pp := p.Handoffs(); !a3 && (ho != 0 || pp != 0) {
+				t.Errorf("%s: %d hand-offs and %d ping-pongs without A3", name, ho, pp)
+			} else if a3 && ho == 0 {
+				t.Errorf("%s: no hand-off booked", name)
+			}
+			if churn && (p.Births() == 0 || p.Deaths() == 0) {
+				t.Errorf("%s: churn inactive: births %d deaths %d", name, p.Births(), p.Deaths())
+			}
+			if p.FreeSlots()+p.Alive() != p.Len() {
+				t.Errorf("%s: free %d + alive %d != capacity %d", name, p.FreeSlots(), p.Alive(), p.Len())
+			}
+			want := dynamicsFingerprint(p)
+			if got := dynamicsFingerprint(runFull(campus, m, 42, 4, Telemetry{})); got != want {
+				t.Errorf("%s: workers 4 report differs from workers 1:\n--- w1 ---\n%s--- w4 ---\n%s", name, want, got)
+			}
+		}
 	}
 }

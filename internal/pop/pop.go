@@ -116,9 +116,11 @@ type Population struct {
 	cell      []int32   // serving cell dense index, -1 = outage (and on every free slot)
 	demandPRB []int32   // this tick's PRB demand (≤ cell budget)
 
-	// Dynamics state (dynamics.go). bornTick is -1 on free slots and
-	// otherwise anchors the lifetime; a3Hold is the A3 time-to-trigger
-	// counter in ticks; prevCell/lastHOTick feed the ping-pong detector;
+	// Dynamics state (dynamics.go), allocated only when the model
+	// enables its dynamic: bornTick/deathTick with churn, the rest with
+	// A3 (nil otherwise). bornTick is -1 on free slots and otherwise
+	// anchors the lifetime; a3Hold is the A3 time-to-trigger counter in
+	// ticks; prevCell/lastHOTick feed the ping-pong detector;
 	// hoCount/ppCount are per-UE event totals.
 	bornTick   []int32
 	deathTick  []int32
@@ -176,8 +178,8 @@ type Population struct {
 
 // New builds a population over the campus: PPP placement (outdoor,
 // uniform given the count), per-UE class assignment from the mix, and
-// the full tick arena. The campus field maps are warmed up front so the
-// first tick already runs the allocation-free BestServer fast path.
+// the tick arena the model reads. The campus field maps are warmed up
+// front so no tick pays for building a shortlist.
 // Telemetry attaches here, once: pop.* instruments into t.Obs (which
 // may be nil), per-tick spans into t.Trace and tick progress through
 // t.OnTick.
@@ -210,16 +212,24 @@ func New(c *deploy.Campus, m Model, seed int64, t Telemetry) *Population {
 	p.cell = make([]int32, capN)
 	p.demandPRB = make([]int32, capN)
 
-	p.bornTick = make([]int32, capN)
-	p.deathTick = make([]int32, capN)
-	p.a3Hold = make([]int32, capN)
-	p.prevCell = make([]int32, capN)
-	p.lastHOTick = make([]int32, capN)
-	p.hoCount = make([]int32, capN)
-	p.ppCount = make([]int32, capN)
-	for i := range p.prevCell {
-		p.prevCell[i] = -1
+	for i := range p.cell {
 		p.cell[i] = -1 // unattached until the first tick resolves
+	}
+	// Without churn every slot is live, and without A3 nothing books a
+	// hand-off, so their arrays would only ever read 0.
+	if m.Churn.Enabled {
+		p.bornTick = make([]int32, capN)
+		p.deathTick = make([]int32, capN)
+	}
+	if m.A3.Enabled {
+		p.a3Hold = make([]int32, capN)
+		p.prevCell = make([]int32, capN)
+		p.lastHOTick = make([]int32, capN)
+		p.hoCount = make([]int32, capN)
+		p.ppCount = make([]int32, capN)
+		for i := range p.prevCell {
+			p.prevCell[i] = -1
+		}
 	}
 
 	p.cells = append(append([]*radio.Cell(nil), c.NRCells...), c.LTECells...)
@@ -291,6 +301,7 @@ func New(c *deploy.Campus, m Model, seed int64, t Telemetry) *Population {
 	}
 	p.tel = newTelemetry(t, len(p.ueShards), len(p.cells))
 
+	churn, a3 := m.Churn.Enabled, m.A3.Enabled
 	p.phaseA = func(r par.Range) {
 		rr := p.shardRng[r.Index]
 		rr.Seed(p.ueKey.At(r.Index, p.tick))
@@ -302,12 +313,15 @@ func New(c *deploy.Campus, m Model, seed int64, t Telemetry) *Population {
 		// state machine maintains.
 		sc := &p.tel.ueShard[r.Index]
 		for i := r.Lo; i < r.Hi; i++ {
-			if p.bornTick[i] < 0 {
+			if churn && p.bornTick[i] < 0 {
 				continue // free churn slot
 			}
 			prev := p.cell[i]
 			px, py := p.x[i], p.y[i]
-			pp := p.ppCount[i]
+			var pp int32
+			if a3 {
+				pp = p.ppCount[i]
+			}
 			p.stepUE(i, rr)
 			if p.x[i] != px || p.y[i] != py {
 				sc.moved++
@@ -315,7 +329,7 @@ func New(c *deploy.Campus, m Model, seed int64, t Telemetry) *Population {
 			if c := p.cell[i]; c >= 0 && prev >= 0 && prev != c {
 				sc.handoffs++
 			}
-			if p.ppCount[i] != pp {
+			if a3 && p.ppCount[i] != pp {
 				sc.pingpongs++
 			}
 		}

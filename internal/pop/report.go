@@ -13,34 +13,36 @@ import (
 // suite compares Workers-1 and Workers-N runs as raw bytes, not as
 // parsed approximations.
 
+// utilWindow returns the recorded utilization samples, tick-major in
+// dense cell order: the last min(Ticks, Model.Ticks) ticks.
+func (p *Population) utilWindow() []float64 {
+	return p.util[:min(p.tick, p.utilTicks)*len(p.cells)]
+}
+
 // UtilSamples appends every recorded per-tick utilization sample
 // (granted PRBs / budget) of the given technology's cells to out and
 // returns it. The window covers the last min(Ticks, Model.Ticks) ticks.
 func (p *Population) UtilSamples(t radio.Tech, out []float64) []float64 {
-	ticks := p.tick
-	if ticks > p.utilTicks {
-		ticks = p.utilTicks
-	}
-	ncells := len(p.cells)
-	for k := 0; k < ticks; k++ {
-		row := p.util[k*ncells : (k+1)*ncells]
-		for c, u := range row {
-			if p.cells[c].Tech == t {
-				out = append(out, u)
-			}
+	for k, u := range p.utilWindow() {
+		if p.cells[k%len(p.cells)].Tech == t {
+			out = append(out, u)
 		}
 	}
 	return out
 }
 
 // MeanUtil returns the mean recorded utilization of the technology's
-// cells over the sample window.
+// cells over the sample window. It sums the samples in place, in
+// UtilSamples' order, so it allocates nothing and matches the mean over
+// UtilSamples bit for bit.
 func (p *Population) MeanUtil(t radio.Tech) float64 {
 	var sum float64
 	var n int
-	for _, u := range p.UtilSamples(t, nil) {
-		sum += u
-		n++
+	for k, u := range p.utilWindow() {
+		if p.cells[k%len(p.cells)].Tech == t {
+			sum += u
+			n++
+		}
 	}
 	if n == 0 {
 		return 0

@@ -100,6 +100,7 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown experiment", Spec{Experiments: []string{"NOPE"}}, fivegsim.ErrUnknownExperiment},
 		{"negative workers", Spec{Workers: -1}, fivegsim.ErrInvalidConfig},
 		{"negative population", Spec{Population: -5}, fivegsim.ErrInvalidConfig},
+		{"population past the cap", Spec{Experiments: []string{"X12"}, Population: 2147483647}, fivegsim.ErrInvalidConfig},
 		{"unknown scenario", Spec{Scenario: "meteor-strike"}, fault.ErrUnknownScenario},
 		{"campaign at the unit bound", Spec{Experiments: []string{"T1"}, Seeds: seedLadder(maxUnits)}, nil},
 		{"campaign one unit over the bound", Spec{Experiments: []string{"T1"}, Seeds: seedLadder(maxUnits + 1)}, ErrInvalidSpec},

@@ -92,7 +92,8 @@ type Spec struct {
 	// Scenario arms a fault-scenario preset (fgbench -faults list) on
 	// every unit.
 	Scenario string `json:"scenario,omitempty"`
-	// Population overrides the population-experiment UE count (X12–X15).
+	// Population overrides the population-experiment UE count (X12, X13
+	// and X15).
 	Population int `json:"population,omitempty"`
 }
 

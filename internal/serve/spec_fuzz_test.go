@@ -9,13 +9,17 @@ import (
 	"fivegsim"
 )
 
+// maxSpecPopulation is the population cap Config.Population documents.
+const maxSpecPopulation = 1_000_000
+
 // FuzzSpec drives the admission boundary. The input is decoded the way
 // handleSubmit decodes a POST /campaigns body (unknown fields rejected)
 // and the spec is validated. Nothing may panic, and every Validate error
 // must wrap ErrInvalidSpec. An accepted spec must expand to between 1
 // and maxUnits units with no (seed, experiment) pair twice, name only
 // registered experiments, and materialize a Config that
-// fivegsim.Config.Validate accepts.
+// fivegsim.Config.Validate accepts — so its population override is at
+// most maxSpecPopulation.
 func FuzzSpec(f *testing.F) {
 	registered := map[string]bool{}
 	for _, e := range fivegsim.Experiments() {
@@ -47,6 +51,9 @@ func FuzzSpec(f *testing.F) {
 			if !registered[u.Experiment] {
 				t.Fatalf("unit %+v names an unregistered experiment", u)
 			}
+		}
+		if spec.Population > maxSpecPopulation {
+			t.Fatalf("accepted population %d past the cap %d", spec.Population, maxSpecPopulation)
 		}
 		cfg, err := spec.Config()
 		if err != nil {

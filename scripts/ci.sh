@@ -2,11 +2,11 @@
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
 # race pass over the parallel campaign engine, ten race rounds of the
 # caches through which closed packet paths hand their storage to paths
-# on other goroutines, short fuzzes of the TCP
-# engine's interval set and SACK log, of the DES heap, of fault-plan
-# validation, of the result/v1 decode round trip, of fgserve's spec
-# decode and admission validation, of the PRB scheduler and of the
-# Prometheus exposition of fuzzed instrument names, a check that
+# on other goroutines, short fuzzes of the TCP engine's interval set
+# and SACK log, of the DES heap, of fault-plan validation, of the
+# library's Config validation, of the result/v1 decode round trip, of
+# fgserve's spec decode and admission validation, of the PRB scheduler
+# and of the Prometheus exposition of fuzzed instrument names, a check that
 # fgpop refuses a positional argument, the fgserve smoke (which reads a
 # saved stream back through fgobs), the benchmark module's tests, and one
 # run of every internal micro-bench.
@@ -78,6 +78,9 @@ go test -run '^$' -fuzz '^FuzzScheduler$' -fuzztime 10s ./internal/des
 
 echo "== fuzz: fault.Plan.Validate against an independent well-formedness check (10 s) =="
 go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/fault
+
+echo "== fuzz: Config.Validate over fuzzed worker counts, populations and fault plans (10 s) =="
+go test -run '^$' -fuzz '^FuzzConfigValidate$' -fuzztime 10s .
 
 echo "== fuzz: result/v1 decode, encode, decode, encode round trip (10 s) =="
 go test -run '^$' -fuzz '^FuzzResultJSON$' -fuzztime 10s .

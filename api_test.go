@@ -3,6 +3,7 @@ package fivegsim
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,6 +102,32 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if crashed.Manifest.ExperimentID != "Z98" {
 		t.Fatalf("crashed result lost its manifest: %+v", crashed.Manifest)
+	}
+}
+
+// TestRegisterStampsTitle: a result carries the title its experiment was
+// registered with, whatever title its run function set, from both entry
+// points, in the report header and in the manifest.
+func TestRegisterStampsTitle(t *testing.T) {
+	tempExperiment(t, "Z96", func(cfg Config) Result {
+		return Result{Title: "stale", Lines: []string{"fine"}}
+	})
+	const want = "test experiment Z96"
+	one, err := RunContext(context.Background(), "Z96", QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign, err := RunExperimentsContext(context.Background(), QuickConfig(), "Z96")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []Result{one, campaign[0]} {
+		if res.Title != want || res.Manifest.Title != want {
+			t.Fatalf("result title %q, manifest title %q, want %q", res.Title, res.Manifest.Title, want)
+		}
+		if header := "== Z96: " + want + " ==\n"; !strings.HasPrefix(res.Report(), header) {
+			t.Fatalf("report starts %q, want %q", res.Report(), header)
+		}
 	}
 }
 

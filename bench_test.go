@@ -132,9 +132,7 @@ func BenchmarkSchedulerObsOn(b *testing.B) {
 // BenchmarkAblation_SAHandoff compares the hypothetical standalone-mode
 // hand-off against the measured NSA ladder.
 func BenchmarkAblation_SAHandoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(ablationSAHandoff(QuickConfig()), "nsa_over_sa_x")
-	}
+	benchExperiment(b, "X5", "nsaOverSA")
 }
 
 // BenchmarkExtension_MPTCP pools the two radios with multipath TCP (the

@@ -81,7 +81,7 @@ func run(out string, seed int64, samples, hoMinutes int) error {
 	campus := deploy.New(seed)
 
 	// 1. Blanket-survey KPI log (XCAL format).
-	survey := coverage.NewSurveyor(campus, samples, seed).Run(1)
+	survey := coverage.RunSurvey(campus, samples, seed, 1)
 	kpi := xcal.New()
 	for i, sm := range survey.Samples {
 		at := time.Duration(i) * 100 * time.Millisecond

@@ -13,7 +13,7 @@ import (
 
 func main() {
 	campus := deploy.New(42)
-	survey := coverage.NewSurveyor(campus, 4630, 42).Run(0)
+	survey := coverage.RunSurvey(campus, 4630, 42, 0)
 
 	for _, tech := range []radio.Tech{radio.LTE, radio.NR} {
 		s := survey.RSRPSummary(tech)

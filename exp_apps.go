@@ -16,8 +16,8 @@ func init() {
 	register("F15", "RTT vs path distance", runFig15)
 	register("F16", "Page load time by website category", runFig16)
 	register("F17", "Page load time vs image size", runFig17)
-	register("F18", "Video throughput by resolution", runFig18)
-	register("F19", "5.7K video throughput fluctuation", runFig19)
+	register("F18", "Uplink video throughput by resolution", runFig18)
+	register("F19", "5.7K video throughput fluctuation over 5G", runFig19)
 	register("F20", "4K video telephony frame delay", runFig20)
 }
 
@@ -25,7 +25,6 @@ func runFig13(cfg Config) Result {
 	pairs := wire.RTTScatter(cfg.Seed, cfg.Workers)
 	s := wire.Summarize(pairs)
 	res := Result{
-		Title: "RTT scatter over the Table 6 servers",
 		Lines: []string{
 			line("80 paths (4 sites × 20 servers)"),
 			line("5G mean one-way latency: %.1f ms (paper 21.8 ms)", s.MeanOneWay5G.Seconds()*1000),
@@ -48,7 +47,7 @@ func runFig13(cfg Config) Result {
 func runFig14(cfg Config) Result {
 	nr := wire.HopBreakdown(radio.NR, cfg.Seed)
 	lte := wire.HopBreakdown(radio.LTE, cfg.Seed)
-	res := Result{Title: "Per-hop RTT breakdown", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for i := range nr {
 		res.Lines = append(res.Lines, line("hop %d: 4G %6.2f ms   5G %6.2f ms", nr[i].Hop,
 			lte[i].RTT.Seconds()*1000, nr[i].RTT.Seconds()*1000))
@@ -62,7 +61,7 @@ func runFig14(cfg Config) Result {
 
 func runFig15(cfg Config) Result {
 	bins := wire.RTTvsDistance(cfg.Seed, cfg.Workers)
-	res := Result{Title: "RTT vs path distance", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, b := range bins {
 		if b.RTT5G.N == 0 {
 			continue
@@ -91,7 +90,7 @@ func runFig16(cfg Config) Result {
 		pages = 2
 	}
 	rows := web.RunFig16(pages, webPaths(cfg))
-	res := Result{Title: "PLT by category", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, r := range rows {
 		res.Lines = append(res.Lines, line("%v %-9s: download %5.2f s + render %5.2f s = PLT %5.2f s",
 			r.Tech, r.Category, r.Downloading.Seconds(), r.Rendering.Seconds(), r.PLT().Seconds()))
@@ -106,7 +105,7 @@ func runFig16(cfg Config) Result {
 
 func runFig17(cfg Config) Result {
 	rows := web.RunFig17(webPaths(cfg))
-	res := Result{Title: "PLT vs image size", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, r := range rows {
 		res.Lines = append(res.Lines, line("%v %2d MB: download %5.2f s + render %5.2f s",
 			r.Tech, r.SizeMB, r.Downloading.Seconds(), r.Rendering.Seconds()))
@@ -124,7 +123,7 @@ func videoDur(cfg Config) time.Duration {
 
 func runFig18(cfg Config) Result {
 	rows := video.RunFig18(videoDur(cfg), cfg.Seed)
-	res := Result{Title: "Uplink video throughput", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, r := range rows {
 		scene := "static"
 		if r.Dynamic {
@@ -140,7 +139,7 @@ func runFig18(cfg Config) Result {
 func runFig19(cfg Config) Result {
 	dyn := video.Run(video.R57K, radio.NR, true, videoDur(cfg), cfg.Seed)
 	static := video.Run(video.R57K, radio.NR, false, videoDur(cfg), cfg.Seed)
-	res := Result{Title: "5.7K throughput fluctuation (5G)", Values: map[string]float64{
+	res := Result{Values: map[string]float64{
 		"freezes": float64(dyn.Freezes),
 	}}
 	ds := dyn.ThroughputSeries(time.Second)
@@ -159,7 +158,6 @@ func runFig20(cfg Config) Result {
 	proc := video.ProcessingLatency()
 	network := nr.MeanFrameDelay() - proc - video.PlayoutBuffer
 	return Result{
-		Title: "4K video telephony frame delay",
 		Lines: []string{
 			line("5G frame delay: %v (paper ≈950 ms, vs the 460 ms real-time budget)", nr.MeanFrameDelay().Round(time.Millisecond)),
 			line("4G frame delay: %v (congestion at 4K)", lte.MeanFrameDelay().Round(time.Millisecond)),

@@ -29,11 +29,10 @@ func init() {
 
 func runTable1(cfg Config) Result {
 	c := deploy.New(cfg.Seed)
-	s := coverage.NewSurveyor(c, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
+	s := coverage.RunSurvey(c, surveySamples(cfg), cfg.Seed, cfg.Workers)
 	nr := s.RSRPSummary(radio.NR)
 	lte := s.RSRPSummary(radio.LTE)
 	return Result{
-		Title: "Basic physical info",
 		Lines: []string{
 			line("DL band           4G: 1840–1860 MHz (b3, FDD)   5G: 3500–3600 MHz (n78, TDD 3:1)"),
 			line("# cells           4G: %d (paper 34)              5G: %d (paper 13)", len(c.LTECells), len(c.NRCells)),
@@ -51,8 +50,8 @@ func runTable1(cfg Config) Result {
 
 func runTable2(cfg Config) Result {
 	c := deploy.New(cfg.Seed)
-	s := coverage.NewSurveyor(c, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
-	res := Result{Title: "RSRP distribution", Values: map[string]float64{}}
+	s := coverage.RunSurvey(c, surveySamples(cfg), cfg.Seed, cfg.Workers)
+	res := Result{Values: map[string]float64{}}
 	paper := map[string][6]float64{
 		"4G":        {0.13, 5.56, 23.60, 39.20, 29.74, 1.77},
 		"5G":        {0.95, 8.15, 26.88, 39.37, 16.59, 8.07},
@@ -98,7 +97,6 @@ func runFig2(cfg Config) Result {
 	nrRadius := coverage.UsableRadius(c, c.CellByPCI(72))
 	lteRadius := coverage.UsableRadius(c, c.CellByPCI(100))
 	res := Result{
-		Title: "Coverage map + cell radii",
 		Lines: []string{
 			line("map %dx%d px at %.0f m: %d covered, %d holes (%.1f%%)",
 				len(grid[0]), len(grid), resolution, usable, holes, 100*float64(holes)/float64(usable+holes)),
@@ -119,7 +117,6 @@ func runFig3(cfg Config) Result {
 	nr := stats.Summarize(coverage.IndoorOutdoorGap(c, radio.NR, cfg.Seed))
 	lte := stats.Summarize(coverage.IndoorOutdoorGap(c, radio.LTE, cfg.Seed))
 	return Result{
-		Title: "Indoor/outdoor bit-rate gap",
 		Lines: []string{
 			line("5G indoor bit-rate drop: %.2f%% over %d wall pairs (paper 50.59%%)", 100*nr.Mean, nr.N),
 			line("4G indoor bit-rate drop: %.2f%% over %d wall pairs (paper 20.38%%)", 100*lte.Mean, lte.N),
@@ -132,7 +129,7 @@ func runFig3(cfg Config) Result {
 func runFig4(cfg Config) Result {
 	c := deploy.New(cfg.Seed)
 	series, hoIdx := handoff.CaseStudy(c, cfg.Seed)
-	res := Result{Title: "RSRQ evolution during hand-off", Values: map[string]float64{"hoIdx": float64(hoIdx)}}
+	res := Result{Values: map[string]float64{"hoIdx": float64(hoIdx)}}
 	if hoIdx >= 0 {
 		res.Lines = append(res.Lines, line("hand-off PCI %d → %d at sample %d (t=%.1fs)",
 			226, 44, hoIdx, series[hoIdx].At.Seconds()))
@@ -150,7 +147,9 @@ func runFig4(cfg Config) Result {
 	return res
 }
 
-func campaignFor(cfg Config) *handoff.Campaign {
+// campaignFor walks the probe campaign of F5, F6 and X14 on campus: four
+// 40-minute walks, or two 10-minute ones under Quick.
+func campaignFor(cfg Config, campus *deploy.Campus) *handoff.Campaign {
 	hcfg := handoff.DefaultConfig()
 	walks := 4
 	hcfg.Duration = 40 * time.Minute
@@ -158,7 +157,6 @@ func campaignFor(cfg Config) *handoff.Campaign {
 		hcfg.Duration = 10 * time.Minute
 		walks = 2
 	}
-	campus := deploy.New(cfg.Seed)
 	// Walk i runs with seed cfg.Seed+1+i, the same ladder the serial
 	// loop used; walks execute across cfg.Workers goroutines and merge
 	// in walk order, so the campaign is identical for any worker count.
@@ -166,8 +164,8 @@ func campaignFor(cfg Config) *handoff.Campaign {
 }
 
 func runFig5(cfg Config) Result {
-	camp := campaignFor(cfg)
-	res := Result{Title: "RSRQ gap before/after hand-off", Values: map[string]float64{}}
+	camp := campaignFor(cfg, deploy.New(cfg.Seed))
+	res := Result{Values: map[string]float64{}}
 	paper := map[handoff.Kind]float64{
 		handoff.FourToFour: 80, handoff.FiveToFive: 84,
 		handoff.FiveToFour: 75, handoff.FourToFive: 61,
@@ -198,8 +196,8 @@ func runFig5(cfg Config) Result {
 }
 
 func runFig6(cfg Config) Result {
-	camp := campaignFor(cfg)
-	res := Result{Title: "Hand-off latency", Values: map[string]float64{}}
+	camp := campaignFor(cfg, deploy.New(cfg.Seed))
+	res := Result{Values: map[string]float64{}}
 	paper := map[handoff.Kind]float64{
 		handoff.FourToFour: 30.10, handoff.FiveToFive: 108.40, handoff.FourToFive: 80.23,
 	}

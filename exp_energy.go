@@ -16,7 +16,7 @@ func init() {
 }
 
 func runTable4(cfg Config) Result {
-	res := Result{Title: "Trace-driven energy (J)", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	paper := map[string][4]float64{
 		"Web":   {85.44, 113.94, 95.69, 85.41},
 		"Video": {227.13, 140.19, 123.03, 133.66},
@@ -48,7 +48,7 @@ func runTable4(cfg Config) Result {
 
 func runFig21(cfg Config) Result {
 	rows := energy.RunFig21()
-	res := Result{Title: "Power breakdown by app", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	var nrShare float64
 	for _, b := range rows {
 		res.Lines = append(res.Lines, line("%v %-9s: system %.2f + screen %.2f + app %.2f + radio %.2f = %.2f W (radio %.0f%%)",
@@ -66,7 +66,7 @@ func runFig22(cfg Config) Result {
 	durations := []time.Duration{time.Second, 2 * time.Second, 5 * time.Second, 10 * time.Second,
 		20 * time.Second, 35 * time.Second, 50 * time.Second}
 	pts := energy.RunFig22(durations)
-	res := Result{Title: "Energy per bit, saturated transfers", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	byDur := map[time.Duration]map[radio.Tech]float64{}
 	for _, p := range pts {
 		if byDur[p.Duration] == nil {
@@ -95,7 +95,6 @@ func runFig23(cfg Config) Result {
 	}
 	lte, nsa, m := energy.Showcase(tr)
 	return Result{
-		Title: "Energy-management showcase",
 		Lines: []string{
 			line("t1 promotion start: %v   t2 transfer start: %v   t3 transfer end: %v",
 				m.PromotionStart, m.TransferStart.Round(time.Millisecond), m.TransferEnd),

@@ -7,8 +7,10 @@ import (
 	"fivegsim/internal/deploy"
 	"fivegsim/internal/energy"
 	"fivegsim/internal/geom"
+	"fivegsim/internal/handoff"
 	"fivegsim/internal/netsim"
 	"fivegsim/internal/radio"
+	"fivegsim/internal/rng"
 	"fivegsim/internal/stats"
 	"fivegsim/internal/traffic"
 	"fivegsim/internal/transport"
@@ -22,7 +24,7 @@ func init() {
 	register("X1", "Can 5G replace DSL? (CPE trace-driven study, §8)", runX1DSL)
 	register("X2", "Mobile edge computing ablation (§8)", runX2MEC)
 	register("X3", "A3 hysteresis sweep (ping-pong vs hand-off gain)", runX3A3)
-	register("X4", "DRX timer sweep (tail/inactivity energy ablation)", runX4DRX)
+	register("X4", "DRX timer sweep (NSA, web trace; tail/inactivity energy ablation)", runX4DRX)
 	register("X5", "SA vs NSA hand-off latency", runX5SA)
 	register("X6", "RRC_INACTIVE extension (SA energy state, §B)", runX6RRCI)
 	register("X7", "Wired buffer sizing sweep (the §4.2 remedy)", runX7Buffer)
@@ -66,7 +68,6 @@ func runX1DSL(cfg Config) Result {
 	const cells = 3.0
 	perHouse := favorable * cells / houses
 	return Result{
-		Title: "5G-as-DSL feasibility",
 		Lines: []string{
 			line("CPE spots sampled: %d, mean %.0f Mb/s, favorable placement (P60) %.0f Mb/s (paper ≈650)", s.N, s.Mean/1e6, favorable/1e6),
 			line("50 houses on a 3-cell residential gNB: %.1f Mb/s per house (paper ≈39)", perHouse/1e6),
@@ -95,7 +96,7 @@ func runX2MEC(cfg Config) Result {
 	edge.BottleneckBps = 10e9 // the edge link is not the legacy bottleneck
 	edge.Cross = netsim.CrossConfig{}
 
-	res := Result{Title: "MEC ablation", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, name := range []string{"cubic", "bbr"} {
 		r1 := transport.RunBulk(remote, name, d)
 		r2 := transport.RunBulk(edge, name, d)
@@ -111,13 +112,34 @@ func runX2MEC(cfg Config) Result {
 	return res
 }
 
+// runX3A3 walks one campaign per A3 trigger threshold and reports the
+// hand-off rate and the fraction of hand-offs that improved the link by
+// more than 3 dB.
 func runX3A3(cfg Config) Result {
-	sweeps := RunA3Sweep(cfg, []float64{1, 3, 6})
-	res := Result{Title: "A3 hysteresis sweep", Values: map[string]float64{}}
-	for _, s := range sweeps {
+	campus := deploy.New(cfg.Seed)
+	hcfg := handoff.DefaultConfig()
+	hcfg.Duration = 10 * time.Minute
+	if cfg.Quick {
+		hcfg.Duration = 4 * time.Minute
+	}
+	res := Result{Values: map[string]float64{}}
+	for _, gap := range []float64{1, 3, 6} {
+		hcfg.A3.GapDB = gap
+		camp := handoff.RunCampaign(campus, hcfg, cfg.Seed)
+		good := 0
+		for _, e := range camp.Events {
+			if e.Gain() > 3 {
+				good++
+			}
+		}
+		frac := 0.0
+		if len(camp.Events) > 0 {
+			frac = float64(good) / float64(len(camp.Events))
+		}
+		perMin := float64(len(camp.Events)) / hcfg.Duration.Minutes()
 		res.Lines = append(res.Lines, line("gap %.0f dB: %.1f hand-offs/min, %.0f%% gain >3 dB",
-			s.GapDB, s.HOsPerMin, 100*s.GoodHOFrac))
-		res.Values[line("hoPerMin@%.0f", s.GapDB)] = s.HOsPerMin
+			gap, perMin, 100*frac))
+		res.Values[line("hoPerMin@%.0f", gap)] = perMin
 	}
 	res.Lines = append(res.Lines,
 		"a looser trigger hands off more often (ping-pong); a tighter one rides bad cells longer —",
@@ -127,7 +149,7 @@ func runX3A3(cfg Config) Result {
 
 func runX4DRX(cfg Config) Result {
 	tr := traffic.Web(cfg.Seed)
-	res := Result{Title: "DRX timer sweep (NSA, web trace)", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	base := energy.Replay(energy.ModelNSA, tr).EnergyJ
 	res.Lines = append(res.Lines, line("stock Table 7 timers: %.1f J", base))
 	res.Values["baseJ"] = base
@@ -143,14 +165,28 @@ func runX4DRX(cfg Config) Result {
 	return res
 }
 
+// runX5SA draws the hypothetical standalone (direct Xn) hand-off and the
+// NSA 5G→5G ladder in turn, and reports how many times slower NSA is.
 func runX5SA(cfg Config) Result {
-	ratio := ablationSAHandoff(cfg)
+	r := rng.New(cfg.Seed).Stream("ablation.sa")
+	n := 500
+	if cfg.Quick {
+		n = 100
+	}
+	var sa, nsa time.Duration
+	for i := 0; i < n; i++ {
+		_, d := handoff.Execute(handoff.SAProcedure(), r, nil)
+		sa += d
+		_, d = handoff.Execute(handoff.Procedure(handoff.FiveToFive), r, nil)
+		nsa += d
+	}
+	ratio := float64(nsa) / float64(sa)
 	return Result{
-		Title: "SA vs NSA hand-off",
 		Lines: []string{
 			line("NSA 5G→5G over hypothetical SA Xn hand-off: %.1f× slower", ratio),
 			line("expected ladders: NSA %.1f ms vs SA ≈32 ms — \"this long HO latency problem can be"+
-				" resolved in the future 5G SA architecture\" (§3.4)", 108.4),
+				" resolved in the future 5G SA architecture\" (§3.4)",
+				float64(handoff.ExpectedLatency(handoff.FiveToFive))/float64(time.Millisecond)),
 		},
 		Values: map[string]float64{"nsaOverSA": ratio},
 	}
@@ -161,7 +197,6 @@ func runX6RRCI(cfg Config) Result {
 	nsa := energy.Replay(energy.ModelNSA, tr).EnergyJ
 	rrci := replayWithRRCI(tr)
 	return Result{
-		Title: "RRC_INACTIVE extension",
 		Lines: []string{
 			line("NSA web energy: %.1f J; with RRC_INACTIVE parking after one long-DRX cycle: %.1f J (−%.1f%%)",
 				nsa, rrci, 100*(1-rrci/nsa)),
@@ -186,7 +221,7 @@ func replayWithRRCI(tr energy.Trace) float64 {
 
 func runX7Buffer(cfg Config) Result {
 	d := bulkDur(cfg)
-	res := Result{Title: "Wired buffer sizing sweep", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	base := cfg.obsPath(radio.NR, true)
 	for _, scale := range []float64{0.5, 1, 2, 4} {
 		pc := base
@@ -211,7 +246,6 @@ func runX8MPTCP(cfg Config) Result {
 	cfgs[1].Seed = cfg.Seed + 1
 	res := transport.RunMPTCPBulk(cfgs, "bbr", d)
 	return Result{
-		Title: "MPTCP 4G+5G aggregation",
 		Lines: []string{
 			line("subflows: 5G %.0f Mb/s + 4G %.0f Mb/s = %.0f Mb/s aggregate",
 				res.PerPathBps[0]/1e6, res.PerPathBps[1]/1e6, res.TotalBps/1e6),

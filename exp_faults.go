@@ -21,7 +21,7 @@ import (
 // hand-off churn.
 func init() {
 	register("X9", "Outage-vs-stall curves (fault-injected bulk TCP)", runX9Outage)
-	register("X10", "Fault-scenario resilience suite (incl. 4G-fallback energy)", runX10Scenarios)
+	register("X10", "Fault-scenario resilience suite, bbr (incl. 4G-fallback energy)", runX10Scenarios)
 	register("X11", "Coverage-hole hand-off storm (fault-injected campaign)", runX11Holes)
 }
 
@@ -89,7 +89,7 @@ func runX9Outage(cfg Config) Result {
 		}
 		return transport.RunBulk(faultPath(c, plan), ctrls[ci], d)
 	})
-	res := Result{Title: "Outage vs stall", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for ci, name := range ctrls {
 		base := runs[ci*cols]
 		res.Lines = append(res.Lines, line("%-6s clean: %6.1f Mb/s", name, base.ThroughputBps/1e6))
@@ -133,7 +133,7 @@ func runX10Scenarios(cfg Config) Result {
 		return transport.RunBulk(faultPath(c, plan), "bbr", d)
 	})
 	base := runs[0]
-	res := Result{Title: "Scenario resilience (bbr)", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line("%-18s %8.1f Mb/s", "clean", base.ThroughputBps/1e6))
 	res.Values["cleanMbps"] = base.ThroughputBps / 1e6
 	for i, s := range scens {
@@ -206,7 +206,7 @@ func runX11Holes(cfg Config) Result {
 	verticals := func(c *handoff.Campaign) int {
 		return len(c.ByKind(handoff.FiveToFour)) + len(c.ByKind(handoff.FourToFive))
 	}
-	res := Result{Title: "Coverage-hole hand-off storm", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line("hole plan %q: cells %v down, %d walks × %.0f min",
 		plan.Name, plan.DownPCIs(), walks, hcfg.Duration.Minutes()))
 	res.Lines = append(res.Lines, line("intact campus: %5.2f HOs/min, %3d vertical, 4G-only dwell %5.1f%%",

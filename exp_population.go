@@ -2,7 +2,6 @@ package fivegsim
 
 import (
 	"context"
-	"time"
 
 	"fivegsim/internal/coverage"
 	"fivegsim/internal/deploy"
@@ -69,8 +68,7 @@ func runX12CellLoad(cfg Config) Result {
 	campus := deploy.New(cfg.Seed)
 	p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X12"))
 
-	res := Result{Title: "Population-scale cell-load distributions",
-		Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line("population: %d UEs over %.2f km², %d ticks × %s",
 		n, campus.AreaKm2(), ticks, p.Model.TickDur))
 	for _, t := range []radio.Tech{radio.NR, radio.LTE} {
@@ -129,8 +127,7 @@ func runX13Fairness(cfg Config) Result {
 		ticks = 15
 	}
 	campus := deploy.New(cfg.Seed)
-	res := Result{Title: "Throughput fairness vs population size",
-		Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, n := range x13Sweep(cfg) {
 		p, _ := pop.RunContext(context.Background(), campus, popModel(n, ticks), cfg.Seed, cfg.Workers, popTelemetry(cfg, "X13"))
 		thr := p.PerUEThroughputBps()
@@ -174,8 +171,7 @@ func runX15Dynamics(cfg Config) Result {
 	m := x15Model(n, ticks)
 	p, _ := pop.RunContext(context.Background(), campus, m, cfg.Seed, cfg.Workers, popTelemetry(cfg, "X15"))
 
-	res := Result{Title: "Population dynamics: churn, A3 hand-off storms, load coupling",
-		Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	res.Lines = append(res.Lines, line(
 		"population: %d UEs (arena %d), churn %.1f arrivals/tick × %g-tick mean lifetime, %d ticks",
 		n, p.Len(), m.Churn.ArrivalPerTick, m.Churn.MeanLifetimeTicks, ticks))
@@ -215,12 +211,11 @@ func runX15Dynamics(cfg Config) Result {
 
 func runX14Probe(cfg Config) Result {
 	campus := deploy.New(cfg.Seed)
-	res := Result{Title: "Paper probe as the N=1 population special case",
-		Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 
 	// Coverage side: the N=1 probe survey is the seed T1/T2 pipeline —
 	// same samples, any Workers value.
-	s := coverage.NewSurveyor(campus, surveySamples(cfg), cfg.Seed).Run(cfg.Workers)
+	s := coverage.RunSurvey(campus, surveySamples(cfg), cfg.Seed, cfg.Workers)
 	nr := s.RSRPSummary(radio.NR)
 	lte := s.RSRPSummary(radio.LTE)
 	res.Lines = append(res.Lines, line("probe survey (N=1): 5G RSRP %s (paper −84.03 ± 11.72)", nr))
@@ -228,17 +223,8 @@ func runX14Probe(cfg Config) Result {
 	res.Values["rsrp5G"] = nr.Mean
 	res.Values["rsrp4G"] = lte.Mean
 
-	// Hand-off side: the probe campaign is the seed F5/F6 pipeline with
-	// the same config and walk-seed ladder.
-	hcfg := handoff.DefaultConfig()
-	walks := 4
-	hcfg.Duration = 40 * time.Minute
-	if cfg.Quick {
-		hcfg.Duration = 10 * time.Minute
-		walks = 2
-	}
-	camp := handoff.RunCampaigns(campus, hcfg, cfg.Seed, walks, cfg.Workers)
-	lat := camp.Latencies(handoff.FiveToFive)
+	// Hand-off side: the probe campaign is the seed F5/F6 pipeline.
+	lat := campaignFor(cfg, campus).Latencies(handoff.FiveToFive)
 	if len(lat) > 0 {
 		sm := stats.Summarize(lat)
 		res.Lines = append(res.Lines, line("probe campaign (N=1): 5G→5G hand-off latency %s ms (paper 108.40 ms)", sm))

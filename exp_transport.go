@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	register("T3", "In-network buffer estimation (max-min delay)", runTable3)
+	register("T3", "In-network buffer estimation (max-min delay, 60 B packets at an assumed 1 Gb/s)", runTable3)
 	register("F7", "UDP baselines and TCP bandwidth utilization", runFig7)
 	register("F8", "cwnd evolution: Cubic vs BBR over 5G", runFig8)
 	register("F9", "UDP packet loss vs load fraction", runFig9)
@@ -51,7 +51,6 @@ func runTable3(cfg Config) Result {
 	})
 	nr, lte := ests[0], ests[1]
 	return Result{
-		Title: "Buffer sizes (60 B packets at an assumed 1 Gb/s)",
 		Lines: []string{
 			line("        RAN      wired    whole path"),
 			line("4G   %6d   %8d   %8d   (paper 468 / 10539 / 11007)", lte.RAN, lte.Wired, lte.WholePath),
@@ -67,7 +66,7 @@ func runTable3(cfg Config) Result {
 }
 
 func runFig7(cfg Config) Result {
-	res := Result{Title: "UDP baselines and TCP utilization", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	paperBase := map[string]float64{"5G day": 880, "5G night": 900, "4G day": 130, "4G night": 200}
 	baselines := map[radio.Tech]float64{}
 	for _, tech := range []radio.Tech{radio.NR, radio.LTE} {
@@ -113,7 +112,7 @@ func runFig8(cfg Config) Result {
 	pathCfg := cfg.obsPath(radio.NR, true)
 	bbr := transport.RunBulk(pathCfg, "bbr", d)
 	cubic := transport.RunBulk(pathCfg, "cubic", d)
-	res := Result{Title: "cwnd evolution over 5G", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	pick := func(tr []transport.CwndSample, at time.Duration) int {
 		best := 0
 		for _, s := range tr {
@@ -136,7 +135,7 @@ func runFig8(cfg Config) Result {
 }
 
 func runFig9(cfg Config) Result {
-	res := Result{Title: "UDP loss vs load", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	paper5 := map[string]float64{"1/5": 0.5, "1/4": 0.7, "1/3": 1.0, "1/2": 3.1, "1": 4.5}
 	techs := []radio.Tech{radio.NR, radio.LTE}
 	loads := []struct {
@@ -167,7 +166,7 @@ func runFig9(cfg Config) Result {
 }
 
 func runFig10(cfg Config) Result {
-	res := Result{Title: "HARQ retransmissions", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	for _, tech := range []radio.Tech{radio.LTE, radio.NR} {
 		pcfg := cfg.obsPath(tech, true)
 		sch := des.New()
@@ -202,7 +201,6 @@ func runFig11(cfg Config) Result {
 		maxRun = max(maxRun, run.Len)
 	})
 	return Result{
-		Title: "Bursty loss pattern",
 		Lines: []string{
 			line("5G at 0.9× baseline: loss %.2f%%, %d loss runs, %.1f%% are bursts ≥5 pkts, longest run %d",
 				100*r.LossRate, runs, 100*float64(long)/float64(max(1, runs)), maxRun),
@@ -213,7 +211,7 @@ func runFig11(cfg Config) Result {
 }
 
 func runFig12(cfg Config) Result {
-	res := Result{Title: "TCP throughput drop at hand-off", Values: map[string]float64{}}
+	res := Result{Values: map[string]float64{}}
 	paper := map[handoff.Kind]float64{handoff.FourToFour: 20.10, handoff.FiveToFive: 73.15, handoff.FiveToFour: 83.04}
 	reps := 12
 	if cfg.Quick {
@@ -249,9 +247,8 @@ func hoThroughputDrop(cfg Config, tech radio.Tech, kind handoff.Kind, seed int64
 	conn := transport.NewConn(sch, path, "bbr", transport.Bulk)
 	conn.Start()
 	hoAt := 6 * time.Second
-	_, outage := handoff.Execute(kind, rng.New(seed).Stream("f12"))
+	_, outage := handoff.Execute(handoff.Procedure(kind), rng.New(seed).Stream("f12"), nil)
 	// A 5G→4G hand-off also drops the radio rate to the 4G baseline.
-	//
 	sch.At(hoAt, func() {
 		path.Outage(outage)
 		if kind == handoff.FiveToFour {

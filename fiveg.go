@@ -212,6 +212,7 @@ func (cfg Config) Validate() error {
 
 // Result is the outcome of one experiment.
 type Result struct {
+	// ID and Title are the ones the experiment was registered with.
 	ID    string
 	Title string
 	// Lines is the formatted table/series, one row per line, with the
@@ -320,17 +321,16 @@ var registry []Experiment
 
 func register(id, title string, run func(cfg Config) Result) {
 	// Every registered run is wrapped so its Result carries the
-	// registered ID and a RunManifest regardless of which entry point
-	// invoked it, and so a panicking experiment yields an error result
-	// (Result.Err) instead of tearing down the campaign.
+	// registered ID and title and a RunManifest regardless of which
+	// entry point invoked it, and so a panicking experiment yields an
+	// error result (Result.Err) instead of tearing down the campaign.
 	wrapped := func(cfg Config) (res Result) {
 		started := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
-				res = Result{Title: title,
-					Err: &ExperimentPanicError{ID: id, Value: r, Stack: debug.Stack()}}
+				res = Result{Err: &ExperimentPanicError{ID: id, Value: r, Stack: debug.Stack()}}
 			}
-			res.ID = id
+			res.ID, res.Title = id, title
 			res.Manifest = obs.NewManifest(id, title, cfg.Seed, cfg.Quick, started, time.Since(started), cfg.Obs)
 		}()
 		return run(cfg)

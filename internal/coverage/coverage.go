@@ -36,9 +36,34 @@ type Survey struct {
 var RSRPEdges = []float64{-140, -105, -90, -80, -70, -60, -40}
 
 // surveyShardSize is the number of survey samples per RNG shard. The
-// shard layout depends only on the sample count, so a Surveyor returns
+// shard layout depends only on the sample count, so RunSurvey returns
 // identical surveys for every worker count (see internal/par).
 const surveyShardSize = 256
+
+// RunSurvey runs the paper's blanket walking survey of c: n samples
+// spread over the campus roads proportionally to segment length, with a
+// small perpendicular jitter (pedestrians do not walk a perfect line).
+// The paper samples 4630 locations.
+//
+// The determinism contract is internal/par's: the shard layout is a pure
+// function of n, shard i draws only from its own substream
+// (Shard("coverage.survey", i) of seed) and writes only its own sample
+// slots, so the survey is byte-identical for every worker count (0 =
+// GOMAXPROCS). Each shard hands its generator back with rng.Release, so
+// the shards of a survey re-seed released generators instead of building
+// one each.
+func RunSurvey(c *deploy.Campus, n int, seed int64, workers int) *Survey {
+	src := rng.New(seed)
+	s := &Survey{Campus: c, Samples: make([]Sample, n)}
+	par.Do(workers, par.ShardSize(n, surveyShardSize), func(sh par.Range) {
+		r := src.Shard("coverage.survey", sh.Index)
+		for i := sh.Lo; i < sh.Hi; i++ {
+			s.Samples[i] = drawSample(c, r)
+		}
+		rng.Release(r)
+	})
+	return s
+}
 
 // drawSample picks one outdoor survey location on r and measures both
 // technologies there, the way the XCAL-equipped walk records a row.

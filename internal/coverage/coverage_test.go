@@ -14,7 +14,7 @@ import (
 func testSurvey(t *testing.T) (*deploy.Campus, *Survey) {
 	t.Helper()
 	c := deploy.New(42)
-	return c, NewSurveyor(c, 4630, 42).Run(1)
+	return c, RunSurvey(c, 4630, 42, 1)
 }
 
 func TestTable1RSRPSummaries(t *testing.T) {
@@ -166,8 +166,8 @@ func TestSurveySamplesOutdoor(t *testing.T) {
 
 func TestSurveyDeterminism(t *testing.T) {
 	c := deploy.New(42)
-	a := NewSurveyor(c, 100, 7).Run(1)
-	b := NewSurveyor(c, 100, 7).Run(1)
+	a := RunSurvey(c, 100, 7, 1)
+	b := RunSurvey(c, 100, 7, 1)
 	for i := range a.Samples {
 		if a.Samples[i].Pos != b.Samples[i].Pos || a.Samples[i].NR.RSRPdBm != b.Samples[i].NR.RSRPdBm {
 			t.Fatal("survey must be deterministic for a fixed seed")

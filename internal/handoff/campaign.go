@@ -144,7 +144,29 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 	lteBuf := make([]radio.Measurement, 0, 40)
 	hoBuf := make([]radio.Measurement, 0, 40)
 
-	for now := time.Duration(0); now < cfg.Duration; now += sampleInterval {
+	// executeHO draws the kind's signaling ladder, walks the UE on
+	// through the interruption, and records the event with the new
+	// serving cell's RSRQ re-measured on the technology the kind hands
+	// off to.
+	var now time.Duration
+	executeHO := func(kind Kind, from, to int, before float64) {
+		steps := Procedure(kind)
+		trace, latency := Execute(steps, sigRng, make([]TraceStep, 0, len(steps)))
+		// The UE keeps moving during the interruption.
+		pos = pos.Add(target.Sub(pos).Scale(math.Min(1, speed*latency.Seconds()/math.Max(pos.Dist(target), 1e-9))))
+		tech := radio.NR
+		if kind == FourToFour || kind == FiveToFour {
+			tech = radio.LTE
+		}
+		serv, _ := pick(campus.MeasureAllInto(tech, pos, hoBuf[:0]), to)
+		out.Events = append(out.Events, Event{
+			Kind: kind, At: now, FromPCI: from, ToPCI: to,
+			RSRQBefore: before, RSRQAfter: serv.RSRQdB + noise(),
+			Latency: latency, Trace: trace,
+		})
+	}
+
+	for now = 0; now < cfg.Duration; now += sampleInterval {
 		// Move.
 		step := speed * sampleInterval.Seconds()
 		if pos.Dist(target) <= step {
@@ -196,28 +218,12 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		}
 		markEvent(out, prevCond, A3, gap > cfg.A3.GapDB, gap < cfg.A3.GapDB-hyst)
 
-		executeHO := func(kind Kind, from, to int, before float64, after func() float64) {
-			trace, latency := Execute(kind, sigRng)
-			// The UE keeps moving during the interruption.
-			pos = pos.Add(target.Sub(pos).Scale(math.Min(1, speed*latency.Seconds()/math.Max(pos.Dist(target), 1e-9))))
-			out.Events = append(out.Events, Event{
-				Kind: kind, At: now, FromPCI: from, ToPCI: to,
-				RSRQBefore: before, RSRQAfter: after(),
-				Latency: latency, Trace: trace,
-			})
-		}
-
 		if st.nrPCI >= 0 {
 			// Horizontal NR hand-off via A3.
 			if nrBest.PCI != st.nrPCI &&
 				nrTracker.Observe(nrServRSRQ, nrBestRSRQ, sampleInterval) {
-				from, to := st.nrPCI, nrBest.PCI
-				executeHO(FiveToFive, from, to, nrServRSRQ, func() float64 {
-					m := campus.MeasureAllInto(radio.NR, pos, hoBuf[:0])
-					serv, _ := pick(m, to)
-					return serv.RSRQdB + noise()
-				})
-				st.nrPCI = to
+				executeHO(FiveToFive, st.nrPCI, nrBest.PCI, nrServRSRQ)
+				st.nrPCI = nrBest.PCI
 				nrTracker.Reset()
 			}
 			// Vertical release when NR coverage collapses.
@@ -227,12 +233,7 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 				nrBelowFor = 0
 			}
 			if nrBelowFor >= 500*time.Millisecond {
-				from := st.nrPCI
-				executeHO(FiveToFour, from, st.ltePCI, nrServRSRQ, func() float64 {
-					m := campus.MeasureAllInto(radio.LTE, pos, hoBuf[:0])
-					serv, _ := pick(m, st.ltePCI)
-					return serv.RSRQdB + noise()
-				})
+				executeHO(FiveToFour, st.nrPCI, st.ltePCI, nrServRSRQ)
 				st.nrPCI = -1
 				nrBelowFor = 0
 				nrTracker.Reset()
@@ -246,13 +247,8 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 				nrAboveFor = 0
 			}
 			if nrAboveFor >= 500*time.Millisecond {
-				to := nr[0].PCI
-				executeHO(FourToFive, st.ltePCI, to, lteServRSRQ, func() float64 {
-					m := campus.MeasureAllInto(radio.NR, pos, hoBuf[:0])
-					serv, _ := pick(m, to)
-					return serv.RSRQdB + noise()
-				})
-				st.nrPCI = to
+				executeHO(FourToFive, st.ltePCI, nr[0].PCI, lteServRSRQ)
+				st.nrPCI = nr[0].PCI
 				nrAboveFor = 0
 			}
 		}
@@ -260,13 +256,8 @@ func RunCampaign(campus *deploy.Campus, cfg Config, seed int64) *Campaign {
 		// Master-eNB hand-off via A3 (counts as 4G-4G).
 		if lteBest.PCI != st.ltePCI &&
 			lteTracker.Observe(lteServRSRQ, lteBestRSRQ, sampleInterval) {
-			from, to := st.ltePCI, lteBest.PCI
-			executeHO(FourToFour, from, to, lteServRSRQ, func() float64 {
-				m := campus.MeasureAllInto(radio.LTE, pos, hoBuf[:0])
-				serv, _ := pick(m, to)
-				return serv.RSRQdB + noise()
-			})
-			st.ltePCI = to
+			executeHO(FourToFour, st.ltePCI, lteBest.PCI, lteServRSRQ)
+			st.ltePCI = lteBest.PCI
 			lteTracker.Reset()
 		}
 

@@ -86,7 +86,7 @@ func TestProcedureSharedLadders(t *testing.T) {
 func TestExecuteDrawsPositiveLatencies(t *testing.T) {
 	r := rng.New(1).Stream("sig")
 	for _, k := range []Kind{FourToFour, FiveToFive, FiveToFour, FourToFive} {
-		trace, total := Execute(k, r)
+		trace, total := Execute(Procedure(k), r, []TraceStep{})
 		if len(trace) != len(Procedure(k)) {
 			t.Fatalf("%v: trace has %d steps, want %d", k, len(trace), len(Procedure(k)))
 		}
@@ -103,11 +103,32 @@ func TestExecuteDrawsPositiveLatencies(t *testing.T) {
 	}
 }
 
+// TestExecuteNilTraceAllocFree: with a nil trace Execute records nothing
+// and allocates nothing, and it makes the draws a traced call makes on
+// the same stream. SAProcedure, like Procedure, hands out a ladder built
+// once.
+func TestExecuteNilTraceAllocFree(t *testing.T) {
+	if got := testing.AllocsPerRun(10, func() { SAProcedure() }); got != 0 {
+		t.Fatalf("SAProcedure allocates %.1f times, want 0", got)
+	}
+	for _, steps := range [][]Step{Procedure(FiveToFive), SAProcedure()} {
+		r := rng.New(4).Stream("sig")
+		if got := testing.AllocsPerRun(10, func() { Execute(steps, r, nil) }); got != 0 {
+			t.Fatalf("Execute with a nil trace allocates %.1f times, want 0", got)
+		}
+		traced, want := Execute(steps, rng.New(5).Stream("sig"), []TraceStep{})
+		trace, got := Execute(steps, rng.New(5).Stream("sig"), nil)
+		if trace != nil || got != want || len(traced) != len(steps) {
+			t.Fatalf("nil trace: %d steps, total %v; traced: %d steps, total %v", len(trace), got, len(traced), want)
+		}
+	}
+}
+
 func TestExecuteLatencyDistribution(t *testing.T) {
 	r := rng.New(2).Stream("sig")
 	var lat []float64
 	for i := 0; i < 2000; i++ {
-		_, total := Execute(FiveToFive, r)
+		_, total := Execute(Procedure(FiveToFive), r, nil)
 		lat = append(lat, float64(total)/float64(time.Millisecond))
 	}
 	s := stats.Summarize(lat)
@@ -124,8 +145,9 @@ func TestSAModeFasterThanNSA(t *testing.T) {
 	r := rng.New(3).Stream("sa")
 	var sa, nsa float64
 	for i := 0; i < 1000; i++ {
-		sa += ExecuteSA(r).Seconds()
-		_, total := Execute(FiveToFive, r)
+		_, total := Execute(SAProcedure(), r, nil)
+		sa += total.Seconds()
+		_, total = Execute(Procedure(FiveToFive), r, nil)
 		nsa += total.Seconds()
 	}
 	if sa*2.5 > nsa {

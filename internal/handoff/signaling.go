@@ -133,43 +133,37 @@ type TraceStep struct {
 	Latency time.Duration
 }
 
-// Execute draws a latency for every step of the procedure and returns the
-// per-step trace and the total interruption.
-func Execute(k Kind, r *rand.Rand) ([]TraceStep, time.Duration) {
-	steps := Procedure(k)
-	trace := make([]TraceStep, 0, len(steps))
+// Execute draws a latency for every step of a signaling ladder, in
+// order, and returns the total interruption. When trace is not nil it
+// also appends each step with its drawn latency to trace and returns the
+// grown slice; a nil trace records nothing and allocates nothing.
+func Execute(steps []Step, r *rand.Rand, trace []TraceStep) ([]TraceStep, time.Duration) {
 	var total time.Duration
 	for _, s := range steps {
 		ms := rng.ClampedNormal(r, s.MeanMs, s.StdMs, s.MeanMs/4, s.MeanMs*3)
 		d := time.Duration(ms * float64(time.Millisecond))
-		trace = append(trace, TraceStep{Name: s.Name, Latency: d})
+		if trace != nil {
+			trace = append(trace, TraceStep{Name: s.Name, Latency: d})
+		}
 		total += d
 	}
 	return trace, total
 }
 
-// SAProcedure returns the hypothetical standalone-mode 5G→5G hand-off (a
-// direct Xn hand-off between gNBs, no LTE roll-back) used by the SA-vs-NSA
-// ablation. The paper predicts "this long HO latency problem can be
-// resolved in the future 5G SA architecture".
-func SAProcedure() []Step {
-	return []Step{
-		{"Measurement Report", 2.1, 0.5},
-		{"HO Decision", 3.0, 0.8},
-		{"Xn Hand-off Request", 4.0, 1.0},
-		{"Admission Control", 3.0, 0.8},
-		{"Request ACK", 4.0, 1.0},
-		{"RRC Reconfiguration (NR)", 6.0, 1.5},
-		{"NR Random Access Procedure", 10.0, 2.5},
-	}
+// saSteps is the hypothetical standalone-mode 5G→5G hand-off: a direct
+// Xn hand-off between gNBs, with no LTE roll-back.
+var saSteps = []Step{
+	{"Measurement Report", 2.1, 0.5},
+	{"HO Decision", 3.0, 0.8},
+	{"Xn Hand-off Request", 4.0, 1.0},
+	{"Admission Control", 3.0, 0.8},
+	{"Request ACK", 4.0, 1.0},
+	{"RRC Reconfiguration (NR)", 6.0, 1.5},
+	{"NR Random Access Procedure", 10.0, 2.5},
 }
 
-// ExecuteSA draws the SA-mode hand-off latency.
-func ExecuteSA(r *rand.Rand) time.Duration {
-	var total time.Duration
-	for _, s := range SAProcedure() {
-		ms := rng.ClampedNormal(r, s.MeanMs, s.StdMs, s.MeanMs/4, s.MeanMs*3)
-		total += time.Duration(ms * float64(time.Millisecond))
-	}
-	return total
-}
+// SAProcedure returns the standalone-mode 5G→5G ladder the SA-vs-NSA
+// ablation draws from. The paper predicts "this long HO latency problem
+// can be resolved in the future 5G SA architecture". Like Procedure's,
+// the ladder is a shared package slice: callers must not modify it.
+func SAProcedure() []Step { return saSteps }

@@ -28,7 +28,7 @@ func TestSurveyConcurrentWithTicks(t *testing.T) {
 	p := New(campus, m, 42, Telemetry{}) // warms the field maps
 	p.Tick(1)
 
-	ref := coverage.NewSurveyor(campus, 1500, 7).Run(1)
+	ref := coverage.RunSurvey(campus, 1500, 7, 1)
 	refSamples := make([]coverage.Sample, len(ref.Samples))
 	copy(refSamples, ref.Samples)
 
@@ -37,7 +37,7 @@ func TestSurveyConcurrentWithTicks(t *testing.T) {
 	var got *coverage.Survey
 	go func() {
 		defer wg.Done()
-		got = coverage.NewSurveyor(campus, 1500, 7).Run(4)
+		got = coverage.RunSurvey(campus, 1500, 7, 4)
 	}()
 	for i := 0; i < 20; i++ {
 		p.Tick(2)

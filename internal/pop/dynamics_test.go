@@ -205,7 +205,7 @@ func TestSingleUEProbeContractWithA3(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	survey := coverage.NewSurveyor(campus, n, 42).Run(1)
+	survey := coverage.RunSurvey(campus, n, 42, 1)
 
 	m := DefaultModel()
 	m.N = 1

@@ -44,7 +44,7 @@ func TestSingleUEMatchesProbePipeline(t *testing.T) {
 	if testing.Short() {
 		n = 100
 	}
-	survey := coverage.NewSurveyor(campus, n, 42).Run(1)
+	survey := coverage.RunSurvey(campus, n, 42, 1)
 
 	m := DefaultModel()
 	m.N = 1

@@ -46,10 +46,8 @@ func (s *Source) Stream(name string) *rand.Rand {
 // afterwards.
 func Release(r *rand.Rand) { released.Put(r) }
 
-// StreamSeed returns the seed Stream(name) plants in its generator.
-// Callers that keep long-lived *rand.Rand values and reseed them per run
-// (hot loops where Stream's two allocations per call would show up) get
-// the exact draw sequences Stream would produce.
+// StreamSeed returns the seed Stream(name) plants in its generator, the
+// FNV-1a hash of the little-endian seed bytes followed by the name.
 func (s *Source) StreamSeed(name string) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -67,12 +65,6 @@ func (s *Source) StreamSeed(name string) int64 {
 // contract keys exactly one Shard stream per par.Range.Index.
 func (s *Source) Shard(name string, index int) *rand.Rand {
 	return s.Stream(name + "#" + strconv.Itoa(index))
-}
-
-// ShardSeed is StreamSeed for Shard(name, index): the seed to plant in a
-// preallocated generator so it replays that shard's sub-stream.
-func (s *Source) ShardSeed(name string, index int) int64 {
-	return s.StreamSeed(name + "#" + strconv.Itoa(index))
 }
 
 // Key is the precomputed hash of (seed, name): an allocation-free handle

@@ -181,7 +181,6 @@ func Run(res Resolution, tech radio.Tech, dynamic bool, duration time.Duration, 
 	if tech == radio.LTE {
 		oneWay = 22 * time.Millisecond
 	}
-	var lastArrival time.Duration
 	inCongestion := false
 	lastFreezeAt := -freezeSpacing
 
@@ -228,7 +227,6 @@ func Run(res Resolution, tech radio.Tech, dynamic bool, duration time.Duration, 
 		arrival := linkFreeAt + oneWay + DecodeLatency + PlayoutBuffer
 		f.Delay = arrival - now
 		out.Frames = append(out.Frames, f)
-		lastArrival = arrival
 
 		// Freeze accounting: one freeze per congestion episode, detected
 		// when the uplink backlog first exceeds the playout slack.
@@ -242,7 +240,6 @@ func Run(res Resolution, tech radio.Tech, dynamic bool, duration time.Duration, 
 			inCongestion = false
 		}
 	}
-	_ = lastArrival
 	return out
 }
 

@@ -33,7 +33,7 @@ func TestKPILogging(t *testing.T) {
 
 func TestHandoffLadderLogging(t *testing.T) {
 	l := New()
-	trace, total := handoff.Execute(handoff.FiveToFive, rng.New(1).Stream("x"))
+	trace, total := handoff.Execute(handoff.Procedure(handoff.FiveToFive), rng.New(1).Stream("x"), []handoff.TraceStep{})
 	l.LogHandoff(handoff.Event{
 		Kind: handoff.FiveToFive, At: time.Second, FromPCI: 226, ToPCI: 44,
 		Latency: total, Trace: trace,

@@ -70,17 +70,27 @@ func TestExperimentParallelEquivalence(t *testing.T) {
 // campaignDigest runs the whole quick campaign at seed 42 and renders
 // one line per experiment: its ID and the SHA-256 prefixes of its Lines
 // and of its Values (sorted keys, Float64bits). Wall-time fields live
-// only in the manifest, which stays out of the digest.
+// only in the manifest, which stays out of the digest. It fails every
+// result whose title, or whose manifest's title, is not the one
+// Experiments lists.
 func campaignDigest(t *testing.T, workers int) []byte {
 	t.Helper()
 	results, err := RunExperimentsContext(context.Background(), Config{Seed: 42, Quick: true, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	titles := map[string]string{}
+	for _, e := range Experiments() {
+		titles[e.ID] = e.Title
+	}
 	var out bytes.Buffer
 	for _, res := range results {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.ID, res.Err)
+		}
+		if want := titles[res.ID]; res.Title != want || res.Manifest.Title != want {
+			t.Errorf("%s: result title %q, manifest title %q, want the registered %q",
+				res.ID, res.Title, res.Manifest.Title, want)
 		}
 		lines := sha256.Sum256([]byte(strings.Join(res.Lines, "\n")))
 		keys := make([]string, 0, len(res.Values))

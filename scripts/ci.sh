@@ -6,10 +6,11 @@
 # and SACK log, of the DES heap, of fault-plan validation, of the
 # library's Config validation, of the result/v1 decode round trip, of
 # fgserve's spec decode and admission validation, of the PRB scheduler
-# and of the Prometheus exposition of fuzzed instrument names, a check that
-# fgpop refuses a positional argument, the fgserve smoke (which reads a
-# saved stream back through fgobs), the benchmark module's tests, and one
-# run of every internal micro-bench.
+# and of the Prometheus exposition of fuzzed instrument names, one run of
+# every program under examples/, a check that fgpop refuses a positional
+# argument, the fgserve smoke (which reads a saved stream back through
+# fgobs), the benchmark module's tests, and one run of every internal
+# micro-bench.
 # Performance has one gate, the benchmark/ module (BENCHMARK.json); the
 # hot paths' zero-allocation contracts are AllocsPerRun guards in the
 # tier-1 suite, and the micro-bench step only proves each bench still
@@ -56,6 +57,16 @@ go test -race -short ./internal/pop/ ./internal/traffic/ ./internal/deploy/
 echo "== pop-dynamics property suite (churn conservation, A3 invariants, cancellation) =="
 go test -race -short -run 'Churn|A3|LoadCoupling|Dynamics|ProbeContract|EstimateETA' \
 	./internal/pop/ ./internal/handoff/ ./internal/obs/
+
+echo "== examples (each program under examples/ runs once and exits 0) =="
+# The examples call the library the way a user's program would, and no
+# test runs them, so an API change that breaks one shows here first.
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	go build -o "/tmp/example_ci_$name" "./$dir"
+	"/tmp/example_ci_$name" >"/tmp/example_ci_$name.log" 2>&1 || {
+		echo "examples/$name exited $?" >&2; cat "/tmp/example_ci_$name.log" >&2; exit 1; }
+done
 
 echo "== fgpop refuses a positional argument (exit 2) =="
 # Go's flag package stops parsing at the first non-flag argument, so a

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fivegsim/internal/des"
-	"fivegsim/internal/obs"
 )
 
 // Each benchmark regenerates one table or figure of the paper's
@@ -87,20 +86,17 @@ func benchRunAll(b *testing.B, workers int) {
 func BenchmarkRunAllWorkers1(b *testing.B) { benchRunAll(b, 1) }
 func BenchmarkRunAllWorkers8(b *testing.B) { benchRunAll(b, 8) }
 
-// Telemetry overhead benches: the DES scheduler with observability
-// detached (the default) and attached. The no-op path is the one every
-// experiment runs on without Config.Obs, so ObsOff must stay within a
-// few percent of the pre-obs scheduler (EXPERIMENTS.md, "Telemetry
-// overhead", records the measured ratios).
-
-// benchScheduler drives a self-perpetuating event chain with a standing
-// population of pending events, approximating the scheduler load of a
-// packet-level run: every fired event reschedules itself and arms one
-// more that fires fanout+i µs later. Nothing is canceled: the scheduler
-// has no cancellation.
-func benchScheduler(b *testing.B, s *des.Scheduler) {
-	b.Helper()
+// BenchmarkScheduler measures the DES scheduler's cost per event. It
+// drives a self-perpetuating event chain with a standing population of
+// pending events, approximating the scheduler load of a packet-level
+// run: every fired event reschedules itself and arms one more that fires
+// fanout+i µs later. Nothing is canceled: the scheduler has no
+// cancellation. A scheduler counts in plain fields and publishes its
+// counts only when released, so a run with telemetry costs per event
+// what one without does.
+func BenchmarkScheduler(b *testing.B) {
 	const fanout = 32
+	s := des.New()
 	fired := 0
 	noop := func() {}
 	var tick func()
@@ -115,16 +111,6 @@ func benchScheduler(b *testing.B, s *des.Scheduler) {
 	s.After(0, tick)
 	b.ResetTimer()
 	s.Run()
-}
-
-func BenchmarkSchedulerObsOff(b *testing.B) {
-	benchScheduler(b, des.New())
-}
-
-func BenchmarkSchedulerObsOn(b *testing.B) {
-	s := des.New()
-	s.SetObs(obs.NewRegistry())
-	benchScheduler(b, s)
 }
 
 // Ablation benches (the DESIGN.md extensions beyond the paper's figures).

@@ -6,15 +6,13 @@ import (
 	"fivegsim/internal/obs"
 )
 
-// instrumented wraps a Controller and mirrors its control events into an
-// obs.Registry under the `cc.*{algo=name}` namespace: a cwnd-sample
-// histogram (every ACK), an RTT histogram in microseconds, and
-// loss/RTO event counters.
+// instrumented wraps a Controller and samples its state into an
+// obs.Registry under the `cc.*{algo=name}` namespace at every ACK: a
+// cwnd histogram and an RTT histogram in microseconds. The ACK, loss
+// and RTO counts are the transport's own (transport.Conn publishes
+// them).
 type instrumented struct {
 	Controller
-	acks *obs.Counter
-	loss *obs.Counter
-	rto  *obs.Counter
 	cwnd *obs.Histogram
 	rtt  *obs.Histogram
 }
@@ -29,9 +27,6 @@ func Instrument(c Controller, reg *obs.Registry) Controller {
 	label := "{algo=" + c.Name() + "}"
 	return &instrumented{
 		Controller: c,
-		acks:       reg.Counter("cc.acks" + label),
-		loss:       reg.Counter("cc.loss_events" + label),
-		rto:        reg.Counter("cc.rto_events" + label),
 		cwnd:       reg.Histogram("cc.cwnd_bytes"+label, obs.ByteBuckets),
 		rtt:        reg.Histogram("cc.rtt_us"+label, obs.DurationBuckets),
 	}
@@ -39,17 +34,6 @@ func Instrument(c Controller, reg *obs.Registry) Controller {
 
 func (i *instrumented) OnAck(now time.Duration, ackedBytes int, rtt time.Duration, inflight int) {
 	i.Controller.OnAck(now, ackedBytes, rtt, inflight)
-	i.acks.Inc()
 	i.rtt.Observe(float64(rtt) / float64(time.Microsecond))
 	i.cwnd.Observe(float64(i.Controller.Cwnd()))
-}
-
-func (i *instrumented) OnLoss(now time.Duration, inflight int) {
-	i.Controller.OnLoss(now, inflight)
-	i.loss.Inc()
-}
-
-func (i *instrumented) OnRTO(now time.Duration) {
-	i.Controller.OnRTO(now)
-	i.rto.Inc()
 }

@@ -24,14 +24,14 @@
 // pops the same sequence, a scheduler that starts with spare capacity
 // fires exactly what a fresh one would.
 //
+// A scheduler runs on one goroutine and counts in plain fields: the
+// events scheduled and fired and the heap's high-water mark. Release
+// publishes them, once, to the obs.Registry it is given, under the
+// `des.*` metric namespace; a nil registry publishes nothing.
+//
 // Events cannot be canceled. A client whose deadline moves keeps the
 // deadline itself and lets a check event that finds it moved return
 // without acting (TCP's retransmission timer does this).
-//
-// The scheduler is optionally observable: SetObs attaches an obs.Registry
-// under the `des.*` metric namespace — events scheduled and fired, and
-// the heap length with its high-water mark. With no registry attached
-// the instrumentation collapses to nil-receiver no-ops.
 package des
 
 import (
@@ -55,27 +55,19 @@ type event struct {
 // pointer-shaped, so boxing it in an interface allocates nothing.
 func callFunc(f any) { f.(func())() }
 
-// schedObs holds the pre-resolved instrument handles. All fields are
-// nil (no-op) until SetObs is called; `on` gates the hot-path updates
-// behind a single predictable branch so the detached scheduler stays
-// within a few percent of the uninstrumented one.
-type schedObs struct {
-	on        bool
-	scheduled *obs.Counter
-	fired     *obs.Counter
-	depth     *obs.Gauge
-	simTime   *obs.Gauge
-}
-
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; simulations are written in the callback style.
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64
-	queue   []event // 4-ary min-heap on (at, seq)
-	stopped bool
-
-	o schedObs
+	now   time.Duration
+	seq   uint64  // events scheduled, each reserved key included
+	fired uint64  // events fired
+	peak  int     // the heap's high-water mark
+	queue []event // 4-ary min-heap on (at, seq)
+	// heap is the box queue came in from heaps, if it did, and goes back
+	// in, so a warm Release allocates nothing.
+	heap     *[]event
+	stopped  bool
+	released bool
 }
 
 // heaps holds the heaps of released schedulers, each cleared to its
@@ -87,41 +79,44 @@ var heaps sync.Pool
 func New() *Scheduler {
 	s := &Scheduler{}
 	if q, _ := heaps.Get().(*[]event); q != nil {
-		s.queue = *q
+		s.queue, s.heap = *q, q
 	}
 	return s
 }
 
-// Release hands the scheduler's heap to the next New, on any goroutine.
-// Call it once the scheduler will not run again: it drops every pending
-// event. Every slot up to the heap's capacity is cleared first, so a
-// cached heap pins no callback or payload of the released run.
-// Releasing again, or releasing a scheduler that holds no heap, does
-// nothing.
-func (s *Scheduler) Release() {
+// Release ends the scheduler. Call it once the scheduler will not run
+// again: it drops every pending event. Unless reg is nil it first adds
+// the scheduler's counts to reg: `des.events_scheduled` and
+// `des.events_fired`; `des.queue_depth`, whose level is the heap length
+// now and whose high-water mark is the heap's; and `des.sim_time_ns`,
+// the clock. Then it hands the heap to the next New, on any goroutine,
+// with every slot up to its capacity cleared, so a cached heap pins no
+// callback or payload of the released run. Releasing again does
+// nothing, so paths that share a scheduler publish it once.
+func (s *Scheduler) Release(reg *obs.Registry) {
+	if s.released {
+		return
+	}
+	s.released = true
+	if reg != nil {
+		reg.Counter("des.events_scheduled").Add(int64(s.seq))
+		reg.Counter(obs.MetricEventsFired).Add(int64(s.fired))
+		depth := reg.Gauge("des.queue_depth")
+		depth.Set(int64(s.peak)) // raises the high-water mark
+		depth.Set(int64(len(s.queue)))
+		reg.Gauge(obs.MetricSimTime).Set(int64(s.now))
+	}
 	if cap(s.queue) == 0 {
 		return
 	}
 	q := s.queue[:0]
 	clear(q[:cap(q)])
-	s.queue = nil
-	heaps.Put(&q)
-}
-
-// SetObs attaches telemetry under the `des.*` namespace. A nil registry
-// detaches it. Call before the run.
-func (s *Scheduler) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		s.o = schedObs{}
-		return
+	if s.heap == nil {
+		s.heap = new([]event)
 	}
-	s.o = schedObs{
-		on:        true,
-		scheduled: reg.Counter("des.events_scheduled"),
-		fired:     reg.Counter("des.events_fired"),
-		depth:     reg.Gauge("des.queue_depth"),
-		simTime:   reg.Gauge(obs.MetricSimTime),
-	}
+	*s.heap = q
+	heaps.Put(s.heap)
+	s.queue, s.heap = nil, nil
 }
 
 // Key is an event's place in the firing order: its time and the
@@ -154,9 +149,6 @@ func (s *Scheduler) Reserve(at time.Duration) Key {
 		at = s.now
 	}
 	s.seq++
-	if s.o.on {
-		s.o.scheduled.Inc()
-	}
 	return Key{At: at, seq: s.seq}
 }
 
@@ -169,9 +161,10 @@ func (s *Scheduler) AtKey(k Key, fn func(any), arg any) {
 		k.At = s.now
 	}
 	s.queue = append(s.queue, event{at: k.At, seq: k.seq, fn: fn, arg: arg})
-	s.siftUp(len(s.queue) - 1)
-	if s.o.on {
-		s.o.depth.Set(int64(len(s.queue)))
+	n := len(s.queue)
+	s.siftUp(n - 1)
+	if n > s.peak {
+		s.peak = n
 	}
 }
 
@@ -205,10 +198,7 @@ func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 		s.siftDown(0)
 	}
 	s.now = ev.at
-	if s.o.on {
-		s.o.fired.Inc()
-		s.o.depth.Set(int64(n))
-	}
+	s.fired++
 	ev.fn(ev.arg)
 	return true
 }
@@ -217,9 +207,6 @@ func (s *Scheduler) step(limit time.Duration, bounded bool) bool {
 func (s *Scheduler) Run() {
 	s.stopped = false
 	for !s.stopped && s.step(0, false) {
-	}
-	if s.o.on {
-		s.o.simTime.Set(int64(s.now))
 	}
 }
 
@@ -231,9 +218,6 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	}
 	if s.now < deadline {
 		s.now = deadline
-	}
-	if s.o.on {
-		s.o.simTime.Set(int64(s.now))
 	}
 }
 

@@ -156,7 +156,7 @@ func fromReleased(pending int) *Scheduler {
 		old.After(time.Duration(k%7)*time.Microsecond, func() {})
 	}
 	q := old.queue
-	old.Release()
+	old.Release(nil)
 	s := New()
 	if cap(s.queue) == 0 { // the race detector's sync.Pool drops a share of what it is given
 		s.queue = q[:0]

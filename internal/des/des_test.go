@@ -114,7 +114,6 @@ func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
 func TestAtPastTimestampWithObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
-	s.SetObs(reg)
 	var firedAt time.Duration = -1
 	s.At(3*time.Second, func() {
 		// Schedule into the past twice; both must clamp to now and fire.
@@ -125,6 +124,7 @@ func TestAtPastTimestampWithObs(t *testing.T) {
 	if firedAt != 3*time.Second {
 		t.Fatalf("past event ran at %v, want clamped to 3s", firedAt)
 	}
+	s.Release(reg)
 	if got := reg.Counter("des.events_fired").Value(); got != 3 {
 		t.Fatalf("des.events_fired = %d, want 3", got)
 	}
@@ -136,12 +136,12 @@ func TestAtPastTimestampWithObs(t *testing.T) {
 	}
 }
 
-// TestPendingIsHeapLength: Pending and the des.queue_depth gauge both
-// read the heap length, and no cancellation counter is registered.
+// TestPendingIsHeapLength: Pending reads the heap length, Release
+// publishes it as the des.queue_depth level with the heap's high-water
+// mark as its max, and no cancellation counter is registered.
 func TestPendingIsHeapLength(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New()
-	s.SetObs(reg)
 	for i := 1; i <= 6; i++ {
 		s.At(time.Duration(i)*time.Second, func() {})
 	}
@@ -152,18 +152,15 @@ func TestPendingIsHeapLength(t *testing.T) {
 	if s.Pending() != 4 {
 		t.Fatalf("Pending = %d after two fires, want 4", s.Pending())
 	}
+	s.Release(reg)
 	if got := reg.Gauge("des.queue_depth").Value(); got != 4 {
 		t.Fatalf("des.queue_depth = %d, want 4", got)
 	}
 	if got := reg.Gauge("des.queue_depth").Max(); got != 6 {
 		t.Fatalf("des.queue_depth high-water = %d, want 6", got)
 	}
-	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", s.Pending())
-	}
-	if got := reg.Counter("des.events_fired").Value(); got != 6 {
-		t.Fatalf("des.events_fired = %d, want 6", got)
+	if got := reg.Counter("des.events_fired").Value(); got != 2 {
+		t.Fatalf("des.events_fired = %d, want 2", got)
 	}
 	for _, m := range reg.Snapshot() {
 		if m.Name == "des.events_canceled" {
@@ -175,25 +172,75 @@ func TestPendingIsHeapLength(t *testing.T) {
 // TestReserveCountsWhenReserved: a reserved key counts in
 // des.events_scheduled when it is reserved, as the event it stands for
 // would have, but is in the heap, and Pending, only once AtKey pushes
-// it; pushed after an event scheduled later for the same instant, it
-// still fires first.
+// it, which counts nothing more; pushed after an event scheduled later
+// for the same instant, it still fires first.
 func TestReserveCountsWhenReserved(t *testing.T) {
-	reg := obs.NewRegistry()
+	scheduled := func(s *Scheduler) int64 {
+		reg := obs.NewRegistry()
+		s.Release(reg)
+		return reg.Counter("des.events_scheduled").Value()
+	}
+	unpushed := New()
+	unpushed.Reserve(time.Second)
+	unpushed.At(time.Second, func() {})
+	if p, n := unpushed.Pending(), scheduled(unpushed); n != 2 || p != 1 {
+		t.Fatalf("des.events_scheduled = %d and Pending = %d, want 2 and 1", n, p)
+	}
+
 	s := New()
-	s.SetObs(reg)
 	var got []string
 	k := s.Reserve(time.Second)
 	s.At(time.Second, func() { got = append(got, "later") })
-	if n := reg.Counter("des.events_scheduled").Value(); n != 2 || s.Pending() != 1 {
-		t.Fatalf("des.events_scheduled = %d and Pending = %d, want 2 and 1", n, s.Pending())
-	}
 	s.AtKey(k, func(any) { got = append(got, "reserved") }, nil)
-	if n := reg.Counter("des.events_scheduled").Value(); n != 2 || s.Pending() != 2 {
-		t.Fatalf("after AtKey: des.events_scheduled = %d and Pending = %d, want 2 and 2", n, s.Pending())
+	if s.Pending() != 2 {
+		t.Fatalf("after AtKey: Pending = %d, want 2", s.Pending())
 	}
 	s.Run()
 	if len(got) != 2 || got[0] != "reserved" {
 		t.Fatalf("fired %v, want the reserved key first", got)
+	}
+	if n := scheduled(s); n != 2 {
+		t.Fatalf("after AtKey and the run: des.events_scheduled = %d, want 2", n)
+	}
+}
+
+// TestReleasePublishesOnce: a second Release adds nothing to any
+// registry, so paths that share a scheduler count its events once.
+func TestReleasePublishesOnce(t *testing.T) {
+	s := New()
+	for i := 1; i <= 3; i++ {
+		s.At(time.Duration(i)*time.Second, func() {})
+	}
+	s.Run()
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	s.Release(first)
+	s.Release(first)
+	s.Release(second)
+	if got := first.Counter("des.events_fired").Value(); got != 3 {
+		t.Fatalf("des.events_fired = %d after three Releases, want 3", got)
+	}
+	if m := second.Snapshot(); len(m) != 0 {
+		t.Fatalf("a second Release published %v, want nothing", m)
+	}
+}
+
+// TestReleaseNilPublishesNothing: Release(nil) publishes nothing and
+// allocates nothing. A run that schedules, fires and releases on a warm
+// heap allocates only the Scheduler that New returns.
+func TestReleaseNilPublishesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a share of the heaps it is given")
+	}
+	noop := func() {}
+	run := func() {
+		s := New()
+		s.At(time.Second, noop)
+		s.Run()
+		s.Release(nil)
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 1 {
+		t.Fatalf("New, one event and Release(nil) allocate %v times, want 1 (the Scheduler)", avg)
 	}
 }
 

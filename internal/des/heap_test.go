@@ -101,7 +101,7 @@ func TestReleaseClearsHeap(t *testing.T) {
 	}
 	old.RunUntil(40 * time.Microsecond) // leaves 59 events pending
 	q := old.queue[:cap(old.queue)]
-	old.Release()
+	old.Release(nil)
 	for i, ev := range q {
 		if ev.at != 0 || ev.seq != 0 || ev.fn != nil || ev.arg != nil {
 			t.Fatalf("released heap slot %d of %d holds an event at %v, want a zero event", i, len(q), ev.at)
@@ -110,7 +110,7 @@ func TestReleaseClearsHeap(t *testing.T) {
 	if old.queue != nil || old.Pending() != 0 {
 		t.Fatalf("released scheduler keeps %d events", old.Pending())
 	}
-	old.Release()
+	old.Release(nil)
 
 	if raceEnabled {
 		return // the race detector's sync.Pool drops a share of what it is given

@@ -322,11 +322,15 @@ func markEvent(c *Campaign, armed map[EventType]bool, e EventType, enter, exit b
 	}
 }
 
+// noNeighbor is pick's best neighbour when only one cell is measured:
+// no real cell has its PCI, and its -Inf levels satisfy neither A3 nor A5.
+var noNeighbor = radio.Measurement{PCI: -1, RSRPdBm: math.Inf(-1), RSRQdB: math.Inf(-1)}
+
 // pick returns the measurement of the serving PCI and the strongest other
-// cell ("best neighbor"). If the serving PCI is absent the strongest cell
-// stands in for it.
+// cell ("best neighbor"), or noNeighbor when there is none. If the
+// serving PCI is absent the strongest cell stands in for it.
 func pick(ms []radio.Measurement, servingPCI int) (serving, bestNeighbor radio.Measurement) {
-	serving = ms[0]
+	serving, bestNeighbor = ms[0], noNeighbor
 	found := false
 	for _, m := range ms {
 		if m.PCI == servingPCI {

@@ -359,3 +359,42 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestOneLiveCellBooksNoPhantomHandoff: with every NR cell down but one,
+// the walker measures a single NR cell, so it has no NR neighbour. No
+// hand-off may then name a cell the campus does not carry: a missing
+// neighbour must never satisfy A3 or A5, where a zero measurement (PCI 0,
+// RSRQ 0 dB) beats every real cell.
+func TestOneLiveCellBooksNoPhantomHandoff(t *testing.T) {
+	campus := deploy.New(42)
+	const live = 60
+	nr := map[int]bool{}
+	for _, c := range campus.NRCells {
+		nr[c.PCI] = true
+	}
+	if !nr[live] {
+		t.Fatalf("the campus carries no NR cell with PCI %d", live)
+	}
+	lte := map[int]bool{}
+	for _, c := range campus.LTECells {
+		if nr[c.PCI] {
+			t.Fatalf("PCI %d names an NR and an LTE cell; the down predicate would take both", c.PCI)
+		}
+		lte[c.PCI] = true
+	}
+	cfg := DefaultConfig()
+	cfg.Duration = 20 * time.Minute
+	cfg.CellDown = func(pci int, _ time.Duration) bool { return nr[pci] && pci != live }
+	camp := RunCampaign(campus, cfg, 42)
+	if len(camp.Events) == 0 {
+		t.Fatal("the walk booked no hand-off")
+	}
+	for _, e := range camp.Events {
+		fromNR := e.Kind == FiveToFive || e.Kind == FiveToFour
+		toNR := e.Kind == FiveToFive || e.Kind == FourToFive
+		if fromNR && e.FromPCI != live || !fromNR && !lte[e.FromPCI] ||
+			toNR && e.ToPCI != live || !toNR && !lte[e.ToPCI] {
+			t.Errorf("%v hand-off %d→%d at %v names a cell that is down or absent", e.Kind, e.FromPCI, e.ToPCI, e.At)
+		}
+	}
+}

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"fivegsim/internal/des"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rng"
 )
@@ -81,19 +83,34 @@ func TestDropPathSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestPathClosesOnce: a second Close hands nothing on, so no generator
-// or connection storage of a closed path reaches two later paths. Had
+// TestPathClosesOnce: a second Close publishes nothing and hands
+// nothing on, so no count of a closed path reaches its registry twice
+// and no generator or connection storage reaches two later paths. Had
 // the second Close released the path's generators again, the next
 // Stream calls would hand each of them out twice.
 func TestPathClosesOnce(t *testing.T) {
 	sch := des.New()
-	path := NewPath(sch, DefaultPath(radio.NR, true))
+	cfg := DefaultPath(radio.NR, true)
+	cfg.Obs = obs.NewRegistry()
+	path := NewPath(sch, cfg)
 	closes := 0
 	path.OnClose(func() { closes++ })
+	path.StartCBR(1e9, 20*time.Millisecond)
+	sch.RunUntil(50 * time.Millisecond)
 	path.Close()
+	for _, name := range []string{"netsim.pkt_enqueued{hop=5G-RAN}", "netsim.pkt_delivered{hop=core}",
+		"netsim.bytes_delivered{hop=bottleneck}", "netsim.harq_retx{hop=5G-RAN}", "netsim.flow_bytes{flow=1}"} {
+		if cfg.Obs.Counter(name).Value() == 0 {
+			t.Errorf("%s = 0 after a loaded path closed, want its count", name)
+		}
+	}
+	once := cfg.Obs.Snapshot()
 	path.Close()
 	if closes != 1 {
 		t.Fatalf("OnClose functions ran %d times over two Closes, want once", closes)
+	}
+	if twice := cfg.Obs.Snapshot(); !reflect.DeepEqual(twice, once) {
+		t.Fatalf("a second Close changed the published metrics:\nonce:  %v\ntwice: %v", once, twice)
 	}
 	src := rng.New(1)
 	seen := map[*rand.Rand]bool{}
@@ -103,6 +120,32 @@ func TestPathClosesOnce(t *testing.T) {
 			t.Fatalf("Stream handed out one generator twice after a path was closed twice")
 		}
 		seen[r] = true
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector instruments
+// the build.
+var raceEnabled bool
+
+// TestUntracedPathAllocs: a path without a registry builds no metric
+// name and publishes nothing, so an untraced NewPath, a millisecond of
+// cross traffic and Close allocate at most 40 times.
+func TestUntracedPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a share of the heaps and generators it is given")
+	}
+	cfg := DefaultPath(radio.NR, true)
+	cycle := func() {
+		sch := des.New()
+		p := NewPath(sch, cfg)
+		sch.RunUntil(time.Millisecond)
+		p.Close()
+	}
+	cycle()
+	avg := testing.AllocsPerRun(100, cycle)
+	t.Logf("an untraced NewPath, 1 ms of cross traffic and Close: %v allocations", avg)
+	if avg > 40 {
+		t.Fatalf("an untraced NewPath, 1 ms of cross traffic and Close allocate %v times, want at most 40", avg)
 	}
 }
 

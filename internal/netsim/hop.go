@@ -48,8 +48,6 @@ func (h *Hop) serve() {
 func (h *Hop) txDone() {
 	p := h.inflight
 	h.inflight = nil
-	h.cFwd.Inc()
-	h.cBytes.Add(int64(p.Wire))
 	h.propagate(p, h.sch.Now()+h.prop+h.extraProp)
 	h.serve()
 }

@@ -41,9 +41,11 @@ type PathConfig struct {
 	Seed  int64
 
 	// Obs, when non-nil, collects `des.*` and `netsim.*` metrics for
-	// every hop and scheduler this path is built on. Trace additionally
-	// records every outage, and every window of a fault plan armed on
-	// the path, as a span in the bounded trace ring. Both default to off.
+	// every hop and scheduler this path is built on: the hops'
+	// occupancy histograms as packets arrive, and every count when the
+	// path closes. Trace additionally records every outage, and every
+	// window of a fault plan armed on the path, as a span in the
+	// bounded trace ring. Both default to off.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 
@@ -125,6 +127,10 @@ type Path struct {
 	Bottleneck *Hop
 	RAN        *RANHop
 	UplinkRAN  *Hop
+	hops       [5]*Hop // every Hop of the path, the two above included
+	// flowBytes is the payload delivered to the UE: a path carries one
+	// foreground flow.
+	flowBytes int64
 
 	// Pool recycles every packet the path carries (TCP segments and
 	// ACKs, UDP load and cross traffic); see PacketPool for the
@@ -135,16 +141,19 @@ type Path struct {
 	onClose     []func()
 }
 
-// Close hands on everything the path grew that no result keeps, to the
-// next path built on any goroutine: it runs the functions registered
-// with OnClose, then releases the path's two generators, its
-// scheduler's heap and its packet slabs. Call it once the path's
-// scheduler will not run again: no packet of a closed path, delivered,
-// queued or in flight, may be used afterwards, and the path must carry
-// no more traffic. Closing again does nothing: what the path grew is
-// handed on once. Paths that share a scheduler release its heap with
-// the first Close. A path that is never closed is collected as garbage
-// like any other value.
+// Close publishes what the path counted and hands on what it grew that
+// no result keeps, to the next path built on any goroutine: it runs the
+// functions registered with OnClose, adds each hop's counts and the
+// flow's bytes to Cfg.Obs, releases the path's two generators and its
+// packet slabs, and releases its scheduler, which adds its own counts to
+// Cfg.Obs and hands on its heap. Call it once the path's scheduler will
+// not run again: no packet of a closed path, delivered, queued or in
+// flight, may be used afterwards, and the path must carry no more
+// traffic. Closing again does nothing, so every count is published once
+// and what the path grew is handed on once. Paths that share a
+// scheduler release it with the first Close. A path that is never
+// closed publishes nothing and is collected as garbage like any other
+// value.
 func (p *Path) Close() {
 	if p.harq == nil {
 		return // closed already
@@ -152,10 +161,19 @@ func (p *Path) Close() {
 	for _, f := range p.onClose {
 		f()
 	}
+	if reg := p.Cfg.Obs; reg != nil {
+		p.RAN.publish(reg)
+		for _, h := range p.hops {
+			h.publish(reg)
+		}
+		// The series keeps its flow label so that result files line up
+		// with those of older builds.
+		reg.Counter("netsim.flow_bytes{flow=1}").Add(p.flowBytes)
+	}
 	rng.Release(p.harq)
 	rng.Release(p.cross)
 	p.harq, p.cross, p.onClose = nil, nil, nil
-	p.Sch.Release()
+	p.Sch.Release(p.Cfg.Obs)
 	p.Pool.close()
 }
 
@@ -173,19 +191,11 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 	p := &Path{Sch: sch, Cfg: cfg, Pool: NewPacketPool(),
 		harq: src.Stream("ran.harq"), cross: src.Stream("cross")}
 
-	if cfg.Obs != nil {
-		sch.SetObs(cfg.Obs)
-	}
-	// A path carries one foreground flow, so every packet delivered to
-	// the UE is its payload. The series keeps its flow label so that
-	// result files line up with those of older builds.
-	flowBytes := cfg.Obs.Counter("netsim.flow_bytes{flow=1}")
-
 	// Downlink, built back to front. The endpoint wrappers are where
 	// pool-owned packets finish their life: released after the consumer
 	// callback returns (consumers copy what they need synchronously).
 	ueDeliver := ReceiverFunc(func(pkt *Packet) {
-		flowBytes.Add(int64(pkt.Len))
+		p.flowBytes += int64(pkt.Len)
 		if p.ToUE != nil {
 			p.ToUE.Receive(pkt)
 		}
@@ -224,19 +234,13 @@ func NewPath(sch *des.Scheduler, cfg PathConfig) *Path {
 		cfg.RANOneWay, 2_000_000, ulWired)
 	p.UEIngress = p.UplinkRAN
 
-	for _, h := range []*Hop{core, p.Bottleneck, serverWired, ulWired, p.UplinkRAN} {
+	p.hops = [...]*Hop{core, p.Bottleneck, serverWired, ulWired, p.UplinkRAN}
+	for _, h := range p.hops {
 		h.SetPool(p.Pool)
+		h.SetObs(cfg.Obs)
 	}
 	p.RAN.SetPool(p.Pool)
-
-	if cfg.Obs != nil {
-		p.RAN.SetObs(cfg.Obs)
-		core.SetObs(cfg.Obs)
-		p.Bottleneck.SetObs(cfg.Obs)
-		serverWired.SetObs(cfg.Obs)
-		ulWired.SetObs(cfg.Obs)
-		p.UplinkRAN.SetObs(cfg.Obs)
-	}
+	p.RAN.SetObs(cfg.Obs)
 
 	if cfg.Inject != nil {
 		cfg.Inject(sch, p)

@@ -10,7 +10,7 @@ import (
 
 // queue is the store-and-forward core that Hop and RANHop embed: a
 // drop-tail FIFO buffer in front of a one-packet serializer slot, the
-// fault hooks that act on them, the drop path and the per-hop telemetry.
+// fault hooks that act on them, the drop path and the per-hop counts.
 // The embedding type supplies the two steps in which the hops differ:
 // serve (how long the head packet holds the serializer, built on head)
 // and txDone (when, and whether, the sent packet is delivered).
@@ -75,12 +75,11 @@ type queue struct {
 	// still intact inside the callback).
 	OnDrop func(p *Packet)
 
-	// Telemetry handles (nil = off), resolved once by SetObs.
-	cEnq   *obs.Counter
-	cDrop  *obs.Counter
-	cFwd   *obs.Counter
-	cBytes *obs.Counter
-	occ    *obs.Histogram
+	// Packets enqueued, dropped and delivered, and bytes delivered;
+	// publish adds them to a registry when the path closes.
+	enqueued, dropped, delivered, deliveredBytes int64
+
+	occ *obs.Histogram // nil = off; attached by SetObs
 }
 
 // newQueue returns the core of a hop that delivers to next. The caller
@@ -121,19 +120,24 @@ func (l *pktList) pop() *Packet {
 	return p
 }
 
-// SetObs attaches `netsim.*{hop=Name}` instruments: packets
-// enqueued/dropped/delivered, delivered bytes, and a buffer-occupancy
-// histogram sampled at each enqueue, in which overflow episodes show.
+// SetObs attaches the buffer-occupancy histogram
+// `netsim.occupancy_bytes{hop=Name}`, sampled at each enqueue, in which
+// overflow episodes show. A nil registry attaches nothing.
 func (q *queue) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	q.occ = reg.Histogram("netsim.occupancy_bytes{hop="+q.Name+"}", obs.ByteBuckets)
+}
+
+// publish adds the hop's counts to reg's `netsim.*{hop=Name}` counters:
+// packets enqueued, dropped and delivered, and bytes delivered.
+func (q *queue) publish(reg *obs.Registry) {
 	label := "{hop=" + q.Name + "}"
-	q.cEnq = reg.Counter("netsim.pkt_enqueued" + label)
-	q.cDrop = reg.Counter("netsim.pkt_dropped" + label)
-	q.cFwd = reg.Counter("netsim.pkt_delivered" + label)
-	q.cBytes = reg.Counter("netsim.bytes_delivered" + label)
-	q.occ = reg.Histogram("netsim.occupancy_bytes"+label, obs.ByteBuckets)
+	reg.Counter("netsim.pkt_enqueued" + label).Add(q.enqueued)
+	reg.Counter("netsim.pkt_dropped" + label).Add(q.dropped)
+	reg.Counter("netsim.pkt_delivered" + label).Add(q.delivered)
+	reg.Counter("netsim.bytes_delivered" + label).Add(q.deliveredBytes)
 }
 
 // SetPool attaches the pool used to recycle pool-owned packets the hop
@@ -160,7 +164,7 @@ func (q *queue) SetRateScale(s float64) {
 // SetInjectLoss arms (or, with rate ≤ 0, disarms) an i.i.d. drop
 // probability applied to arriving packets before they are buffered —
 // the fault layer's loss-burst window. Drops count into the hop's
-// regular drop statistics and telemetry.
+// regular drop count.
 func (q *queue) SetInjectLoss(rate float64, r *rand.Rand) {
 	if rate <= 0 {
 		q.injectLoss, q.injectRng = 0, nil
@@ -196,17 +200,16 @@ func (q *queue) Receive(p *Packet) {
 	}
 	q.buf.push(p)
 	q.queuedBytes += p.Wire
-	q.cEnq.Inc()
+	q.enqueued++
 	q.occ.Observe(float64(q.queuedBytes))
 	if !q.busy {
 		q.serveFn()
 	}
 }
 
-// drop records one dropped packet in the telemetry, then recycles it if
-// pool-owned.
+// drop counts one dropped packet, then recycles it if pool-owned.
 func (q *queue) drop(p *Packet) {
-	q.cDrop.Inc()
+	q.dropped++
 	if q.OnDrop != nil {
 		q.OnDrop(p)
 	}
@@ -241,11 +244,13 @@ func (q *queue) head(rate float64) (*Packet, float64) {
 	return p, rate
 }
 
-// propagate sends p down the delay line to be delivered at at. A
-// delivery due before the line's tail (a wired hop's latency burst has
-// just ended) would break the line's order, so it is scheduled on its
-// own.
+// propagate counts p as delivered and sends it down the delay line to
+// be delivered at at. A delivery due before the line's tail (a wired
+// hop's latency burst has just ended) would break the line's order, so
+// it is scheduled on its own.
 func (q *queue) propagate(p *Packet, at time.Duration) {
+	q.delivered++
+	q.deliveredBytes += int64(p.Wire)
 	if t := q.line.tail; t != nil && at < t.key.At {
 		q.sch.AtArg(at, q.deliverFn, p)
 		return

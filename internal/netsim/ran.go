@@ -30,15 +30,14 @@ type RANHop struct {
 
 	AttemptsHist [8]int64 // HARQ attempts histogram (index = attempts, capped)
 	ResidualLoss int64
-
-	cRetx *obs.Counter
+	retx         int64 // HARQ retransmissions: attempts beyond the first
 }
 
-// SetObs attaches the `netsim.*{hop=Name}` instruments of every hop, plus
-// a HARQ retransmission counter (attempts beyond the first).
-func (h *RANHop) SetObs(reg *obs.Registry) {
-	h.queue.SetObs(reg)
-	h.cRetx = reg.Counter("netsim.harq_retx{hop=" + h.Name + "}")
+// publish adds the counts of every hop to reg, and the HARQ
+// retransmissions to `netsim.harq_retx{hop=Name}`.
+func (h *RANHop) publish(reg *obs.Registry) {
+	h.queue.publish(reg)
+	reg.Counter("netsim.harq_retx{hop=" + h.Name + "}").Add(h.retx)
 }
 
 // NewRANHop builds the radio hop for a technology. rateBps is the
@@ -75,9 +74,7 @@ func (h *RANHop) serve() {
 		idx = len(h.AttemptsHist) - 1
 	}
 	h.AttemptsHist[idx]++
-	if attempts > 1 {
-		h.cRetx.Add(int64(attempts - 1))
-	}
+	h.retx += int64(attempts - 1)
 	// Each attempt occupies airtime; the scheduler's parallel HARQ
 	// processes keep the link busy meanwhile, so the serializer is held
 	// only for the airtime while the HARQ round trips show up as extra
@@ -95,8 +92,6 @@ func (h *RANHop) txDone() {
 		h.ResidualLoss++ // probability ≈ 10⁻⁵⁶; tracked for completeness
 		h.pool.Release(p)
 	} else {
-		h.cFwd.Inc()
-		h.cBytes.Add(int64(p.Wire))
 		// RLC in-order delivery: a block held up by HARQ round trips
 		// also holds back its successors (head-of-line jitter), so
 		// the transport layer never sees radio-induced reordering.

@@ -1,12 +1,14 @@
 package netsim_test
 
 import (
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"fivegsim/internal/netsim"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/transport"
 )
@@ -69,4 +71,52 @@ func sharedRunsMatchSolo[R any](t *testing.T, run func() R, lossy func(R) bool) 
 			}
 		}
 	}
+}
+
+// TestTracedPathsShareRegistry: paths on four goroutines at once publish
+// their counts into one registry as each closes, as the paths of an
+// experiment's sweep do into its registry when Workers > 1. Every
+// counter total equals that of the same runs made one after another;
+// under -race this also checks that publishing on Close is the only
+// write a path makes to a shared registry from its goroutine.
+func TestTracedPathsShareRegistry(t *testing.T) {
+	const workers = 4
+	runs := func(reg *obs.Registry) {
+		cfg := netsim.DefaultPath(radio.NR, true)
+		cfg.Obs = reg
+		netsim.RunUDP(cfg, 1.2e9, 100*time.Millisecond, nil)
+		transport.RunBulk(cfg, "cubic", 100*time.Millisecond)
+	}
+	serial := obs.NewRegistry()
+	for w := 0; w < workers; w++ {
+		runs(serial)
+	}
+	shared := obs.NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs(shared)
+		}()
+	}
+	wg.Wait()
+	want, got := counterTotals(serial), counterTotals(shared)
+	if want["des.events_fired"] == 0 || want["netsim.pkt_dropped{hop=bottleneck}"] == 0 || want["cc.acks{algo=cubic}"] == 0 {
+		t.Fatalf("the serial runs left counters unexercised: %v", want)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("counter totals of concurrent runs differ from serial ones:\nconcurrent: %v\nserial:     %v", got, want)
+	}
+}
+
+// counterTotals returns every counter of reg by name.
+func counterTotals(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		if m.Kind == "counter" {
+			out[m.Name] = m.Value
+		}
+	}
+	return out
 }

@@ -155,8 +155,17 @@ var benchBulk BulkResult
 
 // BenchmarkBulk times one two-second cubic bulk flow on the daytime 5G
 // path, set-up included: the unit of work F7 and F8 repeat.
-func BenchmarkBulk(b *testing.B) {
+func BenchmarkBulk(b *testing.B) { benchBulkFlows(b, nil) }
+
+// BenchmarkBulkTraced is BenchmarkBulk with a registry attached, as
+// under fgbench -results: the hops, the scheduler and the connection
+// count in plain fields and publish once per flow, so it differs from
+// BenchmarkBulk by the occupancy, cwnd and RTT histograms.
+func BenchmarkBulkTraced(b *testing.B) { benchBulkFlows(b, obs.NewRegistry()) }
+
+func benchBulkFlows(b *testing.B, reg *obs.Registry) {
 	cfg := netsim.DefaultPath(radio.NR, true)
+	cfg.Obs = reg
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchBulk = RunBulk(cfg, "cubic", 2*time.Second)

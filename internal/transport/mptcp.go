@@ -29,6 +29,25 @@ type MPTCPResult struct {
 // bottlenecks; the 4G and 5G paths share no queue in the NSA data plane,
 // so coupling would only slow the aggregate down).
 func RunMPTCPBulk(cfgs []netsim.PathConfig, ctrlName string, duration time.Duration) MPTCPResult {
+	res := MPTCPResult{}
+	var soloSum float64
+	// The solo runs reuse the subflows' packet storage.
+	for i, c := range runSubflows(cfgs, ctrlName, duration) {
+		bps := float64(c.DeliveredBytes*8) / duration.Seconds()
+		res.PerPathBps = append(res.PerPathBps, bps)
+		res.TotalBps += bps
+		solo := RunBulk(cfgs[i], ctrlName, duration)
+		soloSum += solo.ThroughputBps
+	}
+	if soloSum > 0 {
+		res.AggregationEfficiency = res.TotalBps / soloSum
+	}
+	return res
+}
+
+// runSubflows runs one bulk subflow per config on a shared scheduler for
+// duration, closes their paths, and returns the subflows.
+func runSubflows(cfgs []netsim.PathConfig, ctrlName string, duration time.Duration) []*Conn {
 	sch := des.New()
 	// Every path is built before any subflow starts, so the paths'
 	// own events are scheduled first.
@@ -42,22 +61,8 @@ func RunMPTCPBulk(cfgs []netsim.PathConfig, ctrlName string, duration time.Durat
 		subflows[i].Start()
 	}
 	sch.RunUntil(duration)
-	// The solo runs below reuse the subflows' packet storage.
 	for _, p := range paths {
 		p.Close()
 	}
-
-	res := MPTCPResult{}
-	var soloSum float64
-	for i, c := range subflows {
-		bps := float64(c.DeliveredBytes*8) / duration.Seconds()
-		res.PerPathBps = append(res.PerPathBps, bps)
-		res.TotalBps += bps
-		solo := RunBulk(cfgs[i], ctrlName, duration)
-		soloSum += solo.ThroughputBps
-	}
-	if soloSum > 0 {
-		res.AggregationEfficiency = res.TotalBps / soloSum
-	}
-	return res
+	return subflows
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fivegsim/internal/netsim"
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -51,5 +52,47 @@ func TestMPTCPSingleSubflowMatchesTCP(t *testing.T) {
 	ratio := m.TotalBps / single.ThroughputBps
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Fatalf("one-subflow MPTCP deviates from plain TCP: %.2f", ratio)
+	}
+}
+
+// TestMPTCPPublishesSubflowCounts: subflows that share a scheduler each
+// publish their own ACK, loss and RTO counts as their paths close, so an
+// MPTCP run's cc counters are the sums of its subflows' counts, and the
+// scheduler publishes its events once, with the first Close.
+func TestMPTCPPublishesSubflowCounts(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfgs := []netsim.PathConfig{
+		netsim.DefaultPath(radio.NR, true),
+		netsim.DefaultPath(radio.LTE, true),
+	}
+	cfgs[1].Seed = 2
+	for i := range cfgs {
+		cfgs[i].Obs = reg
+	}
+	subflows := runSubflows(cfgs, "cubic", 2*time.Second)
+	var acks, losses, rtos int64
+	for _, c := range subflows {
+		acks += c.acks
+		losses += c.LossEvents
+		rtos += c.RTOs
+	}
+	if losses == 0 {
+		t.Fatal("no subflow entered loss recovery: the loss count went unexercised")
+	}
+	for name, want := range map[string]int64{
+		"cc.acks{algo=cubic}": acks, "cc.loss_events{algo=cubic}": losses, "cc.rto_events{algo=cubic}": rtos,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want the subflows' sum %d", name, got, want)
+		}
+	}
+
+	// The shared scheduler publishes its events once, with the first
+	// Close, into that path's registry.
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	cfgs[0].Obs, cfgs[1].Obs = first, second
+	runSubflows(cfgs, "cubic", 200*time.Millisecond)
+	if a, b := first.Counter("des.events_fired").Value(), second.Counter("des.events_fired").Value(); a == 0 || b != 0 {
+		t.Errorf("des.events_fired = %d in the first path's registry and %d in the second's, want all in the first", a, b)
 	}
 }

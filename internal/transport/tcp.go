@@ -79,6 +79,7 @@ type Conn struct {
 	Retransmits    int64
 	RTOs           int64
 	LossEvents     int64
+	acks           int64 // ACKs that advanced the window: calls of ctrl.OnAck
 	CwndTrace      []CwndSample
 	rxWindowBytes  int64
 	rxWindows      []RateSample
@@ -116,8 +117,9 @@ var storageCache sync.Pool
 // NewConn creates a connection on the path using the named congestion
 // controller. limit is the transfer size in bytes (use Bulk for an
 // unbounded iperf-style flow). The connection starts from the storage a
-// connection of a closed path handed on, when one is cached, and hands
-// its own on when path is closed.
+// connection of a closed path handed on, when one is cached. When path
+// is closed it publishes its counts to the path's registry and hands its
+// own storage on.
 func NewConn(sch *des.Scheduler, path *netsim.Path, ctrlName string, limit int64) *Conn {
 	c := &Conn{
 		sch: sch, path: path, ctrl: cc.New(ctrlName), limit: limit,
@@ -144,9 +146,17 @@ func (c *Conn) adopt(s *storage) {
 	c.sack.replica.ranges, c.sack.scratch.ranges = s.replica, s.scratch
 }
 
-// release hands the connection's storage to the next NewConn, on any
-// goroutine. The connection must not run again.
+// release adds the connection's counts to the path's registry, when it
+// has one, as `cc.acks`, `cc.loss_events` and `cc.rto_events`
+// `{algo=name}`, and hands the connection's storage to the next
+// NewConn, on any goroutine. The connection must not run again.
 func (c *Conn) release() {
+	if reg := c.path.Cfg.Obs; reg != nil {
+		label := "{algo=" + c.ctrl.Name() + "}"
+		reg.Counter("cc.acks" + label).Add(c.acks)
+		reg.Counter("cc.loss_events" + label).Add(c.LossEvents)
+		reg.Counter("cc.rto_events" + label).Add(c.RTOs)
+	}
 	storageCache.Put(&storage{
 		runs: c.sack.runs[:0], sacked: c.sacked.ranges[:0], ooo: c.ooo.ranges[:0],
 		replica: c.sack.replica.ranges[:0], scratch: c.sack.scratch.ranges[:0],
@@ -385,6 +395,7 @@ func (c *Conn) onAck(p *netsim.Packet) {
 		if c.inRecovery && c.una >= c.recoverPoint {
 			c.inRecovery = false
 		}
+		c.acks++
 		c.ctrl.OnAck(now, acked, rtt, int(c.pipe()))
 		c.armRTO()
 		if !c.fired && c.una >= c.limit {

@@ -67,15 +67,19 @@ func TestExperimentParallelEquivalence(t *testing.T) {
 	}
 }
 
-// campaignDigest runs the whole quick campaign at seed 42 and renders
-// one line per experiment: its ID and the SHA-256 prefixes of its Lines
-// and of its Values (sorted keys, Float64bits). Wall-time fields live
-// only in the manifest, which stays out of the digest. It fails every
-// result whose title, or whose manifest's title, is not the one
-// Experiments lists.
-func campaignDigest(t *testing.T, workers int) []byte {
+// campaignDigest runs the whole quick campaign at seed 42 with a
+// registry attached and renders two digests, each one line per
+// experiment. The report digest holds its ID and the SHA-256 prefixes
+// of its Lines and of its Values (sorted keys, Float64bits); wall-time
+// fields live only in the manifest, which stays out of it. The metrics
+// digest holds its des.events_fired, its netsim.pkt_enqueued summed over
+// hops, and a SHA-256 prefix over every manifest metric but the
+// wall-clock series (see metricsDigest). It fails every result whose
+// title, or whose manifest's title, is not the one Experiments lists.
+func campaignDigest(t *testing.T, workers int) (report, metrics []byte) {
 	t.Helper()
-	results, err := RunExperimentsContext(context.Background(), Config{Seed: 42, Quick: true, Workers: workers})
+	cfg := Config{Seed: 42, Quick: true, Workers: workers, Obs: obs.NewRegistry()}
+	results, err := RunExperimentsContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func campaignDigest(t *testing.T, workers int) []byte {
 	for _, e := range Experiments() {
 		titles[e.ID] = e.Title
 	}
-	var out bytes.Buffer
+	var rep, met bytes.Buffer
 	for _, res := range results {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", res.ID, res.Err)
@@ -103,42 +107,84 @@ func campaignDigest(t *testing.T, workers int) []byte {
 			vh.Write([]byte(k))
 			vh.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(res.Values[k])))
 		}
-		fmt.Fprintf(&out, "%s lines=%x values=%x\n", res.ID, lines[:8], vh.Sum(nil)[:8])
+		fmt.Fprintf(&rep, "%s lines=%x values=%x\n", res.ID, lines[:8], vh.Sum(nil)[:8])
+		fmt.Fprintf(&met, "%s %s\n", res.ID, metricsDigest(res.Manifest.Metrics))
 	}
-	return out.Bytes()
+	return rep.Bytes(), met.Bytes()
 }
 
-// TestQuickCampaignGolden pins every experiment's output at once: the
-// quick campaign at seed 42 on two workers must reproduce
-// testdata/campaign_quick_v1.golden line for line. -update regenerates
-// the golden from a serial run, so the comparison that follows also
-// checks Workers equivalence for every experiment. Regenerate only for
-// an intended change of output, with
+// metricsDigest renders one experiment's manifest metrics as its DES
+// events fired, its packets enqueued summed over every hop, and a
+// SHA-256 prefix over every field of every metric but the wall-clock
+// series pop.tick_wall_us and pop.phase_wall_us{…}, whose values follow
+// the host.
+func metricsDigest(ms []obs.Metric) string {
+	var events, enqueued int64
+	h := sha256.New()
+	for _, m := range ms {
+		if m.Name == "pop.tick_wall_us" || strings.HasPrefix(m.Name, "pop.phase_wall_us{") {
+			continue
+		}
+		switch {
+		case m.Name == obs.MetricEventsFired:
+			events = int64(m.Value)
+		case strings.HasPrefix(m.Name, "netsim.pkt_enqueued{"):
+			enqueued += int64(m.Value)
+		}
+		h.Write([]byte(m.Name + " " + m.Kind))
+		for _, f := range []float64{m.Value, m.Max, float64(m.Count), m.Sum, m.Min, m.P50, m.P90, m.P95, m.P99} {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
+		}
+	}
+	return fmt.Sprintf("events=%d enqueued=%d metrics=%x", events, enqueued, h.Sum(nil)[:8])
+}
+
+// TestQuickCampaignGolden pins every experiment's output and telemetry
+// at once: the quick campaign at seed 42 on two workers must reproduce
+// testdata/campaign_quick_v1.golden (reports) and
+// testdata/campaign_quick_metrics_v1.golden (manifest metrics) line for
+// line. -update regenerates both goldens from a serial run, so the
+// comparison that follows also checks Workers equivalence for every
+// experiment. Regenerate only for an intended change of output or of
+// telemetry, with
 //
 //	go test -run QuickCampaignGolden -update .
 func TestQuickCampaignGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the whole quick campaign is not short-mode work")
 	}
-	path := filepath.Join("testdata", "campaign_quick_v1.golden")
+	reportPath := filepath.Join("testdata", "campaign_quick_v1.golden")
+	metricsPath := filepath.Join("testdata", "campaign_quick_metrics_v1.golden")
 	if *updateGolden {
-		if err := os.WriteFile(path, campaignDigest(t, 1), 0o644); err != nil {
+		report, metrics := campaignDigest(t, 1)
+		if err := os.WriteFile(reportPath, report, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metricsPath, metrics, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	report, metrics := campaignDigest(t, 2)
+	compareGolden(t, reportPath, report, "output")
+	compareGolden(t, metricsPath, metrics, "telemetry")
+}
+
+// compareGolden fails for every line of got that differs from the
+// golden file at path; what names the drift in the message.
+func compareGolden(t *testing.T, path string, got []byte, what string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run `go test -run QuickCampaignGolden -update` to create it)", err)
 	}
-	got := campaignDigest(t, 2)
 	wantLines := strings.Split(string(want), "\n")
 	gotLines := strings.Split(string(got), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("campaign has %d experiments, golden %d:\ngot:\n%s", len(gotLines)-1, len(wantLines)-1, got)
+		t.Fatalf("campaign has %d experiments, %s %d:\ngot:\n%s", len(gotLines)-1, path, len(wantLines)-1, got)
 	}
 	for i := range wantLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("output drifted from %s:\ngot:  %s\nwant: %s", path, gotLines[i], wantLines[i])
+			t.Errorf("%s drifted from %s:\ngot:  %s\nwant: %s", what, path, gotLines[i], wantLines[i])
 		}
 	}
 }

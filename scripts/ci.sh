@@ -2,7 +2,9 @@
 # CI gate for fivegsim: gofmt, vet, build, the tier-1 test suite, a
 # race pass over the parallel campaign engine, ten race rounds of the
 # caches through which closed packet paths hand their storage to paths
-# on other goroutines, short fuzzes of the TCP engine's interval set
+# on other goroutines (TestSlabCacheSharedAcrossGoroutines) and of
+# traced paths on four goroutines publishing their counts into one
+# registry as they close (TestTracedPathsShareRegistry), short fuzzes of the TCP engine's interval set
 # and SACK log, of the DES heap, of fault-plan validation, of the
 # library's Config validation, of the result/v1 decode round trip, of
 # fgserve's spec decode and admission validation, of the PRB scheduler
@@ -45,8 +47,10 @@ echo "== hand-on caches under the race detector (10 rounds) =="
 # A closed path hands its packet slabs, generators, scheduler heap and
 # SACK storage to the next path on any goroutine through sync.Pools. The
 # race build's sync.Pool drops a random share of what it is given, so
-# repeated rounds exercise both a cache hit and a miss of each.
-go test -race -count=10 -run '^TestSlabCacheSharedAcrossGoroutines$' ./internal/netsim
+# repeated rounds exercise both a cache hit and a miss of each. A closed
+# path also publishes its counts into its registry, which paths on other
+# goroutines share; their totals must equal a serial run's.
+go test -race -count=10 -run '^(TestSlabCacheSharedAcrossGoroutines|TestTracedPathsShareRegistry)$' ./internal/netsim
 
 echo "== fault determinism short suite =="
 go test -short -run 'Fault|Injection|Plan|Scenario|Ctx|Cancellation' ./internal/fault/ ./internal/par/ .
